@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .model import max_expected_occupancy
+from .model import Instance, Schedule, _require_complete, max_expected_occupancy
 from .simulation import GenSpec, coverage_stats, generate_instance, monte_carlo_curve
 from .solver import SAConfig, baseline_schedule, simulated_annealing
 from . import forecast
@@ -35,6 +35,16 @@ def _manifest(args: argparse.Namespace, config: dict, inputs: list[str],
         outputs=outputs,
         wall_clock_seconds=time.perf_counter() - started,
     ), outputs[0])
+
+
+def _read_schedule_of(instance: Instance, path: str) -> Schedule:
+    """Read a schedule file, rejecting it unless it times exactly the instance's patients."""
+    schedule = io.read_schedule(path)
+    try:
+        _require_complete(instance, schedule)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return schedule
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -69,12 +79,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     instance = io.read_instance(args.instance)
-    schedule = io.read_schedule(args.schedule)
-    starts = []
-    for p in instance.patients:
-        if p.id not in schedule.starts:
-            raise ValueError(f"{args.schedule}: no start time for patient {p.id}")
-        starts.append(schedule.starts[p.id])
+    schedule = _read_schedule_of(instance, args.schedule)
+    starts = [schedule.starts[p.id] for p in instance.patients]
     curve = forecast.occupancy_curve(instance.patients, starts,
                                      grid_step=args.grid_step, horizon=instance.day_hours)
     io.write_occupancy_csv(curve, args.out)
@@ -118,6 +124,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "best_sequence": best.best_sequence,
         "accepted": best.accepted,
         "rejected": best.rejected,
+        "best_iteration": best.best_iteration,
+        "acceptance_by_epoch": best.acceptance_by_epoch,
         "seed": best.config.seed,
         "config": {
             "iterations": args.iterations,
@@ -148,10 +156,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError("need at least one sample")
     instance = io.read_instance(args.instance)
-    schedule = io.read_schedule(args.schedule)
-    for p in instance.patients:
-        if p.id not in schedule.starts:
-            raise ValueError(f"{args.schedule}: no start time for patient {p.id}")
+    schedule = _read_schedule_of(instance, args.schedule)
     if args.samples == 1:
         print("warning: a single sample gives degenerate statistics (zero variance)",
               file=sys.stderr)

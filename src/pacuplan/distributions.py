@@ -126,9 +126,11 @@ def poisson_binomial_cdf_oracle(probs, k: int) -> float:
         return 1.0
     f = np.zeros(k + 1)
     f[0] = 1.0
-    for q in p:
-        f[1:] = f[1:] * (1.0 - q) + f[:-1] * q
-        f[0] *= 1.0 - q
+    head, tail, shifted = f[:-1], f[1:], np.empty(k)
+    for q in p.tolist():  # in place, no temporaries: f_j <- f_j (1 - q) + f_{j-1} q
+        np.multiply(head, q, out=shifted)
+        f *= 1.0 - q
+        tail += shifted
     return float(min(1.0, f.sum()))
 
 

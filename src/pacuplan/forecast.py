@@ -10,6 +10,19 @@ Monte Carlo validation of independently sampled durations uses "convolved".
 Aggregating the per-patient Bernoulli indicators gives the expected
 headcount, its variance, and a normal-theory 95% prediction band, evaluated
 on a regular time grid.
+
+The peak of the expected headcount (MEO), the optimiser's objective, has one
+kernel, ``MeoKernel``, which evaluates only each patient's band of grid
+times: lags above zero and below the point where the two standardised log
+arguments cross (``support_upper_bound``).  Outside the band every cell of
+the full matrix is exactly zero: at lag <= 0 by definition, and past the
+crossing, when the combined log-sd is the smaller, because the surgery
+argument then lies below the combined one, so the erf difference is
+non-positive and clips to zero.  A small relative margin keeps round-off
+near the crossing on the evaluated side.  Each column sum adds the same
+values in the same row order as the full matrix's, and adding an exact zero
+leaves a float unchanged, so the peak is bitwise the one ``occupancy_curve``
+gives.  When the combined log-sd is not the smaller the band is unbounded.
 """
 from __future__ import annotations
 
@@ -31,6 +44,12 @@ Z95 = 1.96
 # Below this gap between the two log-sigmas the crossing-point formula is
 # numerically singular and the support is treated as unbounded.
 SIGMA_TOLERANCE = 1e-12
+
+# Relative widening of the MEO kernel's band past the crossing lag; keeps
+# cells whose arguments round across the crossing inside the band.  On
+# log-means in [-2, 2] and log-variances in [0.01, 2] the computed
+# probability is zero from 6e-14 (relative) past the crossing on.
+_BAND_MARGIN = 1e-6
 
 RECOVERY_MODELS = ("moment", "convolved")
 
@@ -77,7 +96,10 @@ def support_upper_bound(surgery: LognormalParams, combined: LognormalParams,
     s, c = surgery.sigma, combined.sigma
     if abs(c - s) < SIGMA_TOLERANCE:
         return math.inf
-    return start + math.exp((c * surgery.mu - s * combined.mu) / (c - s))
+    try:
+        return start + math.exp((c * surgery.mu - s * combined.mu) / (c - s))
+    except OverflowError:  # sigmas a hair apart: the crossing lies past any float
+        return math.inf
 
 
 def in_recovery_prob(patient: "Patient", start: float, t: float) -> float:
@@ -94,23 +116,73 @@ def in_recovery_prob(patient: "Patient", start: float, t: float) -> float:
 def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
                          combined_log_mean: np.ndarray, combined_log_sd: np.ndarray,
                          starts: np.ndarray, times: np.ndarray,
-                         combined_cdf: np.ndarray | None = None) -> np.ndarray:
+                         combined_cdf: np.ndarray | None = None,
+                         cells: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Vectorised in-recovery probabilities, one row per patient, one column per time.
 
     ``combined_cdf``, when given, holds P(surgery + recovery <= t - start)
-    for each cell and stands in for the moment-matched lognormal's CDF.
+    for each evaluated cell and stands in for the moment-matched lognormal's
+    CDF.  ``cells``, when given, is a pair of equal-length (row, column)
+    index arrays; only those cells are evaluated, and the flat result holds
+    the same floats as those cells of the full matrix.
     """
-    x = np.asarray(times, dtype=float)[None, :] - np.asarray(starts, dtype=float)[:, None]
+    times = np.asarray(times, dtype=float)
+    starts = np.asarray(starts, dtype=float)
+    if cells is None:
+        rows = (slice(None), None)  # every row, broadcast across the columns
+        x = times[None, :] - starts[:, None]
+    else:
+        rows, cols = cells
+        x = times[cols] - starts[rows]
     positive = x > 0.0
     logx = np.log(np.where(positive, x, 1.0))
-    zs = (logx - log_mean[:, None]) / (SQRT2 * log_sd[:, None])
+    zs = (logx - log_mean[rows]) / (SQRT2 * log_sd[rows])
     if combined_cdf is None:
-        combined = erf((logx - combined_log_mean[:, None]) / (SQRT2 * combined_log_sd[:, None]))
+        combined = erf((logx - combined_log_mean[rows]) / (SQRT2 * combined_log_sd[rows]))
     else:
         combined = 2.0 * combined_cdf - 1.0  # a CDF F on the erf scale, 2F - 1
     probs = np.clip(0.5 * (erf(zs) - combined), 0.0, 1.0)
     probs[~positive] = 0.0
     return probs
+
+
+class MeoKernel:
+    """Exact peak expected occupancy of one day's patients on a fixed time grid.
+
+    Evaluates each recovery patient's band of grid times only (see the
+    module docstring); ``peak`` equals ``occupancy_curve(...).peak()`` for
+    the same patients, starts, grid step and horizon, bit for bit.
+    ``lag_limit`` holds each recovery patient's band end, in hours after
+    its start: the crossing lag widened by ``_BAND_MARGIN``, or inf.
+    """
+
+    def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
+        self.times = time_grid(grid_step, horizon)
+        self.rows = np.array([i for i, p in enumerate(patients) if p.needs_recovery], dtype=np.int64)
+        recovery = [p for p in patients if p.needs_recovery]
+        self.log_mean = np.array([p.surgery.mu for p in recovery])
+        self.log_sd = np.array([p.surgery.sigma for p in recovery])
+        self.combined_log_mean = np.array([p.combined.mu for p in recovery])
+        self.combined_log_sd = np.array([p.combined.sigma for p in recovery])
+        self.lag_limit = np.array([
+            support_upper_bound(p.surgery, p.combined) * (1.0 + _BAND_MARGIN)
+            if p.combined.sigma < p.surgery.sigma - SIGMA_TOLERANCE else math.inf
+            for p in recovery])
+
+    def peak(self, starts: Sequence[float]) -> float:
+        """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
+        if self.rows.size == 0:
+            return 0.0
+        z = np.asarray(starts, dtype=float)[self.rows]
+        first = np.searchsorted(self.times, z, side="right")  # first grid time with lag > 0
+        end = np.maximum(np.searchsorted(self.times, z + self.lag_limit, side="left"), first)
+        counts = end - first
+        row = np.repeat(np.arange(z.size), counts)
+        col = np.arange(row.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
+                                     self.combined_log_sd, z, self.times, cells=(row, col))
+        # Cells run row by row, so each column adds its values in row order.
+        return float(np.bincount(col, probs, minlength=self.times.size).max())
 
 
 def _lognormal_cdf_matrix(log_mean: np.ndarray, log_sd: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -148,9 +148,17 @@ class Violation:
 
 
 def _require_complete(instance: Instance, schedule: Schedule) -> None:
+    """Reject a schedule unless it gives exactly the instance's patients finite starts."""
     missing = [p.id for p in instance.patients if p.id not in schedule.starts]
     if missing:
         raise ValueError(f"schedule is missing start times for patients: {', '.join(missing)}")
+    unknown = [pid for pid in schedule.starts if pid not in instance.patient_by_id]
+    if unknown:
+        raise ValueError(f"schedule has start times for patients not in the instance: "
+                         f"{', '.join(map(str, unknown))}")
+    non_finite = [pid for pid, z in schedule.starts.items() if not math.isfinite(z)]
+    if non_finite:
+        raise ValueError(f"schedule has non-finite start times for patients: {', '.join(non_finite)}")
 
 
 def derive_pairwise(schedule: Schedule, instance: Instance,
@@ -267,7 +275,5 @@ def max_expected_occupancy(instance: Instance, schedule: Schedule,
                            grid_step: float = 0.1) -> float:
     """Peak of the expected recovery occupancy over the day's time grid."""
     _require_complete(instance, schedule)
-    starts = [schedule.starts[p.id] for p in instance.patients]
-    curve = forecast.occupancy_curve(instance.patients, starts,
-                                     grid_step=grid_step, horizon=instance.day_hours)
-    return curve.peak()
+    kernel = forecast.MeoKernel(instance.patients, grid_step, instance.day_hours)
+    return kernel.peak([schedule.starts[p.id] for p in instance.patients])

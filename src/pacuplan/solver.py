@@ -7,6 +7,22 @@ starts off realised predecessor starts, and each start is then placed
 uniformly at random inside its slack window.  Annealing searches the
 sequence space with random pair swaps, minimising the peak expected
 recovery occupancy.
+
+Each pass walks the sequence once and consults only the immediate
+neighbours on the patient's OR chain and surgeon chain (the patients
+sharing that OR, or that surgeon, in sequence order).  That gives the same
+floats as taking the max (min) over every earlier (later) patient sharing
+an OR or surgeon.  Along a chain, a patient's realised start is its
+earliest start plus a non-negative slack share, which is at least its
+predecessor's start + duration + cleanup; adding the non-negative duration
+and cleanup keeps the order.  Float rounding is monotone, so these
+inequalities hold for the computed values too: start + duration + cleanup
+never decreases along a chain, and the immediate predecessor's value is
+the chain's largest, the very same float.  In the reverse pass, latest
+completion - duration - setup never decreases along a chain for the same
+reason, so the immediate successor's value is the chain's smallest.  The
+slack fractions come from one ``rng.random(n)`` call, which yields the same
+doubles as n scalar draws and leaves the generator in the same state.
 """
 from __future__ import annotations
 
@@ -47,7 +63,13 @@ class SAConfig:
 
 @dataclass
 class SolveReport:
-    """Everything a run produced, including per-iteration traces."""
+    """Everything a run produced, including per-iteration traces.
+
+    ``best_iteration`` is the first iteration whose candidate reached
+    ``best_meo`` (0 when no candidate beat the initial schedule);
+    ``acceptance_by_epoch`` is the accepted share of the candidates tried in
+    each ``cooling_period`` of iterations, the last one possibly partial.
+    """
 
     best_schedule: Schedule
     best_sequence: list[str]
@@ -60,15 +82,17 @@ class SolveReport:
     accepted_trace: list[bool] = field(repr=False)
     accepted: int = 0
     rejected: int = 0
+    best_iteration: int = 0
+    acceptance_by_epoch: list[float] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     config: SAConfig | None = None
 
 
 class _Workspace:
-    """Per-instance arrays for the schedule builder.
+    """Per-instance lists for the schedule builder.
 
-    ``neighbors[p]`` lists the patients sharing p's OR or surgeon; sequence
-    position alone then decides who is a predecessor or successor.
+    ``room[p]`` and ``surgeon[p]`` number the OR and surgeon chains patient
+    p belongs to; sequence order alone then decides each chain's order.
     """
 
     def __init__(self, instance: Instance):
@@ -76,68 +100,49 @@ class _Workspace:
         self.n = len(patients)
         self.ids = [p.id for p in patients]
         self.index = {pid: i for i, pid in enumerate(self.ids)}
-        self.duration = np.array([p.expected_duration for p in patients])
-        self.setup = np.array([p.setup for p in patients])
-        self.cleanup = np.array([p.cleanup for p in patients])
-        self.earliest = np.array([max(0.0, instance.surgeon_by_id[p.surgeon_id].shift_start)
-                                  for p in patients])
-        self.or_close = instance.or_open_hours
-        neighbor_sets: list[set[int]] = [set() for _ in range(self.n)]
-        for group in list(instance.patients_by_surgeon.values()) + list(instance.patients_by_or.values()):
-            idx = [self.index[p.id] for p in group]
-            for a in idx:
-                neighbor_sets[a].update(idx)
-        self.neighbors = [sorted(s - {i}) for i, s in enumerate(neighbor_sets)]
+        self.duration = [float(p.expected_duration) for p in patients]
+        self.setup = [float(p.setup) for p in patients]
+        self.cleanup = [float(p.cleanup) for p in patients]
+        self.earliest = [float(max(0.0, instance.surgeon_by_id[p.surgeon_id].shift_start))
+                         for p in patients]
+        self.or_close = float(instance.or_open_hours)
+        rooms = {or_id: k for k, or_id in enumerate(instance.patients_by_or)}
+        surgeons = {sid: k for k, sid in enumerate(instance.patients_by_surgeon)}
+        self.room = [rooms[p.or_id] for p in patients]
+        self.surgeon = [surgeons[p.surgeon_id] for p in patients]
+        self.room_count, self.surgeon_count = len(rooms), len(surgeons)
 
-    def order_from_ids(self, sequence: Sequence[str]) -> np.ndarray:
+    def order_from_ids(self, sequence: Sequence[str]) -> list[int]:
         if len(sequence) != self.n or {*sequence} != {*self.ids}:
             raise ValueError("sequence must be a permutation of the instance's patient ids")
-        return np.array([self.index[pid] for pid in sequence], dtype=np.int64)
+        return [self.index[pid] for pid in sequence]
 
 
-class _OccupancyKernel:
-    """Fast peak-expected-occupancy evaluation for a fixed instance and grid."""
+def _construct_starts(ws: _Workspace, order: Sequence[int],
+                      rng: np.random.Generator | None) -> list[float]:
+    """Two-pass chain propagation; one uniform draw per patient when rng is given.
 
-    def __init__(self, instance: Instance, grid_step: float):
-        self.times = forecast.time_grid(grid_step, instance.day_hours)
-        rows = [(i, p) for i, p in enumerate(instance.patients) if p.needs_recovery]
-        self.rec_index = np.array([i for i, _ in rows], dtype=np.int64)
-        self.log_mean = np.array([p.surgery.mu for _, p in rows])
-        self.log_sd = np.array([p.surgery.sigma for _, p in rows])
-        self.combined_log_mean = np.array([p.combined.mu for _, p in rows])
-        self.combined_log_sd = np.array([p.combined.sigma for _, p in rows])
-
-    def meo(self, starts: np.ndarray) -> float:
-        if self.rec_index.size == 0:
-            return 0.0
-        probs = forecast.recovery_prob_matrix(
-            self.log_mean, self.log_sd, self.combined_log_mean, self.combined_log_sd,
-            starts[self.rec_index], self.times)
-        return float(probs.sum(axis=0).max())
-
-
-def _construct_starts(ws: _Workspace, order: np.ndarray,
-                      rng: np.random.Generator | None) -> np.ndarray:
-    """Two-pass propagation; one uniform draw per patient when rng is given."""
-    position = np.empty(ws.n, dtype=np.int64)
-    position[order] = np.arange(ws.n)
-    latest_completion = np.full(ws.n, ws.or_close)
-    earliest_start = ws.earliest.copy()
-    for p in order[::-1]:
-        successor_caps = [latest_completion[s] - ws.duration[s] - ws.setup[s]
-                          for s in ws.neighbors[p] if position[s] > position[p]]
-        if successor_caps:
-            latest_completion[p] = min(successor_caps) - ws.cleanup[p]
-    starts = np.empty(ws.n)
-    for p in order:
-        predecessor_floors = [earliest_start[q] + ws.duration[q] + ws.cleanup[q]
-                              for q in ws.neighbors[p] if position[q] < position[p]]
-        if predecessor_floors:
-            earliest_start[p] = max(predecessor_floors) + ws.setup[p]
-        u = rng.random() if rng is not None else 0.0
-        slack = latest_completion[p] - earliest_start[p] - ws.duration[p]
-        starts[p] = earliest_start[p] + max(0.0, u * slack)
-        earliest_start[p] = starts[p]  # later patients chain off the realised start
+    ``cap_*`` hold, per chain, the latest start (less setup) of the chain's
+    next patient, ``floor_*`` the realised finish (plus cleanup) of its last.
+    """
+    duration, setup, cleanup, room, surgeon = ws.duration, ws.setup, ws.cleanup, ws.room, ws.surgeon
+    latest = [ws.or_close] * ws.n
+    cap_room, cap_surgeon = [math.inf] * ws.room_count, [math.inf] * ws.surgeon_count
+    for p in reversed(order):
+        cap = min(cap_room[room[p]], cap_surgeon[surgeon[p]])
+        if cap < math.inf:
+            latest[p] = cap - cleanup[p]
+        cap_room[room[p]] = cap_surgeon[surgeon[p]] = latest[p] - duration[p] - setup[p]
+    draws = rng.random(ws.n).tolist() if rng is not None else [0.0] * ws.n
+    floor_room, floor_surgeon = [-math.inf] * ws.room_count, [-math.inf] * ws.surgeon_count
+    starts = [0.0] * ws.n
+    for p, u in zip(order, draws):
+        floor = max(floor_room[room[p]], floor_surgeon[surgeon[p]])
+        earliest = floor + setup[p] if floor > -math.inf else ws.earliest[p]
+        slack = latest[p] - earliest - duration[p]
+        starts[p] = earliest + max(0.0, u * slack)
+        # later patients chain off the realised start
+        floor_room[room[p]] = floor_surgeon[surgeon[p]] = starts[p] + duration[p] + cleanup[p]
     return starts
 
 
@@ -150,7 +155,7 @@ def construct_schedule(instance: Instance, sequence: Sequence[str],
     """
     ws = _Workspace(instance)
     starts = _construct_starts(ws, ws.order_from_ids(sequence), rng)
-    return Schedule(starts={ws.ids[i]: float(starts[i]) for i in range(ws.n)})
+    return Schedule(starts=dict(zip(ws.ids, starts)))
 
 
 def baseline_schedule(instance: Instance) -> Schedule:
@@ -186,14 +191,14 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     config = config or SAConfig()
     started = time.perf_counter()
     ws = _Workspace(instance)
-    kernel = _OccupancyKernel(instance, config.grid_step)
+    kernel = forecast.MeoKernel(instance.patients, config.grid_step, instance.day_hours)
     rng = np.random.default_rng(config.seed)
 
-    order = np.arange(ws.n, dtype=np.int64)
+    order = list(range(ws.n))
     current_starts = _construct_starts(ws, order, None)
-    current = kernel.meo(current_starts)
+    current = kernel.peak(current_starts)
     initial = current
-    best, best_starts, best_order = current, current_starts, order
+    best, best_starts, best_order, best_iteration = current, current_starts, order, 0
 
     meo_trace: list[float] = []
     best_trace: list[float] = []
@@ -210,7 +215,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             candidate_order = order.copy()
             candidate_order[i], candidate_order[j] = candidate_order[j], candidate_order[i]
         candidate_starts = _construct_starts(ws, candidate_order, rng)
-        candidate = kernel.meo(candidate_starts)
+        candidate = kernel.peak(candidate_starts)
         delta = candidate - current
         take = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
         if take:
@@ -220,6 +225,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             rejected += 1
         if candidate < best:
             best, best_starts, best_order = candidate, candidate_starts, candidate_order
+            best_iteration = iteration
         meo_trace.append(candidate)
         best_trace.append(best)
         temperature_trace.append(temperature)
@@ -228,7 +234,9 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         if iteration % config.cooling_period == 0:
             temperature *= config.cooling_factor
 
-    schedule = Schedule(starts={ws.ids[i]: float(best_starts[i]) for i in range(ws.n)})
+    schedule = Schedule(starts=dict(zip(ws.ids, best_starts)))
+    period = config.cooling_period
+    epochs = [accepted_trace[k:k + period] for k in range(0, len(accepted_trace), period)]
     return SolveReport(
         best_schedule=schedule,
         best_sequence=[ws.ids[i] for i in best_order],
@@ -241,6 +249,8 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         accepted_trace=accepted_trace,
         accepted=accepted,
         rejected=rejected,
+        best_iteration=best_iteration,
+        acceptance_by_epoch=[sum(epoch) / len(epoch) for epoch in epochs],
         wall_clock_seconds=time.perf_counter() - started,
         config=config,
     )

@@ -100,6 +100,32 @@ class TestForecast:
                    "--out", tmp_path / "x.csv") == 2
 
 
+@pytest.mark.parametrize("command", ["forecast", "validate"])
+class TestScheduleEntries:
+    def run_with(self, command, tmp_path, instance_file, starts):
+        schedule_path = tmp_path / "edited.json"
+        io.write_schedule(Schedule(starts), schedule_path)
+        return run(command, instance_file, schedule_path, "--out", tmp_path / "x.out")
+
+    def test_unknown_patient_id_exits_2(self, command, tmp_path, small_instance_file,
+                                        small_schedule_file, capsys):
+        starts = {**io.read_schedule(small_schedule_file).starts, "ghost": 1.0}
+        assert self.run_with(command, tmp_path, small_instance_file, starts) == 2
+        err = capsys.readouterr().err
+        assert "not in the instance: ghost" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_start_exits_2(self, command, tmp_path, small_instance_file,
+                                      small_schedule_file, capsys, bad):
+        starts = {**io.read_schedule(small_schedule_file).starts, "p03": bad}
+        assert self.run_with(command, tmp_path, small_instance_file, starts) == 2
+        err = capsys.readouterr().err
+        assert "non-finite start times for patients: p03" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.out").exists()
+
+
 class TestOptimize:
     def test_outputs_and_self_consistency(self, tmp_path, small_instance_file, capsys):
         out = tmp_path / "best.json"
@@ -114,6 +140,36 @@ class TestOptimize:
         with open(occ) as fh:
             peak = max(float(r["mean"]) for r in csv.DictReader(fh))
         assert peak == pytest.approx(report["best_meo"], abs=1e-12)
+
+    def test_search_diagnostics(self, tmp_path, small_instance_file):
+        out = tmp_path / "best.json"
+        assert run("optimize", small_instance_file, "--iterations", 60, "--seed", 2,
+                   "--cooling-period", 25, "--out", out) == 0
+        report = json.loads((tmp_path / "best.report.json").read_text())
+        epochs = report["acceptance_by_epoch"]
+        assert len(epochs) == 3  # 25 + 25 + 10 iterations
+        assert all(0.0 <= ratio <= 1.0 for ratio in epochs)
+        assert round(25 * epochs[0] + 25 * epochs[1] + 10 * epochs[2]) == report["accepted"]
+        best_iteration = report["best_iteration"]
+        trace = report["best_trace"]
+        if report["best_meo"] < report["initial_meo"]:
+            assert trace[best_iteration - 1] == report["best_meo"]
+            assert best_iteration == 1 or trace[best_iteration - 2] > report["best_meo"]
+            assert report["meo_trace"][best_iteration - 1] == report["best_meo"]
+        else:
+            assert best_iteration == 0
+
+    def test_no_improvement_reports_iteration_zero(self, tmp_path):
+        instance_path = tmp_path / "no_recovery.json"
+        assert run("generate", "--patients", 4, "--surgeons", 2, "--ors", 2,
+                   "--recovery-fraction", 0.0, "--seed", 0, "--out", instance_path) == 0
+        out = tmp_path / "flat.json"
+        assert run("optimize", instance_path, "--iterations", 5, "--cooling-period", 2,
+                   "--out", out) == 0
+        report = json.loads((tmp_path / "flat.report.json").read_text())
+        assert report["best_meo"] == report["initial_meo"] == 0.0  # nobody needs recovery
+        assert report["best_iteration"] == 0
+        assert report["acceptance_by_epoch"] == [1.0, 1.0, 1.0]  # every delta is zero
 
     def test_replicas_keep_best_seed(self, tmp_path, small_instance_file):
         multi = tmp_path / "multi.json"

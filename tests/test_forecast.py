@@ -10,6 +10,7 @@ from pacuplan import (
     LognormalParams,
     exact_occupancy_cdf,
     expected_occupancy,
+    generate_instance,
     in_recovery_prob,
     occupancy_curve,
     occupancy_variance,
@@ -17,7 +18,8 @@ from pacuplan import (
     support_upper_bound,
     time_grid,
 )
-from pacuplan.forecast import recovery_probs_at
+from pacuplan import forecast
+from pacuplan.forecast import MeoKernel, recovery_prob_matrix, recovery_probs_at
 
 from conftest import make_patient
 
@@ -56,6 +58,11 @@ class TestSupportUpperBound:
             lambda t: (math.log(t) - 1.0) / 0.5 - (math.log(t) - 1.4) / 0.6, 1e-6, 1.0,
             xtol=1e-14)
         assert bound == pytest.approx(crossing, rel=1e-9)
+
+    def test_nearly_equal_sigmas_cross_past_any_float(self):
+        surgery = LognormalParams(1.0, 0.25)
+        combined = LognormalParams(1.5, 0.25 - 1e-10)  # sigmas 1e-10 apart
+        assert support_upper_bound(surgery, combined) == math.inf
 
     def test_start_translates_the_bound(self):
         surgery = LognormalParams(1.0, 0.25)
@@ -294,6 +301,92 @@ class TestConvolvedRecoveryModel:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="recovery model"):
             occupancy_curve([make_patient()], [0.0], recovery_model="bogus")
+
+
+class TestMeoKernel:
+    """The banded kernel's peak equals the full curve's peak, float for float."""
+
+    @staticmethod
+    def assert_same_peak(patients, starts, grid_step=0.1, horizon=24.0):
+        peak = MeoKernel(patients, grid_step, horizon).peak(starts)
+        assert peak == occupancy_curve(patients, starts, grid_step, horizon).peak()
+        return peak
+
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037])
+    def test_random_schedules(self, grid_step):
+        rng = np.random.default_rng(5)
+        for seed in range(5):
+            instance = generate_instance(GenSpec(seed=seed))
+            kernel = MeoKernel(instance.patients, grid_step, instance.day_hours)
+            for _ in range(40):
+                starts = rng.uniform(-1.0, 12.0, len(instance.patients)).tolist()
+                assert kernel.peak(starts) == occupancy_curve(
+                    instance.patients, starts, grid_step, instance.day_hours).peak()
+
+    def test_unbounded_band(self):
+        wide = make_patient(pid="w", surgery=(0.0, 0.05), recovery=(0.3, 0.8))
+        assert wide.combined.sigma >= wide.surgery.sigma
+        narrow = make_patient(pid="n", surgeon="s2", surgery=(0.5, 0.5), recovery=(-1.0, 0.05))
+        patients = [wide, narrow]
+        assert MeoKernel(patients, 0.1, 24.0).lag_limit.tolist() == [
+            math.inf, support_upper_bound(narrow.surgery, narrow.combined)
+            * (1.0 + forecast._BAND_MARGIN)]
+        for start in (0.0, 0.33, 7.9, 18.25):
+            self.assert_same_peak(patients, [start, 0.5 * start])
+            self.assert_same_peak(patients, [start, 0.5 * start], grid_step=0.037)
+
+    def test_starts_at_or_past_the_horizon(self):
+        instance = generate_instance(GenSpec(seed=2))
+        n = len(instance.patients)
+        assert self.assert_same_peak(instance.patients, [24.0] * n) == 0.0
+        assert self.assert_same_peak(instance.patients, [30.0] * n) == 0.0
+        mixed = [24.0 if i % 3 == 0 else (31.5 if i % 3 == 1 else 0.1 * i) for i in range(n)]
+        assert self.assert_same_peak(instance.patients, mixed) > 0.0
+        assert self.assert_same_peak(instance.patients, mixed, grid_step=0.037) > 0.0
+
+    def test_no_recovery_patients(self):
+        patients = [make_patient(needs_recovery=False),
+                    make_patient(pid="p2", surgeon="s2", needs_recovery=False)]
+        assert self.assert_same_peak(patients, [0.0, 1.0]) == 0.0
+        assert self.assert_same_peak([], []) == 0.0
+
+    def test_lag_limit_is_the_widened_support_bound(self):
+        for seed in range(5):
+            patients = generate_instance(GenSpec(seed=seed)).patients
+            recovery = [p for p in patients if p.needs_recovery]
+            limits = MeoKernel(patients, 0.1, 24.0).lag_limit
+            assert len(limits) == len(recovery)
+            for p, limit in zip(recovery, limits):
+                if p.combined.sigma < p.surgery.sigma - forecast.SIGMA_TOLERANCE:
+                    assert limit == support_upper_bound(p.surgery, p.combined) \
+                        * (1.0 + forecast._BAND_MARGIN)
+                else:
+                    assert limit == math.inf
+
+    def test_full_matrix_is_zero_from_the_lag_limit_on(self):
+        # Every cell the band leaves out evaluates to exactly 0.0 in the full
+        # matrix, including the first lags past the limit.
+        rng = np.random.default_rng(8)
+        spec = GenSpec()
+        checked = 0
+        while checked < 200:
+            patient = make_patient(surgery=(rng.uniform(*spec.surgery_log_mean),
+                                            rng.uniform(*spec.surgery_log_var)),
+                                   recovery=(rng.uniform(*spec.recovery_log_mean),
+                                             rng.uniform(*spec.recovery_log_var)))
+            limit = MeoKernel([patient], 0.1, 24.0).lag_limit[0]
+            if limit == math.inf or limit > 1e6:
+                continue
+            checked += 1
+            lags = np.concatenate([limit * (1.0 + np.arange(50) * 1e-15),
+                                   np.linspace(limit, 4.0 * limit, 200)])
+            probs = recovery_prob_matrix(
+                np.array([patient.surgery.mu]), np.array([patient.surgery.sigma]),
+                np.array([patient.combined.mu]), np.array([patient.combined.sigma]),
+                np.zeros(1), lags)
+            assert (probs == 0.0).all()
+            median = math.exp(patient.surgery.mu)  # inside the band, with a positive probability
+            assert median < limit and in_recovery_prob(patient, 0.0, median) > 0.0
 
 
 class TestExactOccupancyCdf:

@@ -121,6 +121,21 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError, match="p1"):
             check_feasibility(instance, Schedule({}))
 
+    @pytest.mark.parametrize("check", [check_feasibility, max_expected_occupancy,
+                                       compute_overtime])
+    def test_unknown_patient_id_is_structural(self, check):
+        instance = make_instance([make_patient()])
+        with pytest.raises(ValueError, match="ghost"):
+            check(instance, Schedule({"p1": 0.0, "ghost": 1.0}))
+
+    @pytest.mark.parametrize("check", [check_feasibility, max_expected_occupancy,
+                                       compute_overtime])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_is_structural(self, check, bad):
+        instance = make_instance([make_patient(), make_patient(pid="p2", surgeon="s2")])
+        with pytest.raises(ValueError, match="non-finite start times for patients: p2$"):
+            check(instance, Schedule({"p1": 0.0, "p2": bad}))
+
     def test_start_before_shift(self):
         instance = make_instance([make_patient(duration=1.0)],
                                  surgeons=[Surgeon(id="s1", shift_start=2.0, shift_end=8.0)])

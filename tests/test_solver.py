@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pacuplan import (
+    GenSpec,
     SAConfig,
     Surgeon,
     baseline_schedule,
@@ -73,6 +74,76 @@ class TestConstructSchedule:
             schedule = construct_schedule(instance, sequence,
                                           np.random.default_rng(int(rng.integers(2**32))))
             assert check_feasibility(instance, schedule) == []
+
+
+def reference_starts(instance, sequence, rng):
+    """The neighbour-list builder the chain builder replaced, kept as its oracle.
+
+    Each pass takes the max (min) over every earlier (later) patient sharing
+    an OR or surgeon, and draws one scalar uniform per patient.
+    """
+    patients = instance.patients
+    n = len(patients)
+    index = {p.id: i for i, p in enumerate(patients)}
+    duration = np.array([p.expected_duration for p in patients])
+    setup = np.array([p.setup for p in patients])
+    cleanup = np.array([p.cleanup for p in patients])
+    earliest = np.array([max(0.0, instance.surgeon_by_id[p.surgeon_id].shift_start)
+                         for p in patients])
+    neighbor_sets = [set() for _ in range(n)]
+    for group in [*instance.patients_by_surgeon.values(), *instance.patients_by_or.values()]:
+        idx = [index[p.id] for p in group]
+        for a in idx:
+            neighbor_sets[a].update(idx)
+    neighbors = [sorted(s - {i}) for i, s in enumerate(neighbor_sets)]
+    order = np.array([index[pid] for pid in sequence], dtype=np.int64)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    latest_completion = np.full(n, instance.or_open_hours)
+    earliest_start = earliest.copy()
+    for p in order[::-1]:
+        caps = [latest_completion[s] - duration[s] - setup[s]
+                for s in neighbors[p] if position[s] > position[p]]
+        if caps:
+            latest_completion[p] = min(caps) - cleanup[p]
+    starts = np.empty(n)
+    for p in order:
+        floors = [earliest_start[q] + duration[q] + cleanup[q]
+                  for q in neighbors[p] if position[q] < position[p]]
+        if floors:
+            earliest_start[p] = max(floors) + setup[p]
+        u = rng.random() if rng is not None else 0.0
+        slack = latest_completion[p] - earliest_start[p] - duration[p]
+        starts[p] = earliest_start[p] + max(0.0, u * slack)
+        earliest_start[p] = starts[p]
+    return {patients[i].id: float(starts[i]) for i in range(n)}
+
+
+class TestChainBuilderMatchesNeighbourLists:
+    @pytest.mark.parametrize("spec", [GenSpec(seed=s) for s in range(5)]
+                             + [GenSpec(seed=7, patient_count=90, surgeon_count=25, or_count=6)])
+    def test_bitwise_equal_starts_and_generator_state(self, spec):
+        instance = generate_instance(spec)
+        rng = np.random.default_rng(spec.seed)
+        for k in range(100):
+            sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+            assert construct_schedule(instance, sequence).starts == \
+                reference_starts(instance, sequence, None)
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            assert construct_schedule(instance, sequence, ours).starts == \
+                reference_starts(instance, sequence, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_random_day_shapes(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            instance = generate_instance(random_genspec(rng))
+            sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert construct_schedule(instance, sequence, ours).starts == \
+                reference_starts(instance, sequence, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestBaselineSchedule:
@@ -185,3 +256,5 @@ class TestSimulatedAnnealing:
         assert report.best_meo == 0.0
         assert report.initial_meo == 0.0
         assert report.best_schedule.starts == {}
+        assert report.best_iteration == 0
+        assert report.acceptance_by_epoch == [1.0]
