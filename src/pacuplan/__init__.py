@@ -13,10 +13,7 @@ from .distributions import (
 from .forecast import (
     OccupancyCurve,
     exact_occupancy_cdf,
-    expected_occupancy,
-    in_recovery_prob,
     occupancy_curve,
-    occupancy_variance,
     support_upper_bound,
     time_grid,
 )
@@ -29,7 +26,6 @@ from .model import (
     Violation,
     check_feasibility,
     compute_overtime,
-    derive_pairwise,
     max_expected_occupancy,
 )
 from .simulation import (
@@ -39,7 +35,6 @@ from .simulation import (
     coverage_stats,
     generate_instance,
     monte_carlo_curve,
-    sample_day,
 )
 from .solver import (
     SAConfig,
@@ -47,7 +42,6 @@ from .solver import (
     baseline_schedule,
     construct_schedule,
     simulated_annealing,
-    swap_neighbor,
 )
 
 __all__ = [
@@ -60,10 +54,7 @@ __all__ = [
     "poisson_binomial_pmf",
     "OccupancyCurve",
     "exact_occupancy_cdf",
-    "expected_occupancy",
-    "in_recovery_prob",
     "occupancy_curve",
-    "occupancy_variance",
     "support_upper_bound",
     "time_grid",
     "FEASIBILITY_EPS",
@@ -74,7 +65,6 @@ __all__ = [
     "Violation",
     "check_feasibility",
     "compute_overtime",
-    "derive_pairwise",
     "max_expected_occupancy",
     "CoverageStats",
     "EmpiricalCurve",
@@ -82,11 +72,9 @@ __all__ = [
     "coverage_stats",
     "generate_instance",
     "monte_carlo_curve",
-    "sample_day",
     "SAConfig",
     "SolveReport",
     "baseline_schedule",
     "construct_schedule",
     "simulated_annealing",
-    "swap_neighbor",
 ]

@@ -19,6 +19,17 @@ SQRT2 = math.sqrt(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def _require_finite(owner: str, **fields) -> None:
+    """Reject any field that is not a finite real number (a bool is not one), naming it."""
+    for name, value in fields.items():
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except TypeError:  # not a real number at all
+            finite = False
+        if not finite:
+            raise ValueError(f"{owner}: {name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LognormalParams:
     """Lognormal duration: ``mu``/``sigma2`` are the mean/variance of the log."""
@@ -27,8 +38,7 @@ class LognormalParams:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
-            raise ValueError(f"lognormal parameters must be finite, got ({self.mu}, {self.sigma2})")
+        _require_finite("lognormal", mu=self.mu, sigma2=self.sigma2)
         if self.sigma2 <= 0.0:
             raise ValueError(f"log-variance must be positive, got {self.sigma2}")
         if self.mu + self.sigma2 / 2.0 > _LOG_FLOAT_MAX:

@@ -76,10 +76,10 @@ class OccupancyCurve:
 
 def time_grid(grid_step: float, horizon: float) -> np.ndarray:
     """Regular grid 0, step, 2*step, ... covering [0, horizon]."""
-    if grid_step <= 0.0:
-        raise ValueError(f"grid step must be positive, got {grid_step}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid step must be positive and finite, got {grid_step}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
     return np.arange(n_steps + 1) * grid_step
 
@@ -100,17 +100,6 @@ def support_upper_bound(surgery: LognormalParams, combined: LognormalParams,
         return start + math.exp((c * surgery.mu - s * combined.mu) / (c - s))
     except OverflowError:  # sigmas a hair apart: the crossing lies past any float
         return math.inf
-
-
-def in_recovery_prob(patient: "Patient", start: float, t: float) -> float:
-    """Probability that the patient occupies a recovery bed at time t."""
-    x = t - start
-    if x <= 0.0:
-        return 0.0
-    logx = math.log(x)
-    fs = 0.5 * math.erf((logx - patient.surgery.mu) / (SQRT2 * patient.surgery.sigma))
-    fc = 0.5 * math.erf((logx - patient.combined.mu) / (SQRT2 * patient.combined.sigma))
-    return min(1.0, max(0.0, fs - fc))
 
 
 def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
@@ -146,6 +135,24 @@ def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
     return probs
 
 
+def _recovery_params(patients: Sequence["Patient"]) -> tuple[np.ndarray, ...]:
+    """Recovery patients' indices, then their surgery, combined and recovery (mu, sd) arrays."""
+    rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
+             p.recovery.mu, p.recovery.sigma)
+            for i, p in enumerate(patients) if p.needs_recovery]
+    if not rows:
+        return (np.empty(0, dtype=np.int64), *(np.empty(0) for _ in range(6)))
+    index, *params = zip(*rows)
+    return (np.array(index, dtype=np.int64), *(np.asarray(col, dtype=float) for col in params))
+
+
+def _recovery_starts(starts: Sequence[float], rows: np.ndarray, n_patients: int) -> np.ndarray:
+    """The starts of the patients at ``rows``, out of one start per patient."""
+    if len(starts) != n_patients:
+        raise ValueError(f"expected one start per patient, got {len(starts)} starts for {n_patients} patients")
+    return np.asarray(starts, dtype=float)[rows]
+
+
 class MeoKernel:
     """Exact peak expected occupancy of one day's patients on a fixed time grid.
 
@@ -158,22 +165,19 @@ class MeoKernel:
 
     def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
         self.times = time_grid(grid_step, horizon)
-        self.rows = np.array([i for i, p in enumerate(patients) if p.needs_recovery], dtype=np.int64)
-        recovery = [p for p in patients if p.needs_recovery]
-        self.log_mean = np.array([p.surgery.mu for p in recovery])
-        self.log_sd = np.array([p.surgery.sigma for p in recovery])
-        self.combined_log_mean = np.array([p.combined.mu for p in recovery])
-        self.combined_log_sd = np.array([p.combined.sigma for p in recovery])
+        self.n_patients = len(patients)
+        (self.rows, self.log_mean, self.log_sd, self.combined_log_mean, self.combined_log_sd,
+         _, _) = _recovery_params(patients)
         self.lag_limit = np.array([
             support_upper_bound(p.surgery, p.combined) * (1.0 + _BAND_MARGIN)
             if p.combined.sigma < p.surgery.sigma - SIGMA_TOLERANCE else math.inf
-            for p in recovery])
+            for p in patients if p.needs_recovery])
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
+        z = _recovery_starts(starts, self.rows, self.n_patients)
         if self.rows.size == 0:
             return 0.0
-        z = np.asarray(starts, dtype=float)[self.rows]
         first = np.searchsorted(self.times, z, side="right")  # first grid time with lag > 0
         end = np.maximum(np.searchsorted(self.times, z + self.lag_limit, side="left"), first)
         counts = end - first
@@ -231,43 +235,6 @@ def convolved_sum_cdf(surgery_mu: np.ndarray, surgery_sd: np.ndarray,
     return np.where(index >= 0, np.clip(values, 0.0, 1.0), 0.0)
 
 
-def _recovery_param_arrays(patients: Sequence["Patient"], starts: Sequence[float]):
-    """Parameter arrays restricted to the patients that occupy a recovery bed.
-
-    Returns surgery (mu, sd), combined (mu, sd), starts and recovery (mu, sd).
-    """
-    if len(patients) != len(starts):
-        raise ValueError(f"expected one start per patient, got {len(starts)} starts for {len(patients)} patients")
-    rows = [(p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma, z,
-             p.recovery.mu, p.recovery.sigma)
-            for p, z in zip(patients, starts) if p.needs_recovery]
-    if not rows:
-        return tuple(np.empty(0) for _ in range(7))
-    return tuple(np.asarray(col, dtype=float) for col in zip(*rows))
-
-
-def recovery_probs_at(patients: Sequence["Patient"], starts: Sequence[float],
-                      t: float) -> np.ndarray:
-    """Per-patient in-recovery probabilities at a single time (recovery patients only)."""
-    mu, sd, cmu, csd, z, _, _ = _recovery_param_arrays(patients, starts)
-    if mu.size == 0:
-        return np.empty(0)
-    return recovery_prob_matrix(mu, sd, cmu, csd, z, np.array([t]))[:, 0]
-
-
-def expected_occupancy(patients: Sequence["Patient"], starts: Sequence[float],
-                       t: float) -> float:
-    """Expected number of patients in recovery at time t."""
-    return float(recovery_probs_at(patients, starts, t).sum())
-
-
-def occupancy_variance(patients: Sequence["Patient"], starts: Sequence[float],
-                       t: float) -> float:
-    """Variance of the recovery headcount at time t (sum of Bernoulli variances)."""
-    p = recovery_probs_at(patients, starts, t)
-    return float((p * (1.0 - p)).sum())
-
-
 def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
                     grid_step: float = 0.1, horizon: float = 24.0,
                     recovery_model: str = "moment") -> OccupancyCurve:
@@ -280,8 +247,9 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
     if recovery_model not in RECOVERY_MODELS:
         raise ValueError(f"unknown recovery model {recovery_model!r}; expected one of {RECOVERY_MODELS}")
     times = time_grid(grid_step, horizon)
-    mu, sd, cmu, csd, z, rmu, rsd = _recovery_param_arrays(patients, starts)
-    if mu.size == 0:
+    rows, mu, sd, cmu, csd, rmu, rsd = _recovery_params(patients)
+    z = _recovery_starts(starts, rows, len(patients))
+    if rows.size == 0:
         zero = np.zeros(times.size)
         return OccupancyCurve(grid_step, times, zero, zero.copy(), zero.copy(), zero.copy())
     combined_cdf = None
@@ -302,4 +270,7 @@ def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
     The normal band on the curve is an approximation; this is the opt-in
     exact query for tail probabilities where that approximation is too crude.
     """
-    return poisson_binomial_cdf(recovery_probs_at(patients, starts, t), k)
+    rows, mu, sd, cmu, csd, _, _ = _recovery_params(patients)
+    probs = recovery_prob_matrix(mu, sd, cmu, csd, _recovery_starts(starts, rows, len(patients)),
+                                 np.array([t]))
+    return poisson_binomial_cdf(probs[:, 0], k)

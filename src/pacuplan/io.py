@@ -20,6 +20,8 @@ FORMAT_VERSION = 1
 
 
 def _check_version(payload: dict, path: Path) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})")
@@ -70,21 +72,31 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instance:
+    where = "top level"  # the entry being read, for error messages
     try:
-        surgeons = [Surgeon(id=s["id"], shift_start=s["shift_start"], shift_end=s["shift_end"],
-                            new_or_setup=s.get("new_or_setup", 0.0))
-                    for s in payload["surgeons"]]
-        patients = [Patient(id=p["id"], surgeon_id=p["surgeon_id"], or_id=p["or_id"],
-                            needs_recovery=p["needs_recovery"],
-                            surgery=LognormalParams(**p["surgery"]),
-                            recovery=LognormalParams(**p["recovery"]),
-                            expected_duration=p.get("expected_duration"),
-                            setup=p.get("setup", 0.0), cleanup=p.get("cleanup", 0.0))
-                    for p in payload["patients"]]
+        surgeons = []
+        for i, s in enumerate(payload["surgeons"]):
+            where = f"surgeons[{i}]"
+            surgeons.append(Surgeon(id=s["id"], shift_start=s["shift_start"], shift_end=s["shift_end"],
+                                    new_or_setup=s.get("new_or_setup", 0.0)))
+        patients = []
+        for i, p in enumerate(payload["patients"]):
+            where = f"patients[{i}] surgery"
+            surgery = LognormalParams(**p["surgery"])
+            where = f"patients[{i}] recovery"
+            recovery = LognormalParams(**p["recovery"])
+            where = f"patients[{i}]"
+            patients.append(Patient(id=p["id"], surgeon_id=p["surgeon_id"], or_id=p["or_id"],
+                                    needs_recovery=p["needs_recovery"], surgery=surgery,
+                                    recovery=recovery, expected_duration=p.get("expected_duration"),
+                                    setup=p.get("setup", 0.0), cleanup=p.get("cleanup", 0.0)))
+        where = "top level"
         return Instance(surgeons=surgeons, patients=patients, or_count=payload["or_count"],
                         or_open_hours=payload["or_open_hours"], day_hours=payload["day_hours"])
     except KeyError as exc:
-        raise ValueError(f"{source}: missing required field {exc}") from exc
+        raise ValueError(f"{source}: {where}: missing required field {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{source}: {where}: {exc}") from None
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
@@ -117,6 +129,9 @@ def read_schedule(path: str | Path) -> Schedule:
         starts = payload["starts"]
     except KeyError as exc:
         raise ValueError(f"{p}: missing required field {exc}") from exc
+    if not isinstance(starts, dict) or not all(
+            isinstance(z, (int, float)) and not isinstance(z, bool) for z in starts.values()):
+        raise ValueError(f"{p}: starts must map patient ids to numbers")
     return Schedule(starts={pid: float(z) for pid, z in starts.items()})
 
 

@@ -11,16 +11,21 @@ Instances, schedules and violations are treated as immutable once built.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import forecast
-from .distributions import LognormalParams, moment_match_sum
+from .distributions import LognormalParams, _require_finite, moment_match_sum
 
 # Tolerance (hours) realising strict inequalities on floating-point schedules.
 FEASIBILITY_EPS = 1e-9
+
+
+def _require_type(what: str, value, kind: type, noun: str) -> None:
+    """Reject a value that is not a ``kind`` (a bool is only a bool), naming the field."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,9 @@ class Surgeon:
     new_or_setup: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_type(f"surgeon {self.id!r}: id", self.id, str, "a string")
+        _require_finite(f"surgeon {self.id}", shift_start=self.shift_start,
+                        shift_end=self.shift_end, new_or_setup=self.new_or_setup)
         if not 0.0 <= self.shift_start < self.shift_end:
             raise ValueError(f"surgeon {self.id}: shift [{self.shift_start}, {self.shift_end}] is invalid")
         if self.new_or_setup < 0.0:
@@ -64,9 +72,14 @@ class Patient:
     combined: LognormalParams = field(init=False)
 
     def __post_init__(self) -> None:
+        for name, kind, noun in (("id", str, "a string"), ("surgeon_id", str, "a string"),
+                                 ("or_id", numbers.Integral, "an integer"), ("needs_recovery", bool, "true or false")):
+            _require_type(f"patient {self.id}: {name}", getattr(self, name), kind, noun)
         object.__setattr__(self, "combined", moment_match_sum(self.surgery, self.recovery))
         if self.expected_duration is None:
             object.__setattr__(self, "expected_duration", self.surgery.mean())
+        _require_finite(f"patient {self.id}", expected_duration=self.expected_duration,
+                        setup=self.setup, cleanup=self.cleanup)
         if not self.expected_duration > 0.0:
             raise ValueError(f"patient {self.id}: expected duration must be positive")
         if self.setup < 0.0 or self.cleanup < 0.0:
@@ -88,6 +101,8 @@ class Instance:
     day_hours: float = 24.0
 
     def __post_init__(self) -> None:
+        _require_type("instance: or_count", self.or_count, numbers.Integral, "an integer")
+        _require_finite("instance", or_open_hours=self.or_open_hours, day_hours=self.day_hours)
         if self.or_count < 0:
             raise ValueError("OR count must be non-negative")
         if not 0.0 < self.or_open_hours <= self.day_hours:
@@ -125,9 +140,6 @@ class Schedule:
 
     starts: dict[str, float]
 
-    def start_of(self, patient_id: str) -> float:
-        return self.starts[patient_id]
-
     def end_of(self, patient: Patient) -> float:
         return self.starts[patient.id] + patient.expected_duration
 
@@ -161,24 +173,6 @@ def _require_complete(instance: Instance, schedule: Schedule) -> None:
         raise ValueError(f"schedule has non-finite start times for patients: {', '.join(non_finite)}")
 
 
-def derive_pairwise(schedule: Schedule, instance: Instance,
-                    eps: float = FEASIBILITY_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise indicators in patient-list order.
-
-    U[p, q] is True when q's surgery ends strictly after p's starts;
-    V[p, q] marks genuine interval overlap (boundary touching excluded),
-    i.e. U[p, q] and U[q, p] together.
-    """
-    _require_complete(instance, schedule)
-    starts = np.array([schedule.starts[p.id] for p in instance.patients])
-    ends = starts + np.array([p.expected_duration for p in instance.patients])
-    n = starts.size
-    ends_after_start = ends[None, :] > starts[:, None] + eps
-    np.fill_diagonal(ends_after_start, False)
-    overlap = ends_after_start & ends_after_start.T
-    return ends_after_start, overlap
-
-
 def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]:
     """Minimal non-negative overtime per surgeon implied by the schedule."""
     _require_complete(instance, schedule)
@@ -190,10 +184,6 @@ def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]
     return overtime
 
 
-def overtime_flags(overtime: dict[str, float]) -> dict[str, bool]:
-    return {sid: hours > 0.0 for sid, hours in overtime.items()}
-
-
 def check_feasibility(instance: Instance, schedule: Schedule,
                       eps: float = FEASIBILITY_EPS) -> list[Violation]:
     """All sequencing-rule violations beyond tolerance; empty means feasible.
@@ -201,7 +191,7 @@ def check_feasibility(instance: Instance, schedule: Schedule,
     Checks, by constraint number: shift starts (2), shift ends net of
     overtime (3), the overtime cap (4), no double-booked surgeon (9) or OR
     (10), setup/cleanup gaps between consecutive same-surgeon (12) and
-    same-OR (13) cases, and non-negative overtime (14).
+    same-OR (13) cases.
     """
     _require_complete(instance, schedule)
     violations: list[Violation] = []
@@ -228,27 +218,24 @@ def check_feasibility(instance: Instance, schedule: Schedule,
                 violations.append(Violation(
                     4, f"surgeon {surgeon.id} overtime exceeds its cap by {excess:.4g} h",
                     surgeon=surgeon.id, magnitude=excess))
-        if overtime[surgeon.id] < -eps:  # unreachable with derived overtime; kept for the contract
-            violations.append(Violation(
-                14, f"surgeon {surgeon.id} has negative overtime", surgeon=surgeon.id,
-                magnitude=-overtime[surgeon.id]))
 
-    index = {p.id: i for i, p in enumerate(instance.patients)}
-    ends_after_start, overlap = derive_pairwise(schedule, instance, eps)
+    def ends_after_start(p: Patient, q: Patient) -> bool:
+        """q's surgery ends strictly (beyond eps) after p's starts."""
+        return schedule.end_of(q) > schedule.starts[p.id] + eps
 
     def check_group(group: Sequence[Patient], overlap_constraint: int, gap_constraint: int,
                     surgeon: str | None, or_id: int | None) -> None:
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 p, q = group[a], group[b]
-                if overlap[index[p.id], index[q.id]]:
+                if ends_after_start(p, q) and ends_after_start(q, p):
                     violations.append(Violation(
                         overlap_constraint, f"patients {p.id} and {q.id} overlap",
                         patients=(p.id, q.id), surgeon=surgeon, or_id=or_id,
                         magnitude=_overlap_hours(instance, schedule, p, q)))
         for p in group:
             for q in group:
-                if p.id == q.id or not ends_after_start[index[p.id], index[q.id]]:
+                if p.id == q.id or not ends_after_start(p, q):
                     continue
                 required = schedule.end_of(p) + q.setup + p.cleanup
                 gap_short = required - schedule.starts[q.id]

@@ -169,18 +169,6 @@ def _draw_windows(patient: Patient, start: float, rng: np.random.Generator,
     raise ValueError(f"unknown sampling mode {mode!r}; expected one of {SAMPLING_MODES}")
 
 
-def sample_day(instance: Instance, schedule: Schedule, rng: np.random.Generator,
-               mode: str = "true") -> list[tuple[float, float]]:
-    """One sampled day: (recovery entry, recovery exit) per recovery patient."""
-    out = []
-    for p in instance.patients:
-        if not p.needs_recovery:
-            continue
-        entry, exit_ = _draw_windows(p, schedule.starts[p.id], rng, 1, mode)
-        out.append((float(entry[0]), float(exit_[0])))
-    return out
-
-
 def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
                       grid_step: float = 0.1, mode: str = "true",
                       rng: np.random.Generator | None = None) -> EmpiricalCurve:

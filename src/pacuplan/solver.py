@@ -3,10 +3,10 @@
 The builder is a two-pass critical-path propagation over the patient
 sequence: a reverse pass tightens each patient's latest completion from the
 successors that share their OR or surgeon, a forward pass chains earliest
-starts off realised predecessor starts, and each start is then placed
-uniformly at random inside its slack window.  Annealing searches the
-sequence space with random pair swaps, minimising the peak expected
-recovery occupancy.
+starts off realised predecessor starts and the surgeon's shift start, and
+each start is then placed uniformly at random inside its slack window.
+Annealing searches the sequence space with random pair swaps, minimising
+the peak expected recovery occupancy.
 
 Each pass walks the sequence once and consults only the immediate
 neighbours on the patient's OR chain and surgeon chain (the patients
@@ -55,10 +55,10 @@ class SAConfig:
             raise ValueError("cooling factor must lie in (0, 1)")
         if self.cooling_period < 1:
             raise ValueError("cooling period must be at least 1")
-        if self.initial_temperature <= 0.0:
-            raise ValueError("initial temperature must be positive")
-        if self.grid_step <= 0.0:
-            raise ValueError("grid step must be positive")
+        if not (math.isfinite(self.initial_temperature) and self.initial_temperature > 0.0):
+            raise ValueError(f"initial temperature must be positive and finite, got {self.initial_temperature}")
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
+            raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
 
 
 @dataclass
@@ -103,7 +103,7 @@ class _Workspace:
         self.duration = [float(p.expected_duration) for p in patients]
         self.setup = [float(p.setup) for p in patients]
         self.cleanup = [float(p.cleanup) for p in patients]
-        self.earliest = [float(max(0.0, instance.surgeon_by_id[p.surgeon_id].shift_start))
+        self.shift_start = [float(max(0.0, instance.surgeon_by_id[p.surgeon_id].shift_start))
                          for p in patients]
         self.or_close = float(instance.or_open_hours)
         rooms = {or_id: k for k, or_id in enumerate(instance.patients_by_or)}
@@ -124,6 +124,7 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
 
     ``cap_*`` hold, per chain, the latest start (less setup) of the chain's
     next patient, ``floor_*`` the realised finish (plus cleanup) of its last.
+    No patient starts before its surgeon's shift, whatever its predecessors.
     """
     duration, setup, cleanup, room, surgeon = ws.duration, ws.setup, ws.cleanup, ws.room, ws.surgeon
     latest = [ws.or_close] * ws.n
@@ -138,7 +139,7 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
     starts = [0.0] * ws.n
     for p, u in zip(order, draws):
         floor = max(floor_room[room[p]], floor_surgeon[surgeon[p]])
-        earliest = floor + setup[p] if floor > -math.inf else ws.earliest[p]
+        earliest = max(floor + setup[p], ws.shift_start[p])
         slack = latest[p] - earliest - duration[p]
         starts[p] = earliest + max(0.0, u * slack)
         # later patients chain off the realised start
@@ -166,16 +167,6 @@ def baseline_schedule(instance: Instance) -> Schedule:
 def _draw_swap(n: int, rng: np.random.Generator) -> tuple[int, int]:
     i, j = rng.choice(n, size=2, replace=False)
     return int(i), int(j)
-
-
-def swap_neighbor(sequence: Sequence[str], rng: np.random.Generator) -> list[str]:
-    """Copy of the sequence with two distinct random positions exchanged."""
-    seq = list(sequence)
-    if len(seq) < 2:
-        return seq
-    i, j = _draw_swap(len(seq), rng)
-    seq[i], seq[j] = seq[j], seq[i]
-    return seq
 
 
 def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> SolveReport:

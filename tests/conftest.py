@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pacuplan import GenSpec, Instance, LognormalParams, Patient, Surgeon, generate_instance
+from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, generate_instance,
+                      lognormal_cdf)
 
 
 def make_patient(pid="p1", surgeon="s1", or_id=1, needs_recovery=True,
@@ -10,6 +11,12 @@ def make_patient(pid="p1", surgeon="s1", or_id=1, needs_recovery=True,
     return Patient(id=pid, surgeon_id=surgeon, or_id=or_id, needs_recovery=needs_recovery,
                    surgery=LognormalParams(*surgery), recovery=LognormalParams(*recovery),
                    expected_duration=duration, setup=setup, cleanup=cleanup)
+
+
+def in_recovery_oracle(patient, start, t):
+    """Scalar in-recovery probability, F_surgery(t - start) - F_combined(t - start) in [0, 1]."""
+    x = t - start
+    return min(1.0, max(0.0, lognormal_cdf(x, patient.surgery) - lognormal_cdf(x, patient.combined)))
 
 
 def make_instance(patients, surgeons=None, or_count=None, or_open_hours=8.0, day_hours=24.0):

@@ -7,6 +7,8 @@ from pacuplan import GenSpec, Instance, Schedule, generate_instance
 from pacuplan import io
 from pacuplan.cli import main
 
+from conftest import in_recovery_oracle
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -68,12 +70,11 @@ class TestForecast:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 241
-        from pacuplan import expected_occupancy
         instance = io.read_instance(small_instance_file)
         schedule = io.read_schedule(small_schedule_file)
-        starts = [schedule.starts[p.id] for p in instance.patients]
         for row in rows[::40]:
-            expected = expected_occupancy(instance.patients, starts, float(row["time"]))
+            expected = sum(in_recovery_oracle(p, schedule.starts[p.id], float(row["time"]))
+                           for p in instance.patients if p.needs_recovery)
             assert float(row["mean"]) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_instance_gives_zero_rows(self, tmp_path):
@@ -124,6 +125,60 @@ class TestScheduleEntries:
         assert "non-finite start times for patients: p03" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.out").exists()
+
+
+def _set(*path_and_value):
+    """A payload edit that sets the field at ``path`` (keys and list indices) to ``value``."""
+    *path, key, value = path_and_value
+
+    def edit(payload):
+        for step in path:
+            payload = payload[step]
+        payload[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda payload: [payload], "JSON object"),
+    (_set("patients", 0, "or_id", "1"), "or_id"),
+    (_set("patients", 1, "surgery", "mu", "0.5"), "mu"),
+    (_set("day_hours", float("inf")), "day_hours"),
+    (_set("patients", 2, "setup", float("nan")), "setup"),
+    (_set("patients", 2, "cleanup", float("nan")), "cleanup"),
+    (_set("surgeons", 0, "new_or_setup", float("nan")), "new_or_setup"),
+    (_set("patients", 3, "needs_recovery", "false"), "needs_recovery"),
+    (_set("patients", 0, "expected_duration", float("inf")), "expected_duration"),
+    (_set("patients", 0, "id", 5), "patient 5: id must be a string"),
+    (_set("surgeons", 0, "id", 7), "surgeon 7: id must be a string"),
+])
+def test_malformed_instance_exits_2_naming_the_field(tmp_path, small_instance_file, capsys,
+                                                     edit, field):
+    payload = json.loads(small_instance_file.read_text())
+    payload = edit(payload) or payload
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("optimize", bad, "--iterations", 5, "--out", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert field in err and str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, setting", [
+    ("forecast", "--grid-step", "grid step"),
+    ("validate", "--grid-step", "grid step"),
+    ("optimize", "--grid-step", "grid step"),
+    ("optimize", "--initial-temperature", "initial temperature"),
+])
+def test_non_finite_setting_exits_2_naming_it(tmp_path, small_instance_file, small_schedule_file,
+                                               capsys, bad, command, flag, setting):
+    inputs = [small_instance_file] + ([] if command == "optimize" else [small_schedule_file])
+    capsys.readouterr()
+    assert run(command, *inputs, flag, bad, "--out", tmp_path / "x.out") == 2
+    err = capsys.readouterr().err
+    assert f"{setting} must be positive and finite" in err
+    assert "Traceback" not in err
 
 
 class TestOptimize:

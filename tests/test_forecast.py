@@ -9,19 +9,33 @@ from pacuplan import (
     GenSpec,
     LognormalParams,
     exact_occupancy_cdf,
-    expected_occupancy,
     generate_instance,
-    in_recovery_prob,
     occupancy_curve,
-    occupancy_variance,
     poisson_binomial_pmf,
     support_upper_bound,
     time_grid,
 )
 from pacuplan import forecast
-from pacuplan.forecast import MeoKernel, recovery_prob_matrix, recovery_probs_at
+from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
-from conftest import make_patient
+from conftest import in_recovery_oracle, make_patient
+
+
+def matrix_probs(patients, starts, times):
+    """``recovery_prob_matrix`` over the recovery patients, one row each, one column per time."""
+    rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
+    return recovery_prob_matrix(mu, sd, cmu, csd, np.asarray(starts, dtype=float)[rows],
+                                np.atleast_1d(np.asarray(times, dtype=float)))
+
+
+def matrix_prob(patient, start, t):
+    """One patient's in-recovery probability at time t, from ``recovery_prob_matrix``."""
+    return float(matrix_probs([patient], [start], t)[0, 0])
+
+
+def curve_at(patients, starts, t):
+    """The occupancy curve on the grid (0, t), whose last point is exactly time t."""
+    return occupancy_curve(patients, starts, grid_step=t, horizon=t)
 
 
 class TestTimeGrid:
@@ -40,6 +54,11 @@ class TestTimeGrid:
             time_grid(0.0, 1.0)
         with pytest.raises(ValueError):
             time_grid(0.1, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="grid step must be positive and finite"):
+                time_grid(bad, 24.0)
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                time_grid(0.1, bad)
 
 
 class TestSupportUpperBound:
@@ -71,19 +90,19 @@ class TestSupportUpperBound:
         assert support_upper_bound(surgery, combined, start=5.5) == pytest.approx(base + 5.5)
 
 
-class TestInRecoveryProb:
+class TestRecoveryProbMatrix:
     def test_zero_at_start_and_far_future(self):
         patient = make_patient()
-        assert in_recovery_prob(patient, 3.0, 3.0) == 0.0
-        assert in_recovery_prob(patient, 3.0, 1.0) == 0.0
-        assert in_recovery_prob(patient, 0.0, 1e9) == pytest.approx(0.0, abs=1e-12)
+        assert matrix_prob(patient, 3.0, 3.0) == 0.0
+        assert matrix_prob(patient, 3.0, 1.0) == 0.0
+        assert matrix_prob(patient, 0.0, 1e9) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_probability(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             patient = make_patient(surgery=(rng.uniform(-1, 1.5), rng.uniform(0.02, 0.8)),
                                    recovery=(rng.uniform(-1.5, 1), rng.uniform(0.02, 0.8)))
-            p = in_recovery_prob(patient, 0.0, rng.uniform(0.0, 30.0))
+            p = matrix_prob(patient, 0.0, rng.uniform(0.0, 30.0))
             assert 0.0 <= p <= 1.0
 
     def test_zero_beyond_support_bound_when_sigma_shrinks(self):
@@ -100,14 +119,14 @@ class TestInRecoveryProb:
             bound = support_upper_bound(patient.surgery, patient.combined)
             assert bound < math.inf
             for factor in (1.0001, 1.5, 4.0):
-                assert in_recovery_prob(patient, 0.0, bound * factor) == 0.0
-            assert in_recovery_prob(patient, 0.0, bound * 0.7) > 0.0
+                assert matrix_prob(patient, 0.0, bound * factor) == 0.0
+            assert matrix_prob(patient, 0.0, bound * 0.7) > 0.0
 
     def test_time_translation_invariance(self):
         patient = make_patient(surgery=(0.3, 0.2), recovery=(0.1, 0.3))
         for t in (0.5, 1.7, 4.2, 9.0):
-            base = in_recovery_prob(patient, 0.0, t)
-            assert in_recovery_prob(patient, 6.25, t + 6.25) == pytest.approx(base, abs=1e-12)
+            base = matrix_prob(patient, 0.0, t)
+            assert matrix_prob(patient, 6.25, t + 6.25) == pytest.approx(base, abs=1e-12)
 
     def test_matched_monte_carlo_oracle(self):
         # Fraction of days with surgery over but combined duration still
@@ -122,32 +141,32 @@ class TestInRecoveryProb:
         hits = (surgery <= 4.0) & (4.0 < combined)
         estimate = hits.mean()
         se = math.sqrt(estimate * (1 - estimate) / n)
-        assert abs(in_recovery_prob(patient, 0.0, 4.0) - estimate) <= 4 * se
+        assert abs(matrix_prob(patient, 0.0, 4.0) - estimate) <= 4 * se
 
 
 class TestAggregates:
     def test_empty_patient_set(self):
-        assert expected_occupancy([], [], 3.0) == 0.0
-        assert occupancy_variance([], [], 3.0) == 0.0
+        assert curve_at([], [], 3.0).mean[-1] == 0.0
+        assert curve_at([], [], 3.0).variance[-1] == 0.0
 
     def test_singleton_equals_individual(self):
         patient = make_patient()
         for t in (0.5, 1.0, 2.5):
-            assert expected_occupancy([patient], [0.0], t) == pytest.approx(
-                in_recovery_prob(patient, 0.0, t), abs=1e-12)
+            assert curve_at([patient], [0.0], t).mean[-1] == pytest.approx(
+                in_recovery_oracle(patient, 0.0, t), abs=1e-12)
 
     def test_two_identical_patients_double(self):
         patient = make_patient()
         twin = make_patient(pid="p2")
-        assert expected_occupancy([patient, twin], [1.0, 1.0], 2.5) == pytest.approx(
-            2 * in_recovery_prob(patient, 1.0, 2.5), abs=1e-12)
+        assert curve_at([patient, twin], [1.0, 1.0], 2.5).mean[-1] == pytest.approx(
+            2 * in_recovery_oracle(patient, 1.0, 2.5), abs=1e-12)
 
     def test_bernoulli_variance(self):
         patient = make_patient(surgery=(0.0, 0.04), recovery=(1.5, 0.04))
         # Surgery median is 1 h; right at t just above it the in-recovery
         # probability crosses 1/2, where the Bernoulli variance peaks.
-        t = brentq(lambda x: in_recovery_prob(patient, 0.0, x) - 0.5, 0.5, 1.05)
-        assert occupancy_variance([patient], [0.0], t) == pytest.approx(0.25, abs=1e-9)
+        t = brentq(lambda x: in_recovery_oracle(patient, 0.0, x) - 0.5, 0.5, 1.05)
+        assert curve_at([patient], [0.0], t).variance[-1] == pytest.approx(0.25, abs=1e-9)
 
     def test_variance_matches_pmf_oracle(self):
         rng = np.random.default_rng(3)
@@ -156,13 +175,13 @@ class TestAggregates:
                     for i in range(12)]
         starts = rng.uniform(0, 6, 12)
         t = 5.0
-        probs = recovery_probs_at(patients, starts, t)
+        probs = matrix_probs(patients, starts, t)[:, 0]
         pmf = poisson_binomial_pmf(probs)
         counts = np.arange(pmf.size)
         mean = (counts * pmf).sum()
         var = (counts ** 2 * pmf).sum() - mean ** 2
-        assert expected_occupancy(patients, starts, t) == pytest.approx(mean, rel=1e-10)
-        assert occupancy_variance(patients, starts, t) == pytest.approx(var, rel=1e-9)
+        assert curve_at(patients, starts, t).mean[-1] == pytest.approx(mean, rel=1e-10)
+        assert curve_at(patients, starts, t).variance[-1] == pytest.approx(var, rel=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -173,13 +192,13 @@ class TestAggregates:
         shuffled = [patients[i] for i in perm]
         shuffled_starts = [starts[i] for i in perm]
         for t in (2.0, 4.5, 7.0):
-            assert expected_occupancy(shuffled, shuffled_starts, t) == pytest.approx(
-                expected_occupancy(patients, starts, t), abs=1e-12)
+            assert curve_at(shuffled, shuffled_starts, t).mean[-1] == pytest.approx(
+                curve_at(patients, starts, t).mean[-1], abs=1e-12)
 
     def test_non_recovery_patients_do_not_contribute(self):
         patients = [make_patient(pid="p1"), make_patient(pid="p2", needs_recovery=False)]
-        lone = expected_occupancy([patients[0]], [0.0], 2.0)
-        assert expected_occupancy(patients, [0.0, 0.0], 2.0) == pytest.approx(lone, abs=1e-15)
+        lone = curve_at([patients[0]], [0.0], 2.0).mean[-1]
+        assert curve_at(patients, [0.0, 0.0], 2.0).mean[-1] == pytest.approx(lone, abs=1e-15)
 
 
 class TestOccupancyCurve:
@@ -386,7 +405,7 @@ class TestMeoKernel:
                 np.zeros(1), lags)
             assert (probs == 0.0).all()
             median = math.exp(patient.surgery.mu)  # inside the band, with a positive probability
-            assert median < limit and in_recovery_prob(patient, 0.0, median) > 0.0
+            assert median < limit and in_recovery_oracle(patient, 0.0, median) > 0.0
 
 
 class TestExactOccupancyCdf:
@@ -409,10 +428,10 @@ class TestExactOccupancyCdf:
         starts = []
         for i, target in enumerate(targets):
             patient = make_patient(pid=f"p{i}", surgery=(0.0, 0.01), recovery=(math.log(8.0), 0.01))
-            offset = brentq(lambda x: in_recovery_prob(patient, 0.0, x) - target,
+            offset = brentq(lambda x: in_recovery_oracle(patient, 0.0, x) - target,
                             0.5, 1.6, xtol=1e-13)
             patients.append(patient)
             starts.append(t_eval - offset)
-        probs = recovery_probs_at(patients, starts, t_eval)
+        probs = matrix_probs(patients, starts, t_eval)[:, 0]
         assert probs == pytest.approx(targets, abs=1e-7)
         assert exact_occupancy_cdf(patients, starts, t_eval, 1) == pytest.approx(0.50, abs=1e-6)

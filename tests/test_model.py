@@ -9,11 +9,9 @@ from pacuplan import (
     Surgeon,
     check_feasibility,
     compute_overtime,
-    derive_pairwise,
     max_expected_occupancy,
     moment_match_sum,
 )
-from pacuplan.model import overtime_flags
 
 from conftest import make_instance, make_patient
 
@@ -55,35 +53,49 @@ class TestTypes:
             make_instance([patient], surgeons=[Surgeon(id="s1", shift_start=0.0, shift_end=25.0)])
 
 
-class TestDerivePairwise:
+class TestPairwiseChecks:
+    """Overlap and "ends after start" between two cases, as ``check_feasibility`` sees them.
+
+    Both patients share OR 1, so the overlap check (10) and the turnover
+    check (13) compare them.
+    """
+
     def setup_method(self):
         self.patients = [make_patient(pid="a", surgeon="s1", or_id=1, duration=2.0),
-                         make_patient(pid="b", surgeon="s2", or_id=2, duration=2.0)]
+                         make_patient(pid="b", surgeon="s2", or_id=1, duration=2.0)]
         self.instance = make_instance(self.patients)
 
+    @staticmethod
+    def overlapping(violations):
+        return [v.patients for v in violations if v.constraint == 10]
+
     def test_disjoint_intervals(self):
-        _, overlap = derive_pairwise(Schedule({"a": 0.0, "b": 3.0}), self.instance)
-        assert not overlap.any()
+        violations = check_feasibility(self.instance, Schedule({"a": 0.0, "b": 3.0}))
+        assert not self.overlapping(violations)
 
     def test_identical_intervals(self):
-        _, overlap = derive_pairwise(Schedule({"a": 1.0, "b": 1.0}), self.instance)
-        assert overlap[0, 1] and overlap[1, 0]
+        violations = check_feasibility(self.instance, Schedule({"a": 1.0, "b": 1.0}))
+        assert self.overlapping(violations) == [("a", "b")]
 
     def test_back_to_back_is_not_overlap(self):
-        ends_after, overlap = derive_pairwise(Schedule({"a": 0.0, "b": 2.0}), self.instance)
-        assert not overlap.any()
-        assert ends_after[0, 1] and not ends_after[1, 0]  # b ends after a starts
+        # With a's cleanup, a turnover check runs only for a pair whose
+        # second case ends after the first starts: (a, b) but not (b, a).
+        patients = [make_patient(pid="a", surgeon="s1", or_id=1, duration=2.0, cleanup=0.25),
+                    self.patients[1]]
+        violations = check_feasibility(make_instance(patients), Schedule({"a": 0.0, "b": 2.0}))
+        assert not self.overlapping(violations)
+        assert [(v.constraint, v.patients) for v in violations] == [(13, ("a", "b"))]
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         patients = [make_patient(pid=f"p{i}", surgeon=f"s{i}", or_id=1,
                                  duration=float(rng.uniform(0.5, 3)))
                     for i in range(6)]
-        instance = make_instance(patients)
         schedule = Schedule({p.id: float(rng.uniform(0, 6)) for p in patients})
-        _, overlap = derive_pairwise(schedule, instance)
-        assert np.array_equal(overlap, overlap.T)
-        assert not overlap.diagonal().any()
+        forward = self.overlapping(check_feasibility(make_instance(patients), schedule))
+        backward = self.overlapping(check_feasibility(make_instance(patients[::-1]), schedule))
+        assert {frozenset(pair) for pair in forward} == {frozenset(pair) for pair in backward}
+        assert all(len(set(pair)) == 2 for pair in forward)
 
 
 class TestComputeOvertime:
@@ -91,13 +103,13 @@ class TestComputeOvertime:
         instance = make_instance([make_patient(duration=3.0)])
         overtime = compute_overtime(instance, Schedule({"p1": 1.0}))
         assert overtime == {"s1": 0.0}
-        assert overtime_flags(overtime) == {"s1": False}
+        assert not overtime["s1"] > 0.0
 
     def test_single_overrun(self):
         instance = make_instance([make_patient(duration=1.75)])
         overtime = compute_overtime(instance, Schedule({"p1": 7.0}))
         assert overtime["s1"] == pytest.approx(0.75)
-        assert overtime_flags(overtime)["s1"]
+        assert overtime["s1"] > 0.0
 
     def test_latest_patient_drives_overtime(self):
         patients = [make_patient(pid="a", duration=1.0),

@@ -10,7 +10,6 @@ from pacuplan import (
     coverage_stats,
     generate_instance,
     monte_carlo_curve,
-    sample_day,
 )
 from pacuplan.simulation import _draw_windows
 
@@ -77,29 +76,28 @@ class TestGenerateInstance:
             assert spec.cleanup_hours[0] <= p.cleanup <= spec.cleanup_hours[1]
 
 
-class TestSampleDay:
+class TestDrawWindows:
     def test_no_recovery_patients(self):
         instance = make_instance([make_patient(needs_recovery=False)])
-        assert sample_day(instance, Schedule({"p1": 1.0}), np.random.default_rng(0)) == []
+        curve = monte_carlo_curve(instance, Schedule({"p1": 1.0}), n_samples=10,
+                                  rng=np.random.default_rng(0))
+        assert not curve.sample_mean.any()
 
     def test_degenerate_concentration(self):
         patient = make_patient(surgery=(math.log(2.0), 1e-10), recovery=(math.log(0.5), 1e-10))
-        instance = make_instance([patient])
         rng = np.random.default_rng(1)
         for _ in range(50):
-            entry, exit_ = sample_day(instance, Schedule({"p1": 3.0}), rng)[0]
+            (entry,), (exit_,) = _draw_windows(patient, 3.0, rng, 1, "true")
             assert entry == pytest.approx(3.0 + 2.0, abs=1e-3)
             assert exit_ - entry == pytest.approx(0.5, abs=1e-3)
 
-    def test_entry_and_exit_shapes(self):
-        patients = [make_patient(pid="p1"), make_patient(pid="p2", needs_recovery=False),
-                    make_patient(pid="p3")]
-        instance = make_instance(patients)
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    def test_entry_and_exit_shapes(self, mode):
         rng = np.random.default_rng(2)
-        windows = sample_day(instance, Schedule({"p1": 0.0, "p2": 1.0, "p3": 2.0}), rng)
-        assert len(windows) == 2
-        for entry, exit_ in windows:
-            assert exit_ > entry > 0.0
+        for start in (0.0, 2.0):
+            entry, exit_ = _draw_windows(make_patient(), start, rng, 5, mode)
+            assert entry.shape == exit_.shape == (5,)
+            assert (exit_ > entry).all() and (entry > start).all()
 
     def test_recovery_duration_mean(self):
         patient = make_patient(surgery=(1.0, 0.25), recovery=(0.5, 0.25))
@@ -110,9 +108,8 @@ class TestSampleDay:
         assert abs(durations.mean() - patient.recovery.mean()) <= 4 * se
 
     def test_unknown_mode_rejected(self):
-        instance = make_instance([make_patient()])
         with pytest.raises(ValueError, match="mode"):
-            sample_day(instance, Schedule({"p1": 0.0}), np.random.default_rng(0), mode="bogus")
+            _draw_windows(make_patient(), 0.0, np.random.default_rng(0), 1, "bogus")
 
 
 class TestMonteCarloCurve:

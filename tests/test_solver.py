@@ -5,6 +5,7 @@ import pytest
 
 from pacuplan import (
     GenSpec,
+    Instance,
     SAConfig,
     Surgeon,
     baseline_schedule,
@@ -13,8 +14,8 @@ from pacuplan import (
     generate_instance,
     max_expected_occupancy,
     simulated_annealing,
-    swap_neighbor,
 )
+from pacuplan.solver import _draw_swap
 
 from conftest import make_instance, make_patient, random_genspec
 
@@ -58,6 +59,29 @@ class TestConstructSchedule:
             assert 0.0 <= schedule.starts["a"] < 8.0 - 1.0 - 1.0
             assert schedule.starts["b"] >= schedule.starts["a"] + 1.0
             assert check_feasibility(instance, schedule) == []
+
+    def test_late_shift_start_after_chain_predecessor(self):
+        # b's surgeon starts at 3 h; a's finish in the shared OR (1 h) must not pull b earlier.
+        patients = [make_patient(pid="a", surgeon="s1", or_id=1, duration=1.0),
+                    make_patient(pid="b", surgeon="s2", or_id=1, duration=1.0)]
+        instance = make_instance(patients, surgeons=[Surgeon(id="s1", shift_start=0.0, shift_end=8.0),
+                                                     Surgeon(id="s2", shift_start=3.0, shift_end=8.0)])
+        schedule = construct_schedule(instance, ["a", "b"])
+        assert schedule.starts == {"a": 0.0, "b": 3.0}
+        assert check_feasibility(instance, schedule) == []
+
+    def test_random_late_shift_starts_respect_the_shift(self):
+        rng = np.random.default_rng(4321)
+        for _ in range(120):
+            day = generate_instance(random_genspec(rng))
+            surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
+                                shift_end=s.shift_end) for s in day.surgeons]
+            instance = Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
+                                or_open_hours=day.or_open_hours, day_hours=day.day_hours)
+            sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+            schedule = construct_schedule(instance, sequence,
+                                          np.random.default_rng(int(rng.integers(2**32))))
+            assert [v for v in check_feasibility(instance, schedule) if v.constraint == 2] == []
 
     def test_sequence_must_be_permutation(self):
         instance = make_instance([make_patient(pid="a"), make_patient(pid="b", surgeon="s2")])
@@ -156,7 +180,16 @@ class TestBaselineSchedule:
         assert first.starts == second.starts
 
 
-class TestSwapNeighbor:
+def swap_neighbor(sequence, rng):
+    """The sequence with the two positions ``_draw_swap`` picks exchanged, as annealing does."""
+    seq = list(sequence)
+    if len(seq) >= 2:
+        i, j = _draw_swap(len(seq), rng)
+        seq[i], seq[j] = seq[j], seq[i]
+    return seq
+
+
+class TestDrawSwap:
     def test_two_element_swap(self):
         rng = np.random.default_rng(0)
         assert swap_neighbor(["a", "b"], rng) == ["b", "a"]
@@ -171,10 +204,12 @@ class TestSwapNeighbor:
             changed = [i for i, (a, b) in enumerate(zip(sequence, neighbor)) if a != b]
             assert len(changed) == 2
 
-    def test_short_sequences_unchanged(self):
-        rng = np.random.default_rng(2)
-        assert swap_neighbor(["only"], rng) == ["only"]
-        assert swap_neighbor([], rng) == []
+    def test_short_sequences_unchanged(self, empty_instance):
+        # Annealing draws no swap below two patients.
+        config = SAConfig(iterations=3, seed=2)
+        assert simulated_annealing(make_instance([make_patient(pid="only")]),
+                                   config).best_sequence == ["only"]
+        assert simulated_annealing(empty_instance, config).best_sequence == []
 
 
 class TestSAConfig:
@@ -187,6 +222,11 @@ class TestSAConfig:
             SAConfig(cooling_period=0)
         with pytest.raises(ValueError):
             SAConfig(initial_temperature=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="initial temperature must be positive and finite"):
+                SAConfig(initial_temperature=bad)
+            with pytest.raises(ValueError, match="grid step must be positive and finite"):
+                SAConfig(grid_step=bad)
 
 
 @pytest.fixture(scope="module")
