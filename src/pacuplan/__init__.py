@@ -7,8 +7,6 @@ from .distributions import (
     lognormal_cdf,
     moment_match_sum,
     poisson_binomial_cdf,
-    poisson_binomial_cdf_oracle,
-    poisson_binomial_pmf,
 )
 from .forecast import (
     OccupancyCurve,
@@ -50,8 +48,6 @@ __all__ = [
     "lognormal_cdf",
     "moment_match_sum",
     "poisson_binomial_cdf",
-    "poisson_binomial_cdf_oracle",
-    "poisson_binomial_pmf",
     "OccupancyCurve",
     "exact_occupancy_cdf",
     "occupancy_curve",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import sys
 import time
@@ -61,9 +62,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     fields = {k: v for k, v in overrides.items() if v is not None}
     if args.spec:
         payload = io.read_json(args.spec)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{args.spec}: expected a JSON object of spec fields, "
+                             f"got {type(payload).__name__}")
+        unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(GenSpec)})
+        if unknown:
+            raise ValueError(f"{args.spec}: unknown spec field(s) {', '.join(unknown)}")
         ranges = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
         fields = {**ranges, **fields}
     spec = GenSpec(**fields)
+    args.seed = spec.seed  # the manifest records the resolved seed
     instance = generate_instance(spec)
     io.write_instance(instance, args.out)
     print(f"wrote {args.out}: {len(instance.patients)} patients, "
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recovery-fraction", type=float, default=None)
     p.add_argument("--or-hours", type=float, default=None)
     p.add_argument("--day-hours", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the spec file's seed, else 0")
     p.add_argument("--out", default="instance.json")
     p.set_defaults(func=cmd_generate)
 

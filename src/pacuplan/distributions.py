@@ -3,8 +3,7 @@
 Durations are parameterised by the mean and variance of their natural
 logarithm.  The headcount of patients simultaneously in recovery is a sum of
 independent, non-identical Bernoulli indicators, i.e. Poisson binomial; its
-CDF is computed exactly by characteristic-function inversion, with an
-independent dynamic-programming implementation kept around as a cross-check.
+CDF is computed exactly by an O(n*k) recurrence truncated at the queried count.
 """
 from __future__ import annotations
 
@@ -92,64 +91,25 @@ def _validate_probs(probs) -> np.ndarray:
     return p
 
 
-# Bound on the (n, block) intermediate of the characteristic-function product.
-_DFT_BLOCK = 512
-
-
-def _dft_terms(probs: np.ndarray, k: int) -> complex:
-    """Characteristic-function inversion sum; provably real up to round-off."""
-    n = probs.size
-    omega = 2.0 * math.pi / (n + 1)
-    total = complex(k + 1)  # l = 0 summand is the 0/0 limit (k+1) * x_0 = k+1
-    for lo in range(1, n + 1, _DFT_BLOCK):
-        l = np.arange(lo, min(lo + _DFT_BLOCK, n + 1))
-        z = np.exp(1j * omega * l)
-        x = np.prod(1.0 - probs[None, :] + probs[None, :] * z[:, None], axis=1)
-        num = 1.0 - np.exp(-1j * omega * l * (k + 1))
-        den = 1.0 - np.exp(-1j * omega * l)
-        total += (num / den * x).sum()
-    return total / (n + 1)
-
-
 def poisson_binomial_cdf(probs, k: int) -> float:
     """P(at most k successes) among independent Bernoulli trials ``probs``.
 
-    Exact via DFT inversion of the characteristic function.  By convention
-    k < 0 yields 0 and k >= len(probs) yields 1.
+    Exact by the truncated recurrence f_j <- f_j (1 - q) + f_{j-1} q over
+    j <= k: O(n*k) real arithmetic.  A probability of exactly 0 is an exact
+    no-op factor and is dropped first.  By convention k < 0 yields 0 and
+    k >= the number of non-zero probabilities yields 1.
     """
     p = _validate_probs(probs)
-    n = p.size
     if k < 0:
         return 0.0
-    if k >= n:
-        return 1.0
-    return min(1.0, max(0.0, _dft_terms(p, k).real))
-
-
-def poisson_binomial_cdf_oracle(probs, k: int) -> float:
-    """Same CDF by truncated convolution: O(n*k) real arithmetic, no complexes."""
-    p = _validate_probs(probs)
-    n = p.size
-    if k < 0:
-        return 0.0
-    if k >= n:
+    p = p[p > 0.0]
+    if k >= p.size:
         return 1.0
     f = np.zeros(k + 1)
     f[0] = 1.0
     head, tail, shifted = f[:-1], f[1:], np.empty(k)
-    for q in p.tolist():  # in place, no temporaries: f_j <- f_j (1 - q) + f_{j-1} q
+    for q in p.tolist():  # in place, no temporaries
         np.multiply(head, q, out=shifted)
         f *= 1.0 - q
         tail += shifted
     return float(min(1.0, f.sum()))
-
-
-def poisson_binomial_pmf(probs) -> np.ndarray:
-    """Full PMF over {0, ..., n} by iterative convolution."""
-    p = _validate_probs(probs)
-    pmf = np.zeros(p.size + 1)
-    pmf[0] = 1.0
-    for q in p:
-        pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
-        pmf[0] *= 1.0 - q
-    return pmf

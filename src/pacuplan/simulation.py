@@ -18,13 +18,14 @@ rather than fitted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forecast
-from .distributions import LognormalParams
-from .model import Instance, Patient, Schedule, Surgeon
+from .distributions import LognormalParams, _require_finite
+from .model import Instance, Patient, Schedule, Surgeon, _require_type
 
 SAMPLING_MODES = ("true", "matched")
 
@@ -53,8 +54,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("or_count", "surgeon_count", "patient_count", "seed"):
+            _require_type(f"spec: {name}", getattr(self, name), numbers.Integral, "an integer")
+        _require_finite("spec", recovery_fraction=self.recovery_fraction,
+                        or_open_hours=self.or_open_hours, day_hours=self.day_hours)
         if min(self.or_count, self.surgeon_count, self.patient_count) < 1:
             raise ValueError("counts must all be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"spec: seed must be non-negative, got {self.seed}")
         if self.surgeon_count > self.patient_count:
             raise ValueError(
                 f"{self.surgeon_count} surgeons cannot all have patients among {self.patient_count}")
@@ -64,7 +71,11 @@ class GenSpec:
             raise ValueError("OR opening hours must lie in (0, day_hours]")
         for name in ("surgery_log_mean", "surgery_log_var", "recovery_log_mean",
                      "recovery_log_var", "setup_hours", "cleanup_hours"):
-            low, high = getattr(self, name)
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"spec: {name} must be a (low, high) pair, got {pair!r}")
+            low, high = pair
+            _require_finite(f"spec: {name}", low=low, high=high)
             if not low <= high:
                 raise ValueError(f"{name} range is empty: ({low}, {high})")
         if self.surgery_log_var[0] <= 0.0 or self.recovery_log_var[0] <= 0.0:

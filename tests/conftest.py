@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,50 @@ def in_recovery_oracle(patient, start, t):
     """Scalar in-recovery probability, F_surgery(t - start) - F_combined(t - start) in [0, 1]."""
     x = t - start
     return min(1.0, max(0.0, lognormal_cdf(x, patient.surgery) - lognormal_cdf(x, patient.combined)))
+
+
+# Bound on the (n, block) intermediate of the characteristic-function product.
+_DFT_BLOCK = 512
+
+
+def dft_terms(probs, k):
+    """Characteristic-function inversion sum for P(at most k); provably real up to round-off.
+
+    Poisson-binomial CDF by DFT inversion (Hong 2013, Comput. Stat. Data Anal.),
+    O(n^2) complex work: an implementation independent of the production recurrence.
+    """
+    probs = np.asarray(probs, dtype=float)
+    n = probs.size
+    omega = 2.0 * math.pi / (n + 1)
+    total = complex(k + 1)  # l = 0 summand is the 0/0 limit (k+1) * x_0 = k+1
+    for lo in range(1, n + 1, _DFT_BLOCK):
+        l = np.arange(lo, min(lo + _DFT_BLOCK, n + 1))
+        z = np.exp(1j * omega * l)
+        x = np.prod(1.0 - probs[None, :] + probs[None, :] * z[:, None], axis=1)
+        num = 1.0 - np.exp(-1j * omega * l * (k + 1))
+        den = 1.0 - np.exp(-1j * omega * l)
+        total += (num / den * x).sum()
+    return total / (n + 1)
+
+
+def dft_cdf_oracle(probs, k):
+    """P(at most k successes) by DFT inversion; k < 0 yields 0, k >= n yields 1."""
+    n = len(probs)
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    return min(1.0, max(0.0, dft_terms(probs, k).real))
+
+
+def pmf_oracle(probs):
+    """Full Poisson-binomial PMF over {0, ..., n} by iterative convolution."""
+    pmf = np.zeros(len(probs) + 1)
+    pmf[0] = 1.0
+    for q in probs:
+        pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
+        pmf[0] *= 1.0 - q
+    return pmf
 
 
 def make_instance(patients, surgeons=None, or_count=None, or_open_hours=8.0, day_hours=24.0):

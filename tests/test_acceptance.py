@@ -34,13 +34,12 @@ from pacuplan import (
     monte_carlo_curve,
     occupancy_curve,
     poisson_binomial_cdf,
-    poisson_binomial_cdf_oracle,
     simulated_annealing,
 )
 from pacuplan.distributions import LognormalParams
 from pacuplan.cli import main as cli_main
 
-from conftest import random_genspec
+from conftest import dft_cdf_oracle, random_genspec
 
 # Pinned Monte Carlo seed for criteria 3 and 4.  The matched-mode estimator
 # is exactly unbiased, but the criterion takes a max over 241 grid points of
@@ -88,11 +87,12 @@ def test_criterion_1_poisson_binomial_cross_check():
         n = int(rng.integers(1, 101))
         probs = rng.random(n)
         for k in range(n):
-            dft = poisson_binomial_cdf(probs, k)
-            dp = poisson_binomial_cdf_oracle(probs, k)
+            dp = poisson_binomial_cdf(probs, k)
+            dft = dft_cdf_oracle(probs, k)
             worst = max(worst, abs(dft - dp))
             if n <= 12:
-                worst = max(worst, abs(dft - enumerate_cdf(probs, k)))
+                exact = enumerate_cdf(probs, k)
+                worst = max(worst, abs(dp - exact), abs(dft - exact))
         if n <= 12:
             enumerated += 1
     elapsed = time.perf_counter() - started

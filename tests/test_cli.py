@@ -61,6 +61,23 @@ class TestGenerate:
         assert len(instance.patients) == 6  # flag wins over the spec file
         assert all(0.1 <= p.surgery.sigma2 <= 0.2 for p in instance.patients)
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"surgery_log_mean": [0, float("inf")]}, "surgery_log_mean"),
+        ({"or_count": "21"}, "or_count"),
+        ({"surgery_log_mean": 3}, "surgery_log_mean"),
+        ({"bogus": 1}, "bogus"),
+        ([1], "JSON object"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_malformed_spec_is_validation_error(self, tmp_path, capsys, payload, field):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        assert run("generate", "--spec", spec_path, "--out", out) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestForecast:
     def test_row_count_and_mean_column(self, tmp_path, small_instance_file, small_schedule_file):

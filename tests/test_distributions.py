@@ -4,17 +4,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pacuplan.distributions import (
     LognormalParams,
-    _dft_terms,
     lognormal_cdf,
     moment_match_sum,
     poisson_binomial_cdf,
-    poisson_binomial_cdf_oracle,
-    poisson_binomial_pmf,
 )
+
+from conftest import dft_cdf_oracle, dft_terms, pmf_oracle
 
 # Independent quadrature oracle over the density on [0, 3] for mu=1, sigma2=0.25.
 LOGNORMAL_CDF_AT_3 = 0.578174100802873
@@ -132,16 +133,16 @@ class TestPoissonBinomialCdf:
     def test_three_trial_example(self):
         # Pr(0) = 0.08, Pr(1) = 0.42 by direct enumeration.
         assert enumerate_cdf([0.2, 0.5, 0.8], 1) == pytest.approx(0.50, abs=1e-12)
-        assert poisson_binomial_cdf([0.2, 0.5, 0.8], 1) == pytest.approx(0.50, abs=1e-9)
-        assert poisson_binomial_cdf_oracle([0.2, 0.5, 0.8], 1) == pytest.approx(0.50, abs=1e-12)
+        assert poisson_binomial_cdf([0.2, 0.5, 0.8], 1) == pytest.approx(0.50, abs=1e-12)
+        assert dft_cdf_oracle([0.2, 0.5, 0.8], 1) == pytest.approx(0.50, abs=1e-9)
 
-    def test_oracle_trivia(self):
-        assert poisson_binomial_cdf_oracle([1.0, 1.0], 1) == pytest.approx(0.0, abs=1e-15)
-        assert poisson_binomial_cdf_oracle([0.3] * 10, 10) == 1.0
+    def test_recurrence_trivia(self):
+        assert poisson_binomial_cdf([1.0, 1.0], 1) == pytest.approx(0.0, abs=1e-15)
+        assert poisson_binomial_cdf([0.3] * 10, 10) == 1.0
 
     def test_out_of_range_k_conventions(self):
         probs = [0.4, 0.6]
-        for fn in (poisson_binomial_cdf, poisson_binomial_cdf_oracle):
+        for fn in (poisson_binomial_cdf, dft_cdf_oracle):
             assert fn(probs, -1) == 0.0
             assert fn(probs, 2) == 1.0
             assert fn(probs, 99) == 1.0
@@ -154,7 +155,7 @@ class TestPoissonBinomialCdf:
             for k in range(n):
                 expected = enumerate_cdf(probs, k)
                 assert poisson_binomial_cdf(probs, k) == pytest.approx(expected, abs=1e-9)
-                assert poisson_binomial_cdf_oracle(probs, k) == pytest.approx(expected, abs=1e-9)
+                assert dft_cdf_oracle(probs, k) == pytest.approx(expected, abs=1e-9)
 
     def test_dft_vs_dp_and_monotonicity(self):
         rng = np.random.default_rng(23)
@@ -163,10 +164,10 @@ class TestPoissonBinomialCdf:
             probs = rng.random(n)
             previous = 0.0
             for k in range(n):
-                dft = poisson_binomial_cdf(probs, k)
-                assert abs(dft - poisson_binomial_cdf_oracle(probs, k)) <= 1e-9
-                assert dft >= previous - 1e-12
-                previous = dft
+                value = poisson_binomial_cdf(probs, k)
+                assert abs(value - dft_cdf_oracle(probs, k)) <= 1e-9
+                assert value >= previous - 1e-12
+                previous = value
             assert poisson_binomial_cdf(probs, n) == pytest.approx(1.0, abs=1e-12)
 
     def test_imaginary_residue_is_negligible(self):
@@ -175,23 +176,54 @@ class TestPoissonBinomialCdf:
             n = int(rng.integers(1, 101))
             probs = rng.random(n)
             k = int(rng.integers(0, n))
-            assert abs(_dft_terms(probs, k).imag) < 1e-9
+            assert abs(dft_terms(probs, k).imag) < 1e-9
 
     def test_dft_sum_itself_is_one_at_n(self):
         # At k = n every l >= 1 numerator vanishes, leaving exactly 1.
         rng = np.random.default_rng(37)
         for n in (1, 7, 40):
             probs = rng.random(n)
-            assert abs(_dft_terms(probs, n).real - 1.0) < 1e-12
+            assert abs(dft_terms(probs, n).real - 1.0) < 1e-12
 
     def test_pmf_matches_cdf_differences(self):
         rng = np.random.default_rng(31)
         probs = rng.random(20)
-        pmf = poisson_binomial_pmf(probs)
+        pmf = pmf_oracle(probs)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         cdf = np.cumsum(pmf)
         for k in range(20):
             assert poisson_binomial_cdf(probs, k) == pytest.approx(cdf[k], abs=1e-9)
+
+    def test_exact_zeros_leave_result_bitwise_unchanged(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            probs = rng.random(n)
+            padded = np.insert(probs, rng.integers(0, n + 1, int(rng.integers(1, 20))), 0.0)
+            for k in range(n):
+                assert poisson_binomial_cdf(padded, k) == poisson_binomial_cdf(probs, k)
+
+    def test_k_at_non_zero_count_is_exactly_one(self):
+        rng = np.random.default_rng(43)
+        probs = np.insert(rng.random(30), rng.integers(0, 31, 25), 0.0)
+        nonzero = int((probs > 0.0).sum())
+        for k in (nonzero, nonzero + 1, probs.size):
+            assert poisson_binomial_cdf(probs, k) == 1.0
+        assert poisson_binomial_cdf(probs, nonzero - 1) < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=60).flatmap(
+        lambda probs: st.tuples(st.just(probs), st.permutations(probs))))
+    def test_cdf_properties(self, vectors):
+        probs, shuffled = vectors
+        n = len(probs)
+        values = [poisson_binomial_cdf(probs, k) for k in range(n)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        assert poisson_binomial_cdf(probs, n) == 1.0
+        assert poisson_binomial_cdf(probs, n + 3) == 1.0
+        for k, v in enumerate(values):
+            assert abs(poisson_binomial_cdf(shuffled, k) - v) <= 1e-12
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,17 +9,18 @@ from scipy.optimize import brentq
 from pacuplan import (
     GenSpec,
     LognormalParams,
+    baseline_schedule,
     exact_occupancy_cdf,
     generate_instance,
     occupancy_curve,
-    poisson_binomial_pmf,
+    poisson_binomial_cdf,
     support_upper_bound,
     time_grid,
 )
 from pacuplan import forecast
 from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
-from conftest import in_recovery_oracle, make_patient
+from conftest import dft_cdf_oracle, in_recovery_oracle, make_patient, pmf_oracle
 
 
 def matrix_probs(patients, starts, times):
@@ -176,7 +178,7 @@ class TestAggregates:
         starts = rng.uniform(0, 6, 12)
         t = 5.0
         probs = matrix_probs(patients, starts, t)[:, 0]
-        pmf = poisson_binomial_pmf(probs)
+        pmf = pmf_oracle(probs)
         counts = np.arange(pmf.size)
         mean = (counts * pmf).sum()
         var = (counts ** 2 * pmf).sum() - mean ** 2
@@ -435,3 +437,30 @@ class TestExactOccupancyCdf:
         probs = matrix_probs(patients, starts, t_eval)[:, 0]
         assert probs == pytest.approx(targets, abs=1e-7)
         assert exact_occupancy_cdf(patients, starts, t_eval, 1) == pytest.approx(0.50, abs=1e-6)
+
+    def test_tail_error_on_thousand_patient_day(self):
+        # The benchmark's scaled day: 1000 patients, 574 surgeons, 344 ORs,
+        # 738 needing recovery.  At the peak (t = 4.4 h) and past it (t = 8 h)
+        # the production recurrence agrees with a 40-digit recurrence to
+        # 1e-13 and with the DFT inversion to 1e-12.
+        instance = generate_instance(GenSpec(patient_count=1000, surgeon_count=574, or_count=344))
+        schedule = baseline_schedule(instance)
+        starts = [schedule.starts[p.id] for p in instance.patients]
+        times = [4.4, 8.0]
+        probs = matrix_probs(instance.patients, starts, times)
+        for column, t in enumerate(times):
+            col = probs[:, column]
+            k = math.ceil(col.sum())
+            with mpmath.workdps(40):
+                f = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+                for q in col[col > 0.0].tolist():
+                    q = mpmath.mpf(q)
+                    for j in range(k, 0, -1):
+                        f[j] = f[j] * (1 - q) + f[j - 1] * q
+                    f[0] *= 1 - q
+                reference = float(mpmath.fsum(f))
+            value = poisson_binomial_cdf(col, k)
+            assert exact_occupancy_cdf(instance.patients, starts, t, k) == value
+            assert 0.0 < value < 1.0
+            assert abs(value - reference) <= 1e-13
+            assert abs(value - dft_cdf_oracle(col, k)) <= 1e-12
