@@ -20,13 +20,15 @@ import numpy as np
 
 from . import __version__, io
 from .model import Instance, Schedule, _require_complete, max_expected_occupancy
-from .simulation import GenSpec, coverage_stats, generate_instance, monte_carlo_curve
+from .simulation import (BIAS_FLOOR, GenSpec, coverage_stats, generate_instance,
+                         monte_carlo_curve)
 from .solver import SAConfig, baseline_schedule, simulated_annealing
 from . import forecast
 
 
 def _manifest(args: argparse.Namespace, config: dict, inputs: list[str],
-              outputs: list[str], started: float) -> None:
+              outputs: list[str], started: float, **measured) -> None:
+    """Write the run's manifest; ``measured`` holds extra RunManifest fields such as timings."""
     io.write_manifest(io.RunManifest(
         command=args.command,
         version=__version__,
@@ -35,6 +37,7 @@ def _manifest(args: argparse.Namespace, config: dict, inputs: list[str],
         inputs=inputs,
         outputs=outputs,
         wall_clock_seconds=time.perf_counter() - started,
+        **measured,
     ), outputs[0])
 
 
@@ -168,9 +171,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.samples == 1:
         print("warning: a single sample gives degenerate statistics (zero variance)",
               file=sys.stderr)
+    read_done = time.perf_counter()
     empirical = monte_carlo_curve(instance, schedule, args.samples,
                                   grid_step=args.grid_step, mode=args.mode,
                                   rng=np.random.default_rng(args.seed))
+    sampling_done = time.perf_counter()
     stats = coverage_stats(empirical)
     io.write_json({
         "mode": args.mode,
@@ -180,14 +185,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "fraction_below": stats.fraction_below,
         "fraction_inside": stats.fraction_inside,
         "mean_abs_error": stats.mean_abs_error,
+        "max_abs_bias": stats.max_abs_bias,
+        "max_bias_time": stats.max_bias_time,
+        "fraction_within_3se": stats.fraction_within_3se,
     }, args.out)
+    write_done = time.perf_counter()
     print(f"wrote {args.out}")
     print(f"mode={args.mode} samples={stats.n_samples}: "
           f"mean |error| vs analytic mean {stats.mean_abs_error:.4f}; "
           f"band coverage {stats.fraction_inside:.3%} inside "
           f"({stats.fraction_above:.3%} above, {stats.fraction_below:.3%} below)")
+    print(f"max |bias| {stats.max_abs_bias:.4f} at t = {stats.max_bias_time:g} h; "
+          f"{stats.fraction_within_3se:.1%} of grid points within 3 SE + {BIAS_FLOOR:g}")
+    sampling_s = sampling_done - read_done
     _manifest(args, {"samples": args.samples, "mode": args.mode, "grid_step": args.grid_step},
-              [args.instance, args.schedule], [args.out], started)
+              [args.instance, args.schedule], [args.out], started,
+              timings_s={"read": read_done - started, "sampling": sampling_s,
+                         "write": write_done - sampling_done},
+              samples_per_s=args.samples / sampling_s)
     return 0
 
 

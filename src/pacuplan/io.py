@@ -157,8 +157,13 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     created: str = ""
+    timings_s: dict[str, float] = field(default_factory=dict)  # seconds per stage
+    samples_per_s: float | None = None  # sampling throughput, for sampling commands
 
     def to_dict(self) -> dict:
+        measured = {"timings_s": self.timings_s} if self.timings_s else {}
+        if self.samples_per_s is not None:
+            measured["samples_per_s"] = self.samples_per_s
         return {
             "command": self.command,
             "version": self.version,
@@ -168,6 +173,7 @@ class RunManifest:
             "outputs": self.outputs,
             "wall_clock_seconds": self.wall_clock_seconds,
             "created": self.created or datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            **measured,
         }
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, generate_instance,
-                      lognormal_cdf)
+from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, forecast,
+                      generate_instance, lognormal_cdf)
+from pacuplan.simulation import _CHUNK, _RECOVERY_MODEL_OF_MODE, _draw_windows
 
 
 def make_patient(pid="p1", surgeon="s1", or_id=1, needs_recovery=True,
@@ -63,6 +64,48 @@ def pmf_oracle(probs):
         pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
         pmf[0] *= 1.0 - q
     return pmf
+
+
+def broadcast_mc_oracle(instance, schedule, n_samples, grid_step=0.1, mode="true", rng=None):
+    """Monte Carlo statistics by the broadcast accumulation, as a dict of arrays.
+
+    Builds each block's full (time, sample) occupancy by comparing every grid
+    time with every patient's window, entry <= t < exit, and sums it directly:
+    the direct form of ``monte_carlo_curve``, with the same draws in the same
+    order.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    starts = [schedule.starts[p.id] for p in instance.patients]
+    analytic = forecast.occupancy_curve(instance.patients, starts,
+                                        grid_step=grid_step, horizon=instance.day_hours,
+                                        recovery_model=_RECOVERY_MODEL_OF_MODE[mode])
+    times = analytic.times
+    recovery = [(p, schedule.starts[p.id]) for p in instance.patients if p.needs_recovery]
+    total = np.zeros(times.size)
+    total_sq = np.zeros(times.size)
+    above = np.zeros(times.size, dtype=np.int64)
+    below = np.zeros(times.size, dtype=np.int64)
+    for block_start in range(0, n_samples, _CHUNK):
+        block = min(_CHUNK, n_samples - block_start)
+        occupancy = np.zeros((times.size, block), dtype=np.int16)
+        for patient, start in recovery:
+            entry, exit_ = _draw_windows(patient, start, rng, block, mode)
+            occupancy += (entry[None, :] <= times[:, None]) & (times[:, None] < exit_[None, :])
+        occ = occupancy.astype(np.float64)
+        total += occ.sum(axis=1)
+        occ *= occ
+        total_sq += occ.sum(axis=1)
+        above += (occupancy > analytic.upper[:, None]).sum(axis=1)
+        below += (occupancy < analytic.lower[:, None]).sum(axis=1)
+    sample_mean = total / n_samples
+    if n_samples > 1:
+        sample_variance = np.maximum((total_sq - n_samples * sample_mean ** 2) / (n_samples - 1),
+                                     0.0)
+    else:
+        sample_variance = np.zeros(times.size)
+    return {"sample_mean": sample_mean, "sample_variance": sample_variance,
+            "standard_error": np.sqrt(sample_variance / n_samples),
+            "above": above, "below": below, "inside": n_samples - above - below}
 
 
 def make_instance(patients, surgeons=None, or_count=None, or_open_hours=8.0, day_hours=24.0):

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from pacuplan import GenSpec, Instance, Schedule, generate_instance
+import numpy as np
+
+from pacuplan import GenSpec, Instance, Schedule, generate_instance, monte_carlo_curve
 from pacuplan import io
 from pacuplan.cli import main
 
@@ -283,6 +285,31 @@ class TestValidate:
         assert report["n_samples"] == 2000
         assert report["fraction_above"] + report["fraction_below"] + \
             report["fraction_inside"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    def test_bias_fields_and_manifest_timings(self, tmp_path, small_instance_file,
+                                              small_schedule_file, mode):
+        out = tmp_path / "v.json"
+        assert run("validate", small_instance_file, small_schedule_file, "--samples", 3000,
+                   "--mode", mode, "--seed", 13, "--out", out) == 0
+        report = json.loads(out.read_text())
+        curve = monte_carlo_curve(io.read_instance(small_instance_file),
+                                  io.read_schedule(small_schedule_file), 3000, mode=mode,
+                                  rng=np.random.default_rng(13))
+        gap = np.abs(curve.sample_mean - curve.analytic.mean)
+        assert report["max_abs_bias"] == float(gap.max()) > 0.0
+        assert report["max_bias_time"] == float(curve.times[np.argmax(gap)])
+        within = gap <= 3.0 * curve.standard_error + 1e-4
+        assert report["fraction_within_3se"] == float(within.mean())
+        assert 0.0 < report["fraction_within_3se"] <= 1.0
+        assert not any("time" in key and key != "max_bias_time" for key in report)
+
+        manifest = json.loads(io.manifest_path(out).read_text())
+        timings = manifest["timings_s"]
+        assert sorted(timings) == ["read", "sampling", "write"]
+        assert all(value >= 0.0 for value in timings.values())
+        assert sum(timings.values()) <= manifest["wall_clock_seconds"]
+        assert manifest["samples_per_s"] == pytest.approx(3000 / timings["sampling"])
 
     def test_zero_samples_rejected(self, tmp_path, small_instance_file, small_schedule_file):
         assert run("validate", small_instance_file, small_schedule_file,

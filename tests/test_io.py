@@ -87,3 +87,11 @@ class TestManifest:
         assert payload["seed"] == 3
         assert payload["config"] == {"patients": 5}
         assert payload["created"]
+        assert "timings_s" not in payload and "samples_per_s" not in payload
+
+    def test_measured_fields_only_when_set(self):
+        manifest = io.RunManifest(command="validate", version="0.1.0", seed=0, config={},
+                                  timings_s={"sampling": 0.5}, samples_per_s=2000.0)
+        payload = manifest.to_dict()
+        assert payload["timings_s"] == {"sampling": 0.5}
+        assert payload["samples_per_s"] == 2000.0

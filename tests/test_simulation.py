@@ -5,15 +5,20 @@ import pytest
 
 from pacuplan import (
     GenSpec,
+    SAConfig,
     Schedule,
     baseline_schedule,
     coverage_stats,
+    forecast,
     generate_instance,
     monte_carlo_curve,
+    simulated_annealing,
 )
-from pacuplan.simulation import _draw_windows
+from pacuplan.simulation import _count_dtype, _draw_windows, _grid_index
 
-from conftest import make_instance, make_patient
+from conftest import broadcast_mc_oracle, make_instance, make_patient
+
+MC_FIELDS = ("sample_mean", "sample_variance", "standard_error", "above", "below", "inside")
 
 
 class TestGenSpec:
@@ -156,14 +161,112 @@ class TestMonteCarloCurve:
         gap = np.abs(curve.sample_mean - curve.analytic.mean)
         assert (gap <= 4.0 * curve.standard_error + 2e-3).all()
 
-    def test_chunking_does_not_change_results(self, default_instance):
-        # A sample count above the block size exercises the accumulation path.
+    def test_counters_partition_samples_across_blocks(self, default_instance):
+        # A sample count above the block size accumulates over two blocks.
         schedule = baseline_schedule(default_instance)
         curve = monte_carlo_curve(default_instance, schedule, 25_000, mode="matched",
                                   rng=np.random.default_rng(8))
         assert curve.n_samples == 25_000
         assert np.array_equal(curve.above + curve.below + curve.inside,
                               np.full(curve.times.size, 25_000))
+
+
+@pytest.fixture(scope="module")
+def default_schedules(default_instance):
+    return {"baseline": baseline_schedule(default_instance),
+            "annealed": simulated_annealing(default_instance, SAConfig(seed=1)).best_schedule}
+
+
+def late_day():
+    """Starts late in the day, so many entries and exits fall past the 24 h horizon."""
+    patients = [make_patient("p1", surgery=(0.0, 0.5), recovery=(0.0, 0.5)),
+                make_patient("p2", surgery=(0.5, 0.5), recovery=(0.5, 0.5)),
+                make_patient("p3", needs_recovery=False)]
+    return make_instance(patients), Schedule({"p1": 21.5, "p2": 22.0, "p3": 0.0})
+
+
+# A long, spread-out surgery with a short, tight recovery: the combined
+# lognormal's log-sd is smaller than the surgery's, so a high shared
+# percentile gives a matched-mode exit before the entry.
+CROSSING = dict(surgery=(0.0, 1.0), recovery=(-3.0, 0.01))
+
+
+def crossing_day():
+    patients = [make_patient("p1", **CROSSING), make_patient("p2")]
+    return make_instance(patients), Schedule({"p1": 4.0, "p2": 3.0})
+
+
+class TestBroadcastOracle:
+    """The difference-array accumulation equals the broadcast one, bit for bit."""
+
+    @staticmethod
+    def assert_same(instance, schedule, n_samples, grid_step, mode, seed=11):
+        curve = monte_carlo_curve(instance, schedule, n_samples, grid_step=grid_step, mode=mode,
+                                  rng=np.random.default_rng(seed))
+        oracle = broadcast_mc_oracle(instance, schedule, n_samples, grid_step=grid_step,
+                                     mode=mode, rng=np.random.default_rng(seed))
+        for name in MC_FIELDS:
+            assert np.array_equal(getattr(curve, name), oracle[name]), name
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    @pytest.mark.parametrize("n_samples", [1, 7, 20_000, 25_000])
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037])
+    @pytest.mark.parametrize("schedule", ["baseline", "annealed"])
+    def test_default_day(self, default_instance, default_schedules, schedule, grid_step,
+                         n_samples, mode):
+        self.assert_same(default_instance, default_schedules[schedule], n_samples,
+                         grid_step, mode)
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037])
+    def test_no_recovery_patient(self, grid_step, mode):
+        instance = make_instance([make_patient(needs_recovery=False)])
+        self.assert_same(instance, Schedule({"p1": 1.0}), 25_000, grid_step, mode)
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037])
+    def test_exits_past_the_horizon(self, grid_step, mode):
+        instance, schedule = late_day()
+        _, exit_ = _draw_windows(instance.patients[0], schedule.starts["p1"],
+                                 np.random.default_rng(11), 1000, mode)
+        assert (exit_ > instance.day_hours).mean() > 0.3
+        self.assert_same(instance, schedule, 25_000, grid_step, mode)
+
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037])
+    def test_matched_exit_before_entry(self, grid_step):
+        instance, schedule = crossing_day()
+        # p1 draws first in each block, so this replays its first block's draws.
+        entry, exit_ = _draw_windows(instance.patients[0], schedule.starts["p1"],
+                                     np.random.default_rng(11), 20_000, "matched")
+        assert ((exit_ < entry) & (exit_ < instance.day_hours)).sum() >= 10
+        self.assert_same(instance, schedule, 25_000, grid_step, "matched")
+
+
+class TestGridIndex:
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037, 0.25])
+    def test_equals_searchsorted(self, grid_step):
+        times = forecast.time_grid(grid_step, 24.0)
+        rng = np.random.default_rng(12)
+        with np.errstate(over="ignore"):
+            overflow = np.exp(np.array([800.0]))
+        x = np.concatenate([
+            rng.uniform(-3.0, 30.0, 5000),
+            times,
+            np.nextafter(times, -np.inf),
+            np.nextafter(times, np.inf),
+            [-1e300, -5.0, -0.0, 0.0, 24.0, 24.0 + grid_step, 1e300, np.inf],
+            overflow,
+        ])
+        assert np.isinf(overflow).all()
+        assert np.array_equal(_grid_index(times, grid_step, x),
+                              np.searchsorted(times, x, "left"))
+
+
+def test_count_dtype_widens_past_int16():
+    # Occupancy counts wrap silently if the dtype cannot hold every recovery patient.
+    assert _count_dtype(0) is np.int16
+    assert _count_dtype(32_767) is np.int16
+    assert _count_dtype(32_768) is np.int32
 
 
 class TestCoverageStats:
