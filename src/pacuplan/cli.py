@@ -92,13 +92,18 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     instance = io.read_instance(args.instance)
     schedule = _read_schedule_of(instance, args.schedule)
     starts = [schedule.starts[p.id] for p in instance.patients]
+    read_done = time.perf_counter()
     curve = forecast.occupancy_curve(instance.patients, starts,
                                      grid_step=args.grid_step, horizon=instance.day_hours)
+    forecast_done = time.perf_counter()
     io.write_occupancy_csv(curve, args.out)
+    write_done = time.perf_counter()
     print(f"wrote {args.out}: {curve.times.size} grid points, "
           f"peak expected occupancy {curve.peak():.4f}")
     _manifest(args, {"grid_step": args.grid_step},
-              [args.instance, args.schedule], [args.out], started)
+              [args.instance, args.schedule], [args.out], started,
+              timings_s={"read": read_done - started, "forecast": forecast_done - read_done,
+                         "write": write_done - forecast_done})
     return 0
 
 
@@ -116,11 +121,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         raise ValueError("need at least one replica")
     instance = io.read_instance(args.instance)
+    read_done = time.perf_counter()
     base = baseline_schedule(instance)
     base_meo = max_expected_occupancy(instance, base, grid_step=args.grid_step)
+    baseline_done = time.perf_counter()
 
     reports = [simulated_annealing(instance, _sa_config(args, args.seed + i))
                for i in range(args.replicas)]
+    anneal_done = time.perf_counter()
     winner = min(range(len(reports)), key=lambda i: (reports[i].best_meo, i))
     best = reports[winner]
 
@@ -150,6 +158,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "meo_trace": best.meo_trace,
         "best_trace": best.best_trace,
     }, report_path)
+    write_done = time.perf_counter()
     print(f"wrote {args.out} and {report_path}")
     print(f"baseline MEO {base_meo:.4f} -> best {best.best_meo:.4f} "
           f"({reduction:.1f}% reduction, {args.replicas} replica(s), "
@@ -158,7 +167,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                      "cooling_period": args.cooling_period,
                      "initial_temperature": args.initial_temperature,
                      "grid_step": args.grid_step, "replicas": args.replicas},
-              [args.instance], [args.out, str(report_path)], started)
+              [args.instance], [args.out, str(report_path)], started,
+              timings_s={"read": read_done - started, "baseline": baseline_done - read_done,
+                         "anneal": anneal_done - baseline_done,
+                         "write": write_done - anneal_done})
     return 0
 
 

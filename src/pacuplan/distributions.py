@@ -1,7 +1,8 @@
 """Lognormal duration primitives and the Poisson-binomial count distribution.
 
 Durations are parameterised by the mean and variance of their natural
-logarithm.  The headcount of patients simultaneously in recovery is a sum of
+logarithm; ``_erf`` is the vectorised error function behind every forecast
+probability.  The headcount of patients simultaneously in recovery is a sum of
 independent, non-identical Bernoulli indicators, i.e. Poisson binomial; its
 CDF is computed exactly by an O(n*k) recurrence truncated at the queried count.
 """
@@ -55,6 +56,53 @@ class LognormalParams:
         if exponent > _LOG_FLOAT_MAX:
             raise ValueError(f"parameters ({self.mu}, {self.sigma2}) overflow the distribution variance")
         return math.expm1(self.sigma2) * math.exp(exponent)
+
+
+# erf(y) = 1 - exp(-y^2) P(y) / Q(y) on [0, _ERF_CUT], ascending coefficients.  Fitted
+# against mpmath at 60 digits: least squares weighted by exp(-y^2) on 300 Chebyshev
+# nodes, linearised, with three Sanathanan-Koerner reweightings.  Past the cut,
+# 1 - erf(y) < 2e-17, below half an ulp of 1, so the formula gives 1.0 exactly.
+_ERF_P = (1.0, 1.5863386571923106, 1.2698854626851688, 0.6255134443843657,
+          0.20157756427948068, 0.042151352299969344, 0.005289462430386716,
+          0.00030831099860626415)
+_ERF_Q = (1.0, 2.714717824287823, 3.3331165001544103, 2.4240676184366197,
+          1.1458824893812412, 0.3619620087367267, 0.07498565651142886,
+          0.009375265376403284, 0.0005464687824869478)
+_ERF_CUT = 6.0
+
+
+def _horner(coefficients: tuple[float, ...], y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending ``coefficients`` at ``y``, evaluated into ``out``."""
+    np.multiply(y, coefficients[-1], out=out)
+    out += coefficients[-2]
+    for c in coefficients[-3::-1]:
+        out *= y
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray, out: np.ndarray | None = None,
+         work: np.ndarray | None = None) -> np.ndarray:
+    """The error function, elementwise, as sign(x) (1 - exp(-y^2) P(y) / Q(y)), y = min(|x|, 6).
+
+    Within 4.5e-16 of the exact value, exactly odd and non-decreasing (both
+    tested); +-1 for |x| >= 6 and NaN for NaN.  ``out``, which may be ``x``
+    itself, receives the result; ``work``, two arrays shaped like ``x``, is
+    scratch that overlaps neither.  Both are allocated when omitted.
+    """
+    y, s = np.empty((2, *x.shape)) if work is None else work
+    out = np.empty_like(y) if out is None else out
+    np.abs(x, out=y)
+    np.minimum(y, _ERF_CUT, out=y)
+    # Q(y) > 0, so s takes over the sign of x, and out may overwrite x.
+    np.copysign(_horner(_ERF_Q, y, s), x, out=s)
+    _horner(_ERF_P, y, out)
+    out /= s
+    np.multiply(y, y, out=y)
+    np.negative(y, out=y)
+    out *= np.exp(y, out=y)  # sign(x) exp(-y^2) P(y) / Q(y)
+    np.copysign(1.0, s, out=s)
+    return np.subtract(s, out, out=out)
 
 
 def lognormal_cdf(t: float, params: LognormalParams) -> float:

@@ -18,11 +18,15 @@ arguments cross (``support_upper_bound``).  Outside the band every cell of
 the full matrix is exactly zero: at lag <= 0 by definition, and past the
 crossing, when the combined log-sd is the smaller, because the surgery
 argument then lies below the combined one, so the erf difference is
-non-positive and clips to zero.  A small relative margin keeps round-off
-near the crossing on the evaluated side.  Each column sum adds the same
-values in the same row order as the full matrix's, and adding an exact zero
-leaves a float unchanged, so the peak is bitwise the one ``occupancy_curve``
-gives.  When the combined log-sd is not the smaller the band is unbounded.
+non-positive and clips to zero.  That step rests on the numpy erf,
+``distributions._erf``, being non-decreasing, which its tests check on a
+dense grid and across small relative gaps.  Like scipy's erf it is not
+monotone across single ulps; a small relative margin keeps cells whose
+arguments are that close to the crossing, or round across it, on the
+evaluated side.  Each column sum adds the same values in the same row order
+as the full matrix's, and adding an exact zero leaves a float unchanged, so
+the peak is bitwise the one ``occupancy_curve`` gives.  When the combined
+log-sd is not the smaller the band is unbounded.
 """
 from __future__ import annotations
 
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.special import erf
 
-from .distributions import SQRT2, LognormalParams, poisson_binomial_cdf
+from .distributions import SQRT2, LognormalParams, _erf, poisson_binomial_cdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Patient
@@ -48,10 +51,13 @@ SIGMA_TOLERANCE = 1e-12
 # Relative widening of the MEO kernel's band past the crossing lag; keeps
 # cells whose arguments round across the crossing inside the band.  On
 # log-means in [-2, 2] and log-variances in [0.01, 2] the computed
-# probability is zero from 6e-14 (relative) past the crossing on.
+# probability is zero from 1e-13 (relative) past the crossing on.
 _BAND_MARGIN = 1e-6
 
 RECOVERY_MODELS = ("moment", "convolved")
+
+# Float scratch rows ``recovery_prob_matrix`` uses per evaluated cell.
+_WORK_ROWS = 4
 
 # Largest lag step (hours) of the "convolved" surgery+recovery CDF table.
 SUM_LAG_STEP = 0.01
@@ -75,13 +81,20 @@ class OccupancyCurve:
 
 
 def time_grid(grid_step: float, horizon: float) -> np.ndarray:
-    """Regular grid 0, step, 2*step, ... covering [0, horizon]."""
+    """Regular grid 0, step, 2*step, ... covering [0, horizon].
+
+    When the step has at most 12 decimals, time i is the double nearest the
+    decimal i * step (0.3, not 0.30000000000000004), within an ulp or so of
+    the product i * step.
+    """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {grid_step}")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     n_steps = int(math.floor(horizon / grid_step + 1e-9))
-    return np.arange(n_steps + 1) * grid_step
+    times = np.arange(n_steps + 1) * grid_step
+    decimals = next((d for d in range(13) if round(grid_step, d) == grid_step), None)
+    return times if decimals is None else np.round(times, decimals, out=times)
 
 
 def support_upper_bound(surgery: LognormalParams, combined: LognormalParams,
@@ -106,32 +119,56 @@ def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
                          combined_log_mean: np.ndarray, combined_log_sd: np.ndarray,
                          starts: np.ndarray, times: np.ndarray,
                          combined_cdf: np.ndarray | None = None,
-                         cells: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                         cells: tuple[np.ndarray, np.ndarray] | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
     """Vectorised in-recovery probabilities, one row per patient, one column per time.
 
     ``combined_cdf``, when given, holds P(surgery + recovery <= t - start)
     for each evaluated cell and stands in for the moment-matched lognormal's
     CDF.  ``cells``, when given, is a pair of equal-length (row, column)
-    index arrays; only those cells are evaluated, and the flat result holds
-    the same floats as those cells of the full matrix.
+    index arrays, each within bounds; only those cells are evaluated, and the
+    flat result holds the same floats as those cells of the full matrix.
+    ``work``, when given, is a float array of shape (``_WORK_ROWS``, n), n at
+    least the number of cells evaluated; the result is then a view into it,
+    valid until its next use, and no cell-sized float array is allocated.
     """
     times = np.asarray(times, dtype=float)
     starts = np.asarray(starts, dtype=float)
+    shape = (starts.size, times.size) if cells is None else cells[0].shape
+    size = math.prod(shape)
+    if work is None:
+        work = np.empty((_WORK_ROWS, size))
+    x, a, b, c = (row[:size].reshape(shape) for row in work)
+
+    def per_cell(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One value per row, written to each evaluated cell of that row."""
+        if cells is None:
+            out[...] = values[:, None]
+            return out
+        return np.take(values, cells[0], out=out, mode="clip")  # "clip": unbuffered
+
     if cells is None:
-        rows = (slice(None), None)  # every row, broadcast across the columns
-        x = times[None, :] - starts[:, None]
+        np.subtract(times, starts[:, None], out=x)
     else:
-        rows, cols = cells
-        x = times[cols] - starts[rows]
-    positive = x > 0.0
-    logx = np.log(np.where(positive, x, 1.0))
-    zs = (logx - log_mean[rows]) / (SQRT2 * log_sd[rows])
+        np.take(times, cells[1], out=x, mode="clip")
+        x -= per_cell(starts, a)
+    outside = x <= 0.0
+    np.copyto(x, 1.0, where=outside)
+    logx = np.log(x, out=x)
+    zs = np.subtract(logx, per_cell(log_mean, a), out=a)
+    zs /= per_cell(SQRT2 * log_sd, b)
     if combined_cdf is None:
-        combined = erf((logx - combined_log_mean[rows]) / (SQRT2 * combined_log_sd[rows]))
+        zc = np.subtract(logx, per_cell(combined_log_mean, b), out=b)
+        zc /= per_cell(SQRT2 * combined_log_sd, c)
+        combined = _erf(zc, out=zc, work=(x, c))
     else:
-        combined = 2.0 * combined_cdf - 1.0  # a CDF F on the erf scale, 2F - 1
-    probs = np.clip(0.5 * (erf(zs) - combined), 0.0, 1.0)
-    probs[~positive] = 0.0
+        combined = np.multiply(combined_cdf, 2.0, out=b)
+        combined -= 1.0  # a CDF F on the erf scale, 2F - 1
+    probs = _erf(zs, out=zs, work=(x, c))
+    probs -= combined
+    probs *= 0.5
+    np.clip(probs, 0.0, 1.0, out=probs)
+    np.copyto(probs, 0.0, where=outside)
     return probs
 
 
@@ -172,6 +209,9 @@ class MeoKernel:
             support_upper_bound(p.surgery, p.combined) * (1.0 + _BAND_MARGIN)
             if p.combined.sigma < p.surgery.sigma - SIGMA_TOLERANCE else math.inf
             for p in patients if p.needs_recovery])
+        # Scratch for every cell a call can evaluate, so calls allocate no float
+        # array of that size: a heap that shrinks and regrows costs page faults.
+        self.work = np.empty((_WORK_ROWS, self.rows.size * self.times.size))
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
@@ -182,9 +222,11 @@ class MeoKernel:
         end = np.maximum(np.searchsorted(self.times, z + self.lag_limit, side="left"), first)
         counts = end - first
         row = np.repeat(np.arange(z.size), counts)
-        col = np.arange(row.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        col = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        col += np.arange(col.size)
         probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
-                                     self.combined_log_sd, z, self.times, cells=(row, col))
+                                     self.combined_log_sd, z, self.times, cells=(row, col),
+                                     work=self.work)
         # Cells run row by row, so each column adds its values in row order.
         return float(np.bincount(col, probs, minlength=self.times.size).max())
 
@@ -193,7 +235,7 @@ def _lognormal_cdf_matrix(log_mean: np.ndarray, log_sd: np.ndarray, x: np.ndarra
     """P(duration <= x) for one lognormal per row of ``x``; zero where x <= 0."""
     positive = x > 0.0
     z = (np.log(np.where(positive, x, 1.0)) - log_mean[:, None]) / (SQRT2 * log_sd[:, None])
-    return np.where(positive, 0.5 * (1.0 + erf(z)), 0.0)
+    return np.where(positive, 0.5 * (1.0 + _erf(z)), 0.0)
 
 
 def convolved_sum_cdf(surgery_mu: np.ndarray, surgery_sd: np.ndarray,

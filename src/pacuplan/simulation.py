@@ -203,12 +203,12 @@ def _draw_windows(patient: Patient, start: float, rng: np.random.Generator,
 
 
 def _grid_index(times: np.ndarray, grid_step: float, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(times, x, "left")`` for ``times = arange(G) * grid_step``.
+    """``np.searchsorted(times, x, "left")`` for ``times = forecast.time_grid(grid_step, ...)``.
 
     The number of grid times below each x, from arithmetic rather than a
     binary search: ceil(x / step) clipped to [0, G], then moved by one step
-    where rounding of the quotient or of ``i * step`` puts it on the wrong
-    side of x.
+    where rounding of the quotient, or time i's ulp-level distance from
+    i * step, puts it on the wrong side of x.
     """
     n = times.size
     k = np.ceil(x / grid_step)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,15 @@ from conftest import in_recovery_oracle
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_stage_timings(output, stages):
+    """The manifest next to ``output`` times exactly ``stages``, within its wall clock."""
+    manifest = json.loads(io.manifest_path(output).read_text())
+    timings = manifest["timings_s"]
+    assert sorted(timings) == sorted(stages)
+    assert all(value >= 0.0 for value in timings.values())
+    assert sum(timings.values()) <= manifest["wall_clock_seconds"]
 
 
 @pytest.fixture
@@ -95,6 +108,25 @@ class TestForecast:
             expected = sum(in_recovery_oracle(p, schedule.starts[p.id], float(row["time"]))
                            for p in instance.patients if p.needs_recovery)
             assert float(row["mean"]) == pytest.approx(expected, abs=1e-12)
+
+    def test_time_column_prints_at_most_one_decimal(self, tmp_path, small_instance_file,
+                                                    small_schedule_file):
+        # Grid times are the doubles nearest i / 10, so none prints like 0.30000000000000004.
+        out = tmp_path / "occ.csv"
+        assert run("forecast", small_instance_file, small_schedule_file,
+                   "--grid-step", 0.1, "--out", out) == 0
+        with open(out) as fh:
+            times = [row["time"] for row in csv.DictReader(fh)]
+        assert len(times) == 241
+        assert all(len(t.partition(".")[2]) <= 1 for t in times)
+        assert [float(t) for t in times] == [i / 10 for i in range(241)]
+
+    def test_manifest_timings(self, tmp_path, small_instance_file, small_schedule_file):
+        out = tmp_path / "occ.csv"
+        assert run("forecast", small_instance_file, small_schedule_file, "--out", out) == 0
+        assert_stage_timings(out, ["read", "forecast", "write"])
+        with open(out) as fh:  # the data file stays free of timing
+            assert next(csv.reader(fh)) == ["time", "mean", "variance", "lower", "upper"]
 
     def test_empty_instance_gives_zero_rows(self, tmp_path):
         instance_path = tmp_path / "empty.json"
@@ -233,6 +265,14 @@ class TestOptimize:
         else:
             assert best_iteration == 0
 
+    def test_manifest_timings(self, tmp_path, small_instance_file):
+        out = tmp_path / "best.json"
+        assert run("optimize", small_instance_file, "--iterations", 20, "--out", out) == 0
+        assert_stage_timings(out, ["read", "baseline", "anneal", "write"])
+        report = json.loads((tmp_path / "best.report.json").read_text())
+        assert not any("timing" in key or "second" in key for key in report)
+        assert sorted(json.loads(out.read_text())) == ["format_version", "starts"]
+
     def test_no_improvement_reports_iteration_zero(self, tmp_path):
         instance_path = tmp_path / "no_recovery.json"
         assert run("generate", "--patients", 4, "--surgeons", 2, "--ors", 2,
@@ -369,3 +409,17 @@ class TestVersionFlag:
             run("--version")
         assert exc.value.code == 0
         assert "pacuplan" in capsys.readouterr().out
+
+
+def test_fresh_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime needs numpy alone.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, pacuplan.cli; print(pacuplan.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    module_file, loaded = proc.stdout.splitlines()
+    assert Path(module_file).resolve().parent == src / "pacuplan"
+    assert loaded == "[]"

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf as scipy_erf
 
 from pacuplan.distributions import (
     LognormalParams,
+    _erf,
     lognormal_cdf,
     moment_match_sum,
     poisson_binomial_cdf,
@@ -40,6 +42,58 @@ class TestErfContract:
         points = np.linspace(-6.0, 6.0, 50)
         for x in points:
             assert abs(math.erf(x) - float(mpmath.erf(x))) <= 1e-13
+
+
+def erf_test_points():
+    """A dense grid and random points in [-8, 8], plus tiny magnitudes of both signs."""
+    rng = np.random.default_rng(2024)
+    tiny = np.logspace(-300, -1, 300)
+    return np.concatenate([np.linspace(-8.0, 8.0, 8001), rng.uniform(-8.0, 8.0, 4000),
+                           tiny, -tiny])
+
+
+class TestVectorisedErf:
+    """``_erf`` replaces scipy's erf in every forecast probability."""
+
+    def test_matches_mpmath(self):
+        x = erf_test_points()
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.erf(v)) for v in x.tolist()])
+        assert np.abs(_erf(x) - exact).max() <= 4.5e-16
+
+    def test_matches_scipy(self):
+        x = erf_test_points()
+        assert np.abs(_erf(x) - scipy_erf(x)).max() <= 4.5e-16
+
+    def test_exactly_odd(self):
+        x = erf_test_points()
+        assert np.array_equal(_erf(-x), -_erf(x))
+
+    def test_non_decreasing(self):
+        # MeoKernel's band exactness rests on this: past the crossing the surgery
+        # argument is the smaller, so its erf must not be the larger.  Across
+        # single ulps neither this erf nor scipy's is monotone; the band margin
+        # keeps the two arguments much further apart than the pairs below.
+        grid = np.linspace(-7.0, 7.0, 1_000_001)
+        assert np.all(np.diff(_erf(grid)) >= 0.0)
+        a = np.random.default_rng(6).uniform(-7.0, 7.0, 500_000)
+        assert np.all(_erf(a + 1e-10 * np.abs(a)) >= _erf(a))
+
+    def test_saturation_and_special_values(self):
+        big = np.array([6.0, 6.5, 27.0, 1e300, np.inf])
+        assert np.all(_erf(big) == 1.0)
+        assert np.all(_erf(-big) == -1.0)
+        assert np.isnan(_erf(np.array([np.nan]))).all()
+        assert _erf(np.array([0.0]))[0] == 0.0
+
+    def test_buffers_give_the_same_floats(self):
+        x = erf_test_points()[:12600].reshape(2, -1)
+        out, work = np.empty_like(x), np.empty((2, *x.shape))
+        assert _erf(x, out=out, work=work) is out
+        assert np.array_equal(out, _erf(x))
+        in_place = x.copy()
+        assert _erf(in_place, out=in_place, work=work) is in_place
+        assert np.array_equal(in_place, out)
 
 
 class TestLognormalCdf:

@@ -17,7 +17,7 @@ from pacuplan import (
     support_upper_bound,
     time_grid,
 )
-from pacuplan import forecast
+from pacuplan import forecast, solver
 from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
 from conftest import dft_cdf_oracle, in_recovery_oracle, make_patient, pmf_oracle
@@ -370,6 +370,52 @@ class TestMeoKernel:
                     make_patient(pid="p2", surgeon="s2", needs_recovery=False)]
         assert self.assert_same_peak(patients, [0.0, 1.0]) == 0.0
         assert self.assert_same_peak([], []) == 0.0
+
+    @pytest.mark.parametrize("spec", [GenSpec(seed=0),
+                                      GenSpec(seed=4, patient_count=200, surgeon_count=100,
+                                              or_count=60)])
+    def test_reused_buffers_give_fresh_results(self, spec):
+        # One kernel alternates between packed constructed schedules and starts
+        # spread over the day, so each call evaluates a different number of cells
+        # in the same work buffers.
+        instance = generate_instance(spec)
+        ws = solver._Workspace(instance)
+        rng = np.random.default_rng(31)
+        kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
+        seen = []
+        for i in range(50):
+            if i % 2:
+                starts = rng.uniform(-2.0, 26.0, ws.n).tolist()
+            else:
+                starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+            peak = kernel.peak(starts)
+            assert type(peak) is float
+            assert peak == MeoKernel(instance.patients, 0.1, instance.day_hours).peak(starts)
+            assert peak == occupancy_curve(instance.patients, starts, 0.1,
+                                           instance.day_hours).peak()
+            seen.append((starts, peak))
+        assert len({peak for _, peak in seen}) > 40
+        assert all(kernel.peak(starts) == peak for starts, peak in seen)
+
+    def test_reused_buffers_without_recovery_patients(self):
+        patients = [make_patient(needs_recovery=False),
+                    make_patient(pid="p2", surgeon="s2", needs_recovery=False)]
+        kernel = MeoKernel(patients, 0.1, 24.0)
+        assert kernel.work.size == 0
+        assert [kernel.peak([z, 2.0 * z]) for z in (0.0, 3.5, 30.0)] == [0.0, 0.0, 0.0]
+
+    def test_full_matrix_in_a_reused_buffer(self):
+        instance = generate_instance(GenSpec(seed=1))
+        rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(instance.patients)
+        times = time_grid(0.1, instance.day_hours)
+        work = np.empty((forecast._WORK_ROWS, rows.size * times.size))
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            starts = rng.uniform(0.0, 12.0, rows.size)
+            fresh = recovery_prob_matrix(mu, sd, cmu, csd, starts, times)
+            reused = recovery_prob_matrix(mu, sd, cmu, csd, starts, times, work=work)
+            assert np.shares_memory(reused, work)
+            assert np.array_equal(reused, fresh)
 
     def test_lag_limit_is_the_widened_support_bound(self):
         for seed in range(5):
