@@ -56,9 +56,6 @@ _BAND_MARGIN = 1e-6
 
 RECOVERY_MODELS = ("moment", "convolved")
 
-# Float scratch rows ``recovery_prob_matrix`` uses per evaluated cell.
-_WORK_ROWS = 4
-
 # Largest lag step (hours) of the "convolved" surgery+recovery CDF table.
 SUM_LAG_STEP = 0.01
 # Patients convolved together; bounds the FFT buffers (~8 MB each on a 24 h day).
@@ -119,33 +116,36 @@ def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
                          combined_log_mean: np.ndarray, combined_log_sd: np.ndarray,
                          starts: np.ndarray, times: np.ndarray,
                          combined_cdf: np.ndarray | None = None,
-                         cells: tuple[np.ndarray, np.ndarray] | None = None,
-                         work: np.ndarray | None = None) -> np.ndarray:
+                         cells: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Vectorised in-recovery probabilities, one row per patient, one column per time.
 
     ``combined_cdf``, when given, holds P(surgery + recovery <= t - start)
     for each evaluated cell and stands in for the moment-matched lognormal's
     CDF.  ``cells``, when given, is a pair of equal-length (row, column)
-    index arrays, each within bounds; only those cells are evaluated, and the
-    flat result holds the same floats as those cells of the full matrix.
-    ``work``, when given, is a float array of shape (``_WORK_ROWS``, n), n at
-    least the number of cells evaluated; the result is then a view into it,
-    valid until its next use, and no cell-sized float array is allocated.
+    index arrays; only those cells are evaluated, and the flat result holds
+    the same floats as those cells of the full matrix.  An index outside the
+    matrix raises IndexError.
     """
     times = np.asarray(times, dtype=float)
     starts = np.asarray(starts, dtype=float)
-    shape = (starts.size, times.size) if cells is None else cells[0].shape
-    size = math.prod(shape)
-    if work is None:
-        work = np.empty((_WORK_ROWS, size))
-    x, a, b, c = (row[:size].reshape(shape) for row in work)
+    if cells is None:
+        shape = (starts.size, times.size)
+    else:
+        shape = cells[0].shape
+        if cells[0].size and not (0 <= cells[0].min() and cells[0].max() < starts.size
+                                  and 0 <= cells[1].min() and cells[1].max() < times.size):
+            raise IndexError(f"cells outside the {starts.size} x {times.size} matrix")
+    # One block per call, also the erf's scratch: separate scratch arrays make
+    # malloc return and re-fault its pages on every call of a large day.
+    x, a, b, c = np.empty((4, *shape))
 
     def per_cell(values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One value per row, written to each evaluated cell of that row."""
         if cells is None:
             out[...] = values[:, None]
             return out
-        return np.take(values, cells[0], out=out, mode="clip")  # "clip": unbuffered
+        # "clip" takes without an intermediate buffer; the indices are checked above.
+        return np.take(values, cells[0], out=out, mode="clip")
 
     if cells is None:
         np.subtract(times, starts[:, None], out=x)
@@ -209,9 +209,6 @@ class MeoKernel:
             support_upper_bound(p.surgery, p.combined) * (1.0 + _BAND_MARGIN)
             if p.combined.sigma < p.surgery.sigma - SIGMA_TOLERANCE else math.inf
             for p in patients if p.needs_recovery])
-        # Scratch for every cell a call can evaluate, so calls allocate no float
-        # array of that size: a heap that shrinks and regrows costs page faults.
-        self.work = np.empty((_WORK_ROWS, self.rows.size * self.times.size))
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
@@ -225,8 +222,7 @@ class MeoKernel:
         col = np.repeat(first - (np.cumsum(counts) - counts), counts)
         col += np.arange(col.size)
         probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
-                                     self.combined_log_sd, z, self.times, cells=(row, col),
-                                     work=self.work)
+                                     self.combined_log_sd, z, self.times, cells=(row, col))
         # Cells run row by row, so each column adds its values in row order.
         return float(np.bincount(col, probs, minlength=self.times.size).max())
 

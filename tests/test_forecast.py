@@ -374,10 +374,9 @@ class TestMeoKernel:
     @pytest.mark.parametrize("spec", [GenSpec(seed=0),
                                       GenSpec(seed=4, patient_count=200, surgeon_count=100,
                                               or_count=60)])
-    def test_reused_buffers_give_fresh_results(self, spec):
+    def test_repeated_calls_give_fresh_results(self, spec):
         # One kernel alternates between packed constructed schedules and starts
-        # spread over the day, so each call evaluates a different number of cells
-        # in the same work buffers.
+        # spread over the day, so each call evaluates a different number of cells.
         instance = generate_instance(spec)
         ws = solver._Workspace(instance)
         rng = np.random.default_rng(31)
@@ -397,25 +396,28 @@ class TestMeoKernel:
         assert len({peak for _, peak in seen}) > 40
         assert all(kernel.peak(starts) == peak for starts, peak in seen)
 
-    def test_reused_buffers_without_recovery_patients(self):
+    def test_repeated_calls_without_recovery_patients(self):
         patients = [make_patient(needs_recovery=False),
                     make_patient(pid="p2", surgeon="s2", needs_recovery=False)]
         kernel = MeoKernel(patients, 0.1, 24.0)
-        assert kernel.work.size == 0
         assert [kernel.peak([z, 2.0 * z]) for z in (0.0, 3.5, 30.0)] == [0.0, 0.0, 0.0]
 
-    def test_full_matrix_in_a_reused_buffer(self):
+    def test_cells_outside_the_matrix_raise(self):
         instance = generate_instance(GenSpec(seed=1))
         rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(instance.patients)
         times = time_grid(0.1, instance.day_hours)
-        work = np.empty((forecast._WORK_ROWS, rows.size * times.size))
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            starts = rng.uniform(0.0, 12.0, rows.size)
-            fresh = recovery_prob_matrix(mu, sd, cmu, csd, starts, times)
-            reused = recovery_prob_matrix(mu, sd, cmu, csd, starts, times, work=work)
-            assert np.shares_memory(reused, work)
-            assert np.array_equal(reused, fresh)
+        starts = np.full(rows.size, 1.0)
+        last_row, last_col = rows.size - 1, times.size - 1
+        inside = (np.array([0, last_row]), np.array([0, last_col]))
+        full = recovery_prob_matrix(mu, sd, cmu, csd, starts, times)
+        assert np.array_equal(recovery_prob_matrix(mu, sd, cmu, csd, starts, times, cells=inside),
+                              full[inside])
+        empty = (np.array([], dtype=int), np.array([], dtype=int))
+        assert recovery_prob_matrix(mu, sd, cmu, csd, starts, times, cells=empty).size == 0
+        for row, col in ((last_row + 1, 0), (0, last_col + 1), (-1, 0), (0, -1)):
+            cells = (np.array([0, row]), np.array([0, col]))
+            with pytest.raises(IndexError):
+                recovery_prob_matrix(mu, sd, cmu, csd, starts, times, cells=cells)
 
     def test_lag_limit_is_the_widened_support_bound(self):
         for seed in range(5):
