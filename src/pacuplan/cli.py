@@ -75,15 +75,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
         fields = {**ranges, **fields}
     spec = GenSpec(**fields)
     args.seed = spec.seed  # the manifest records the resolved seed
+    spec_done = time.perf_counter()
     instance = generate_instance(spec)
+    generate_done = time.perf_counter()
     io.write_instance(instance, args.out)
+    write_done = time.perf_counter()
     print(f"wrote {args.out}: {len(instance.patients)} patients, "
           f"{len(instance.surgeons)} surgeons, {instance.or_count} ORs, "
           f"{instance.recovery_count()} needing recovery, "
           f"ORs open {instance.or_open_hours} h of a {instance.day_hours} h day")
     _manifest(args, {k: list(v) if isinstance(v, tuple) else v
                      for k, v in spec.__dict__.items()},
-              [args.spec] if args.spec else [], [args.out], started)
+              [args.spec] if args.spec else [], [args.out], started,
+              timings_s={"spec": spec_done - started, "generate": generate_done - spec_done,
+                         "write": write_done - generate_done})
     return 0
 
 
@@ -170,7 +175,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               [args.instance], [args.out, str(report_path)], started,
               timings_s={"read": read_done - started, "baseline": baseline_done - read_done,
                          "anneal": anneal_done - baseline_done,
-                         "write": write_done - anneal_done})
+                         "write": write_done - anneal_done},
+              evaluations_per_s=args.iterations * args.replicas / (anneal_done - baseline_done))
     return 0
 
 
@@ -235,6 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not instance_paths:
         raise ValueError(f"no instance files found in {args.instances}")
     instances = [io.read_instance(p) for p in instance_paths]
+    read_done = time.perf_counter()
 
     cells = list(itertools.product(args.iteration_grid, args.factor_grid, args.period_grid))
     results = []
@@ -250,6 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 total += simulated_annealing(inst, config).best_meo
             totals.append(total)
         results.append((iterations, factor, period, float(np.mean(totals))))
+    anneal_done = time.perf_counter()
 
     best_row = min(range(len(results)), key=lambda i: (results[i][3], i))
     with open(args.out, "w", newline="") as fh:
@@ -259,6 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for i, (iterations, factor, period, mean_total) in enumerate(results):
             writer.writerow([iterations, float(factor), int(period),
                              float(mean_total), int(i == best_row)])
+    write_done = time.perf_counter()
     iterations, factor, period, mean_total = results[best_row]
     print(f"wrote {args.out}: {len(results)} cells x {args.reps} rep(s) "
           f"on {len(instances)} instance(s)")
@@ -267,7 +276,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _manifest(args, {"iteration_grid": args.iteration_grid, "factor_grid": args.factor_grid,
                      "period_grid": args.period_grid, "reps": args.reps,
                      "grid_step": args.grid_step},
-              [str(p) for p in instance_paths], [args.out], started)
+              [str(p) for p in instance_paths], [args.out], started,
+              timings_s={"read": read_done - started, "anneal": anneal_done - read_done,
+                         "write": write_done - anneal_done})
     return 0
 
 

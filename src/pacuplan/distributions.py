@@ -8,6 +8,7 @@ CDF is computed exactly by an O(n*k) recurrence truncated at the queried count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +45,9 @@ class LognormalParams:
         if self.mu + self.sigma2 / 2.0 > _LOG_FLOAT_MAX:
             raise ValueError(f"parameters ({self.mu}, {self.sigma2}) overflow the distribution mean")
 
-    @property
+    @functools.cached_property
     def sigma(self) -> float:
+        """The log-sd; computed once per object, outside the fields that compare and hash."""
         return math.sqrt(self.sigma2)
 
     def mean(self) -> float:

@@ -27,6 +27,24 @@ evaluated side.  Each column sum adds the same values in the same row order
 as the full matrix's, and adding an exact zero leaves a float unchanged, so
 the peak is bitwise the one ``occupancy_curve`` gives.  When the combined
 log-sd is not the smaller the band is unbounded.
+
+Most band columns cannot hold the peak, and the kernel proves it without
+evaluating them (bound and prune).  Each cell's value, F_S(x) - F_C(x) at
+lag x, lies between F_S(lo) - F_C(hi) and F_S(hi) - F_C(lo) for any lo <= x
+<= hi, because both CDFs are non-decreasing.  At construction the kernel
+tabulates F_S and F_C of each recovery patient at the lags m*h of its grid
+step h, widened outward so that a cell whose computed lag gives table index
+floor(lag / h) = m lies inside [lo_m, hi_{m+1}] despite float rounding.
+Summing the cell bounds by column gives an upper and a lower bound on every
+column sum.  A column whose upper bound falls below the largest lower bound,
+by more than a margin that covers rounding, is not the peak: the computed
+erf is within 4.5e-16 of the exact one, so a computed cell strays outside
+its table bounds by at most a few ulps of 1, and three column sums of at
+most ``rows`` values in [0, 1] round by far less than 1e-9 * rows for fewer
+than a million rows.  Only the remaining columns' cells are evaluated,
+still in row-major order, so each kept column adds the same floats in the
+same order as the full matrix, its maximum column included, and the peak
+stays bitwise the one ``occupancy_curve`` gives.
 """
 from __future__ import annotations
 
@@ -53,6 +71,16 @@ SIGMA_TOLERANCE = 1e-12
 # log-means in [-2, 2] and log-variances in [0.01, 2] the computed
 # probability is zero from 1e-13 (relative) past the crossing on.
 _BAND_MARGIN = 1e-6
+
+# Outward widening of the MEO kernel's bound-table lags, relative and in
+# grid steps; covers the rounding of a cell's lag and of its table index.
+_LAG_WIDENING = 1e-9
+_LAG_OFFSET = 1e-12
+# Per recovery row, the rounding allowance when pruning columns by their bounds.
+_PRUNE_MARGIN = 1e-9
+# Recovery rows per block when the MEO kernel tabulates its bounds; keeps the
+# temporaries small on large days.
+_TABLE_BLOCK_ROWS = 64
 
 RECOVERY_MODELS = ("moment", "convolved")
 
@@ -193,15 +221,21 @@ def _recovery_starts(starts: Sequence[float], rows: np.ndarray, n_patients: int)
 class MeoKernel:
     """Exact peak expected occupancy of one day's patients on a fixed time grid.
 
-    Evaluates each recovery patient's band of grid times only (see the
-    module docstring); ``peak`` equals ``occupancy_curve(...).peak()`` for
-    the same patients, starts, grid step and horizon, bit for bit.
+    Evaluates each recovery patient's band of grid times only, and of those
+    only the columns whose bounds leave them a chance of holding the peak
+    (see the module docstring); ``peak`` equals ``occupancy_curve(...).peak()``
+    for the same patients, starts, grid step and horizon, bit for bit.
     ``lag_limit`` holds each recovery patient's band end, in hours after
     its start: the crossing lag widened by ``_BAND_MARGIN``, or inf.
+    ``upper`` and ``lower`` hold, one row per recovery patient, the bounds
+    on a cell whose lag has table index m = floor(lag / grid_step): entry m
+    covers the lags [m, m + 1] steps, and the last entry every lag from
+    ``times.size`` steps on.
     """
 
     def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
         self.times = time_grid(grid_step, horizon)
+        self.grid_step = grid_step
         self.n_patients = len(patients)
         (self.rows, self.log_mean, self.log_sd, self.combined_log_mean, self.combined_log_sd,
          _, _) = _recovery_params(patients)
@@ -209,6 +243,25 @@ class MeoKernel:
             support_upper_bound(p.surgery, p.combined) * (1.0 + _BAND_MARGIN)
             if p.combined.sigma < p.surgery.sigma - SIGMA_TOLERANCE else math.inf
             for p in patients if p.needs_recovery])
+        entries = self.times.size + 1
+        nodes = np.arange(entries) * grid_step
+        lags = np.concatenate([nodes * (1.0 - _LAG_WIDENING) - _LAG_OFFSET * grid_step,
+                               nodes[1:] * (1.0 + _LAG_WIDENING) + _LAG_OFFSET * grid_step])
+        self.upper = np.empty((self.rows.size, entries))
+        self.lower = np.zeros((self.rows.size, entries))
+        for first in range(0, self.rows.size, _TABLE_BLOCK_ROWS):
+            block = slice(first, first + _TABLE_BLOCK_ROWS)
+            surgery = _lognormal_cdf_matrix(self.log_mean[block], self.log_sd[block], lags[None, :])
+            combined = _lognormal_cdf_matrix(self.combined_log_mean[block],
+                                             self.combined_log_sd[block], lags[None, :])
+            # Columns [0, entries) are the lags lo_m, the rest hi_{m+1}.
+            np.subtract(surgery[:, entries:], combined[:, :entries - 1],
+                        out=self.upper[block, :-1])
+            np.subtract(1.0, combined[:, entries - 1], out=self.upper[block, -1])
+            np.subtract(surgery[:, :entries - 1], combined[:, entries:],
+                        out=self.lower[block, :-1])
+        np.clip(self.upper, 0.0, 1.0, out=self.upper)
+        np.clip(self.lower, 0.0, 1.0, out=self.lower)
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
@@ -221,10 +274,32 @@ class MeoKernel:
         row = np.repeat(np.arange(z.size), counts)
         col = np.repeat(first - (np.cumsum(counts) - counts), counts)
         col += np.arange(col.size)
+        # Each cell's flat table index, row * entries + min(floor(lag / step), last entry).
+        # The cell-sized work shares one block: glibc trims the freed heap, to be
+        # faulted in again on the next call, once it outgrows twice the largest block.
+        lag, other, index = np.empty((3, col.size))
+        index = index.view(np.intp)
+        entries = self.upper.shape[1]
+        # "clip" takes without an intermediate buffer; every index is in range.
+        np.take(self.times, col, out=lag, mode="clip")
+        lag -= np.take(z, row, out=other, mode="clip")
+        lag /= self.grid_step
+        np.minimum(lag, entries - 1, out=lag)
+        np.multiply(row, entries, out=index)
+        # Lags in the band are positive, so the cast to int floors them.
+        np.add(index, lag, out=index, casting="unsafe")
+        n_times = self.times.size
+        column_lower = np.bincount(col, np.take(self.lower, index, out=lag, mode="clip"),
+                                   minlength=n_times)
+        column_upper = np.bincount(col, np.take(self.upper, index, out=other, mode="clip"),
+                                   minlength=n_times)
+        keep = column_upper >= column_lower.max() - _PRUNE_MARGIN * (1.0 + z.size)
+        kept = np.flatnonzero(keep[col])
+        row, col = row[kept], col[kept]
         probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
                                      self.combined_log_sd, z, self.times, cells=(row, col))
         # Cells run row by row, so each column adds its values in row order.
-        return float(np.bincount(col, probs, minlength=self.times.size).max())
+        return float(np.bincount(col, probs, minlength=n_times).max())
 
 
 def _lognormal_cdf_matrix(log_mean: np.ndarray, log_sd: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -294,8 +369,9 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
     if recovery_model == "convolved":
         combined_cdf = convolved_sum_cdf(mu, sd, rmu, rsd, z, grid_step, times.size)
     probs = recovery_prob_matrix(mu, sd, cmu, csd, z, times, combined_cdf)
-    mean = probs.sum(axis=0)
     variance = (probs * (1.0 - probs)).sum(axis=0)
+    # Row by row, as the MEO kernel adds: sum(axis=0) would pair up the terms of a lone column.
+    mean = np.cumsum(probs, axis=0, out=probs)[-1].copy()
     half_band = Z95 * np.sqrt(variance)
     return OccupancyCurve(grid_step, times, mean, variance,
                           mean - half_band, mean + half_band)

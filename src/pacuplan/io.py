@@ -159,11 +159,14 @@ class RunManifest:
     created: str = ""
     timings_s: dict[str, float] = field(default_factory=dict)  # seconds per stage
     samples_per_s: float | None = None  # sampling throughput, for sampling commands
+    evaluations_per_s: float | None = None  # annealing candidates evaluated per second
 
     def to_dict(self) -> dict:
         measured = {"timings_s": self.timings_s} if self.timings_s else {}
         if self.samples_per_s is not None:
             measured["samples_per_s"] = self.samples_per_s
+        if self.evaluations_per_s is not None:
+            measured["evaluations_per_s"] = self.evaluations_per_s
         return {
             "command": self.command,
             "version": self.version,

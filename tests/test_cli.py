@@ -52,8 +52,9 @@ class TestGenerate:
                    "--seed", 5, "--out", out) == 0
         instance = io.read_instance(out)
         assert len(instance.patients) == 10
-        assert (tmp_path / "day.manifest.json").exists()
+        assert_stage_timings(out, ["spec", "generate", "write"])
         assert "10 patients" in capsys.readouterr().out
+        assert "timing" not in out.read_text()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -269,6 +270,13 @@ class TestOptimize:
         out = tmp_path / "best.json"
         assert run("optimize", small_instance_file, "--iterations", 20, "--out", out) == 0
         assert_stage_timings(out, ["read", "baseline", "anneal", "write"])
+        manifest = json.loads(io.manifest_path(out).read_text())
+        assert manifest["evaluations_per_s"] == pytest.approx(20 / manifest["timings_s"]["anneal"])
+        replicas = tmp_path / "replicas.json"
+        assert run("optimize", small_instance_file, "--iterations", 20, "--replicas", 3,
+                   "--out", replicas) == 0
+        manifest = json.loads(io.manifest_path(replicas).read_text())
+        assert manifest["evaluations_per_s"] == pytest.approx(60 / manifest["timings_s"]["anneal"])
         report = json.loads((tmp_path / "best.report.json").read_text())
         assert not any("timing" in key or "second" in key for key in report)
         assert sorted(json.loads(out.read_text())) == ["format_version", "starts"]
@@ -396,6 +404,17 @@ class TestSweep:
         assert sum(marks) == 1
         best_value = min(float(r["mean_total_best_meo"]) for r in rows)
         assert float(rows[marks.index(1)]["mean_total_best_meo"]) == best_value
+
+    def test_manifest_timings(self, tmp_path, small_instance_file):
+        sweep_dir = tmp_path / "instances"
+        sweep_dir.mkdir()
+        (sweep_dir / "one.json").write_bytes(small_instance_file.read_bytes())
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", sweep_dir, "--iteration-grid", "10", "--factor-grid", "0.9",
+                   "--period-grid", "5", "--reps", 2, "--out", out) == 0
+        assert_stage_timings(out, ["read", "anneal", "write"])
+        assert out.read_text().splitlines()[0] == (
+            "iterations,cooling_factor,cooling_period,mean_total_best_meo,best")
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "none"

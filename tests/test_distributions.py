@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -132,6 +133,20 @@ class TestLognormalCdf:
             LognormalParams(math.nan, 1.0)
         with pytest.raises(ValueError):
             LognormalParams(800.0, 1.0)  # mean overflows
+
+    def test_cached_sigma_leaves_the_value_semantics_alone(self):
+        params, twin = LognormalParams(0.7, 0.3), LognormalParams(0.7, 0.3)
+        assert params.sigma == math.sqrt(0.3) and params.sigma is params.sigma
+        # One side cached, the other not: still equal, same hash and repr.
+        assert params == twin and hash(params) == hash(twin)
+        assert repr(params) == repr(twin) == "LognormalParams(mu=0.7, sigma2=0.3)"
+        assert params != LognormalParams(0.7, 0.31)
+        for original in (params, twin, LognormalParams(-1.5, 2.0)):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert copy.sigma == math.sqrt(original.sigma2)
+        with pytest.raises(AttributeError):
+            params.sigma2 = 1.0
 
 
 class TestMomentMatching:

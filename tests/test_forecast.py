@@ -3,13 +3,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from pacuplan import (
     GenSpec,
+    Instance,
     LognormalParams,
+    Surgeon,
     baseline_schedule,
+    construct_schedule,
     exact_occupancy_cdf,
     generate_instance,
     occupancy_curve,
@@ -20,7 +25,8 @@ from pacuplan import (
 from pacuplan import forecast, solver
 from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
-from conftest import dft_cdf_oracle, in_recovery_oracle, make_patient, pmf_oracle
+from conftest import (dft_cdf_oracle, in_recovery_oracle, make_patient, pmf_oracle,
+                      random_genspec)
 
 
 def matrix_probs(patients, starts, times):
@@ -456,6 +462,129 @@ class TestMeoKernel:
             assert (probs == 0.0).all()
             median = math.exp(patient.surgery.mu)  # inside the band, with a positive probability
             assert median < limit and in_recovery_oracle(patient, 0.0, median) > 0.0
+
+
+    @staticmethod
+    def late_shift_day(rng):
+        """A random GenSpec day whose surgeons' shifts may start up to 6 h late."""
+        day = generate_instance(random_genspec(rng))
+        surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
+                            shift_end=s.shift_end) for s in day.surgeons]
+        return Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
+                        or_open_hours=day.or_open_hours, day_hours=day.day_hours)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_constructed_schedules_on_random_days(self, seed):
+        rng = np.random.default_rng(seed)
+        instance = self.late_shift_day(rng)
+        kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
+        for _ in range(3):
+            sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+            schedule = construct_schedule(instance, sequence, rng)
+            starts = [schedule.starts[p.id] for p in instance.patients]
+            assert kernel.peak(starts) == occupancy_curve(
+                instance.patients, starts, 0.1, instance.day_hours).peak()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.25, 0.07, 1.0 / 3.0]),
+           st.sampled_from([24.0, 10.05]))
+    def test_random_starts_on_random_days(self, seed, grid_step, horizon):
+        # Starts before zero, inside the day and past its end.
+        rng = np.random.default_rng(seed)
+        instance = self.late_shift_day(rng)
+        kernel = MeoKernel(instance.patients, grid_step, horizon)
+        for _ in range(3):
+            starts = rng.uniform(-8.0, horizon + 4.0, len(instance.patients)).tolist()
+            assert kernel.peak(starts) == occupancy_curve(
+                instance.patients, starts, grid_step, horizon).peak()
+
+    @pytest.mark.parametrize("grid_step", [0.1, 0.25, 0.07, 1.0 / 3.0])
+    @pytest.mark.parametrize("horizon", [24.0, 10.05])
+    def test_grid_steps_and_horizons(self, grid_step, horizon):
+        rng = np.random.default_rng(12)
+        instance = generate_instance(GenSpec(seed=3))
+        ws = solver._Workspace(instance)
+        kernel = MeoKernel(instance.patients, grid_step, horizon)
+        assert kernel.upper.shape == (45, time_grid(grid_step, horizon).size + 1)
+        for i in range(20):
+            if i % 2:
+                starts = rng.uniform(-3.0, horizon, ws.n).tolist()
+            else:
+                starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+            self.assert_same_peak(instance.patients, starts, grid_step, horizon)
+
+    def test_narrow_wide_and_unbounded_patients(self):
+        patients = [make_patient(pid="a", surgery=(0.5, 1e-6), recovery=(-0.5, 0.1)),
+                    make_patient(pid="b", surgeon="s2", surgery=(0.0, 0.2), recovery=(-1.0, 1e-6)),
+                    make_patient(pid="c", surgeon="s3", surgery=(0.0, 0.05), recovery=(0.3, 0.8)),
+                    make_patient(pid="d", surgeon="s4", surgery=(1.0, 0.3), recovery=(0.0, 0.3))]
+        assert MeoKernel(patients, 0.1, 24.0).lag_limit[2] == math.inf
+        rng = np.random.default_rng(21)
+        for grid_step in (0.1, 0.07, 1.0 / 3.0):
+            for _ in range(50):
+                starts = rng.uniform(-2.0, 8.0, 4).tolist()
+                self.assert_same_peak(patients, starts, grid_step)
+            # All four on top of each other, and the narrow one alone at its mode.
+            self.assert_same_peak(patients, [0.0] * 4, grid_step)
+            self.assert_same_peak(patients, [0.0, 30.0, 30.0, 30.0], grid_step)
+
+    def test_one_point_grid(self):
+        patients = generate_instance(GenSpec(seed=1)).patients
+        kernel = MeoKernel(patients, 0.5, 0.3)
+        assert kernel.times.tolist() == [0.0] and kernel.upper.shape[1] == 2
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            starts = rng.uniform(-6.0, 1.0, len(patients)).tolist()
+            assert self.assert_same_peak(patients, starts, 0.5, 0.3) >= 0.0
+        assert self.assert_same_peak(patients, [-2.0] * len(patients), 0.5, 0.3) > 0.0
+
+    def test_bounds_hold_for_every_cell(self):
+        # Every cell with a positive lag, band or not, lies between the bounds
+        # of its table entry, up to the few ulps the module docstring allows.
+        rng = np.random.default_rng(17)
+        for seed, grid_step in ((0, 0.1), (1, 0.07), (2, 1.0 / 3.0), (3, 0.25)):
+            patients = generate_instance(GenSpec(seed=seed)).patients
+            kernel = MeoKernel(patients, grid_step, 24.0)
+            upper, lower = kernel.upper, kernel.lower
+            assert ((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)).all()
+            assert (lower[:, -1] == 0.0).all()
+            rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
+            for _ in range(5):
+                z = rng.uniform(-30.0, 24.0, rows.size)
+                lag = kernel.times[None, :] - z[:, None]
+                positive = lag > 0.0
+                entry = np.minimum(np.floor(lag / grid_step), kernel.upper.shape[1] - 1)
+                entry = np.where(positive, entry, 0).astype(int)
+                cell_upper = np.take_along_axis(upper, entry, axis=1)[positive]
+                cell_lower = np.take_along_axis(lower, entry, axis=1)[positive]
+                probs = recovery_prob_matrix(mu, sd, cmu, csd, z, kernel.times)[positive]
+                assert (probs <= cell_upper + 4e-15).all()
+                assert (probs >= cell_lower - 4e-15).all()
+                assert (cell_lower > 0.0).any()
+
+    def test_one_probability_call_on_fewer_cells(self, monkeypatch):
+        # Pruning leaves most band cells unevaluated on a constructed schedule,
+        # and each peak still makes exactly one call for probabilities.
+        instance = generate_instance(GenSpec(seed=0))
+        ws = solver._Workspace(instance)
+        rng = np.random.default_rng(4)
+        kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
+        evaluated = []
+
+        def counting(*args, cells, **kwargs):
+            evaluated.append(cells[0].size)
+            return recovery_prob_matrix(*args, cells=cells, **kwargs)
+
+        monkeypatch.setattr(forecast, "recovery_prob_matrix", counting)
+        for calls in range(1, 21):
+            starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+            kernel.peak(starts)
+            assert len(evaluated) == calls
+            z = np.asarray(starts)[kernel.rows]
+            band = np.searchsorted(kernel.times, z + kernel.lag_limit, side="left") \
+                - np.searchsorted(kernel.times, z, side="right")
+            assert 0 < evaluated[-1] < 0.5 * np.maximum(band, 0).sum()
 
 
 class TestExactOccupancyCdf:

@@ -87,7 +87,7 @@ class TestManifest:
         assert payload["seed"] == 3
         assert payload["config"] == {"patients": 5}
         assert payload["created"]
-        assert "timings_s" not in payload and "samples_per_s" not in payload
+        assert not {"timings_s", "samples_per_s", "evaluations_per_s"} & set(payload)
 
     def test_measured_fields_only_when_set(self):
         manifest = io.RunManifest(command="validate", version="0.1.0", seed=0, config={},
@@ -95,3 +95,7 @@ class TestManifest:
         payload = manifest.to_dict()
         assert payload["timings_s"] == {"sampling": 0.5}
         assert payload["samples_per_s"] == 2000.0
+        assert "evaluations_per_s" not in payload
+        optimize = io.RunManifest(command="optimize", version="0.1.0", seed=0, config={},
+                                  evaluations_per_s=4000.0)
+        assert optimize.to_dict()["evaluations_per_s"] == 4000.0

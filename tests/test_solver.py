@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacuplan import (
     GenSpec,
@@ -82,6 +84,21 @@ class TestConstructSchedule:
             schedule = construct_schedule(instance, sequence,
                                           np.random.default_rng(int(rng.integers(2**32))))
             assert [v for v in check_feasibility(instance, schedule) if v.constraint == 2] == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_feasible_with_late_shift_starts(self, seed):
+        # Every rule check_feasibility knows, not only the shift start, on
+        # random days whose surgeons may start up to 6 h late.
+        rng = np.random.default_rng(seed)
+        day = generate_instance(random_genspec(rng))
+        surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
+                            shift_end=s.shift_end) for s in day.surgeons]
+        instance = Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
+                            or_open_hours=day.or_open_hours, day_hours=day.day_hours)
+        sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+        for slack in (None, rng):
+            assert check_feasibility(instance, construct_schedule(instance, sequence, slack)) == []
 
     def test_sequence_must_be_permutation(self):
         instance = make_instance([make_patient(pid="a"), make_patient(pid="b", surgeon="s2")])
