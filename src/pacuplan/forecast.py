@@ -78,9 +78,9 @@ _LAG_WIDENING = 1e-9
 _LAG_OFFSET = 1e-12
 # Per recovery row, the rounding allowance when pruning columns by their bounds.
 _PRUNE_MARGIN = 1e-9
-# Recovery rows per block when the MEO kernel tabulates its bounds; keeps the
-# temporaries small on large days.
-_TABLE_BLOCK_ROWS = 64
+# Recovery rows per block when the MEO kernel tabulates its bounds; keeps its
+# temporaries to a few hundred kB, far below the tables themselves.
+_TABLE_BLOCK_ROWS = 16
 
 RECOVERY_MODELS = ("moment", "convolved")
 
@@ -271,31 +271,34 @@ class MeoKernel:
         first = np.searchsorted(self.times, z, side="right")  # first grid time with lag > 0
         end = np.maximum(np.searchsorted(self.times, z + self.lag_limit, side="left"), first)
         counts = end - first
-        row = np.repeat(np.arange(z.size), counts)
-        col = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        # Every cell-sized array shares one block: glibc trims freed heap, to fault
+        # it in again on the next call, once that outgrows twice the largest block.
+        block = np.empty((4, int(counts.sum())))
+        row, col = block[:2].view(np.intp)
+        lag, scratch = block[2:]
+        row[...] = np.repeat(np.arange(z.size), counts)
+        col[...] = np.repeat(first - (np.cumsum(counts) - counts), counts)
         col += np.arange(col.size)
-        # Each cell's flat table index, row * entries + min(floor(lag / step), last entry).
-        # The cell-sized work shares one block: glibc trims the freed heap, to be
-        # faulted in again on the next call, once it outgrows twice the largest block.
-        lag, other, index = np.empty((3, col.size))
-        index = index.view(np.intp)
+        # Each cell's flat table index, row * entries + min(floor(lag / step), last
+        # entry), built in place of ``row``.
         entries = self.upper.shape[1]
         # "clip" takes without an intermediate buffer; every index is in range.
         np.take(self.times, col, out=lag, mode="clip")
-        lag -= np.take(z, row, out=other, mode="clip")
+        lag -= np.take(z, row, out=scratch, mode="clip")
         lag /= self.grid_step
         np.minimum(lag, entries - 1, out=lag)
-        np.multiply(row, entries, out=index)
+        index = row
+        index *= entries
         # Lags in the band are positive, so the cast to int floors them.
         np.add(index, lag, out=index, casting="unsafe")
         n_times = self.times.size
         column_lower = np.bincount(col, np.take(self.lower, index, out=lag, mode="clip"),
                                    minlength=n_times)
-        column_upper = np.bincount(col, np.take(self.upper, index, out=other, mode="clip"),
+        column_upper = np.bincount(col, np.take(self.upper, index, out=lag, mode="clip"),
                                    minlength=n_times)
         keep = column_upper >= column_lower.max() - _PRUNE_MARGIN * (1.0 + z.size)
         kept = np.flatnonzero(keep[col])
-        row, col = row[kept], col[kept]
+        row, col = index[kept] // entries, col[kept]
         probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
                                      self.combined_log_sd, z, self.times, cells=(row, col))
         # Cells run row by row, so each column adds its values in row order.

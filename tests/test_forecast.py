@@ -339,16 +339,18 @@ class TestMeoKernel:
         assert peak == occupancy_curve(patients, starts, grid_step, horizon).peak()
         return peak
 
-    @pytest.mark.parametrize("grid_step", [0.1, 0.037])
-    def test_random_schedules(self, grid_step):
+    @pytest.mark.parametrize("grid_step, horizon", [(0.1, 24.0), (0.037, 24.0), (0.25, 24.0),
+                                                    (0.07, 10.05), (1.0 / 3.0, 10.05)],
+                             ids=["0.1", "0.037", "0.25", "0.07-10.05", "1/3-10.05"])
+    def test_random_schedules(self, grid_step, horizon):
         rng = np.random.default_rng(5)
         for seed in range(5):
             instance = generate_instance(GenSpec(seed=seed))
-            kernel = MeoKernel(instance.patients, grid_step, instance.day_hours)
+            kernel = MeoKernel(instance.patients, grid_step, horizon)
             for _ in range(40):
                 starts = rng.uniform(-1.0, 12.0, len(instance.patients)).tolist()
                 assert kernel.peak(starts) == occupancy_curve(
-                    instance.patients, starts, grid_step, instance.day_hours).peak()
+                    instance.patients, starts, grid_step, horizon).peak()
 
     def test_unbounded_band(self):
         wide = make_patient(pid="w", surgery=(0.0, 0.05), recovery=(0.3, 0.8))
@@ -498,21 +500,6 @@ class TestMeoKernel:
             starts = rng.uniform(-8.0, horizon + 4.0, len(instance.patients)).tolist()
             assert kernel.peak(starts) == occupancy_curve(
                 instance.patients, starts, grid_step, horizon).peak()
-
-    @pytest.mark.parametrize("grid_step", [0.1, 0.25, 0.07, 1.0 / 3.0])
-    @pytest.mark.parametrize("horizon", [24.0, 10.05])
-    def test_grid_steps_and_horizons(self, grid_step, horizon):
-        rng = np.random.default_rng(12)
-        instance = generate_instance(GenSpec(seed=3))
-        ws = solver._Workspace(instance)
-        kernel = MeoKernel(instance.patients, grid_step, horizon)
-        assert kernel.upper.shape == (45, time_grid(grid_step, horizon).size + 1)
-        for i in range(20):
-            if i % 2:
-                starts = rng.uniform(-3.0, horizon, ws.n).tolist()
-            else:
-                starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
-            self.assert_same_peak(instance.patients, starts, grid_step, horizon)
 
     def test_narrow_wide_and_unbounded_patients(self):
         patients = [make_patient(pid="a", surgery=(0.5, 1e-6), recovery=(-0.5, 0.1)),
