@@ -271,8 +271,9 @@ class MeoKernel:
         first = np.searchsorted(self.times, z, side="right")  # first grid time with lag > 0
         end = np.maximum(np.searchsorted(self.times, z + self.lag_limit, side="left"), first)
         counts = end - first
-        # Every cell-sized array shares one block: glibc trims freed heap, to fault
-        # it in again on the next call, once that outgrows twice the largest block.
+        # The cell-sized arrays that live through the call share one block: glibc
+        # trims freed heap, to fault it in again on the next call, once that
+        # outgrows twice the largest block.
         block = np.empty((4, int(counts.sum())))
         row, col = block[:2].view(np.intp)
         lag, scratch = block[2:]

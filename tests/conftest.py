@@ -147,3 +147,12 @@ def random_genspec(rng: np.random.Generator) -> GenSpec:
     return GenSpec(or_count=ors, surgeon_count=surgeons, patient_count=patients,
                    recovery_fraction=float(rng.uniform(0, 1)),
                    seed=int(rng.integers(2**32)))
+
+
+def late_shift_instance(rng: np.random.Generator) -> Instance:
+    """A ``random_genspec`` day whose surgeons' shifts start up to 6 h late, about half of them."""
+    day = generate_instance(random_genspec(rng))
+    surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
+                        shift_end=s.shift_end) for s in day.surgeons]
+    return Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
+                    or_open_hours=day.or_open_hours, day_hours=day.day_hours)

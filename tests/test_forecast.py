@@ -10,9 +10,7 @@ from scipy.optimize import brentq
 
 from pacuplan import (
     GenSpec,
-    Instance,
     LognormalParams,
-    Surgeon,
     baseline_schedule,
     construct_schedule,
     exact_occupancy_cdf,
@@ -25,8 +23,8 @@ from pacuplan import (
 from pacuplan import forecast, solver
 from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
-from conftest import (dft_cdf_oracle, in_recovery_oracle, make_patient, pmf_oracle,
-                      random_genspec)
+from conftest import (dft_cdf_oracle, in_recovery_oracle, late_shift_instance, make_patient,
+                      pmf_oracle)
 
 
 def matrix_probs(patients, starts, times):
@@ -465,21 +463,11 @@ class TestMeoKernel:
             median = math.exp(patient.surgery.mu)  # inside the band, with a positive probability
             assert median < limit and in_recovery_oracle(patient, 0.0, median) > 0.0
 
-
-    @staticmethod
-    def late_shift_day(rng):
-        """A random GenSpec day whose surgeons' shifts may start up to 6 h late."""
-        day = generate_instance(random_genspec(rng))
-        surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
-                            shift_end=s.shift_end) for s in day.surgeons]
-        return Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
-                        or_open_hours=day.or_open_hours, day_hours=day.day_hours)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_constructed_schedules_on_random_days(self, seed):
         rng = np.random.default_rng(seed)
-        instance = self.late_shift_day(rng)
+        instance = late_shift_instance(rng)
         kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
         for _ in range(3):
             sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
@@ -494,7 +482,7 @@ class TestMeoKernel:
     def test_random_starts_on_random_days(self, seed, grid_step, horizon):
         # Starts before zero, inside the day and past its end.
         rng = np.random.default_rng(seed)
-        instance = self.late_shift_day(rng)
+        instance = late_shift_instance(rng)
         kernel = MeoKernel(instance.patients, grid_step, horizon)
         for _ in range(3):
             starts = rng.uniform(-8.0, horizon + 4.0, len(instance.patients)).tolist()

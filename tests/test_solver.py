@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pacuplan import (
     GenSpec,
-    Instance,
     SAConfig,
     Surgeon,
     baseline_schedule,
@@ -19,7 +18,7 @@ from pacuplan import (
 )
 from pacuplan.solver import _draw_swap
 
-from conftest import make_instance, make_patient, random_genspec
+from conftest import late_shift_instance, make_instance, make_patient, random_genspec
 
 
 class TestConstructSchedule:
@@ -72,30 +71,13 @@ class TestConstructSchedule:
         assert schedule.starts == {"a": 0.0, "b": 3.0}
         assert check_feasibility(instance, schedule) == []
 
-    def test_random_late_shift_starts_respect_the_shift(self):
-        rng = np.random.default_rng(4321)
-        for _ in range(120):
-            day = generate_instance(random_genspec(rng))
-            surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
-                                shift_end=s.shift_end) for s in day.surgeons]
-            instance = Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
-                                or_open_hours=day.or_open_hours, day_hours=day.day_hours)
-            sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
-            schedule = construct_schedule(instance, sequence,
-                                          np.random.default_rng(int(rng.integers(2**32))))
-            assert [v for v in check_feasibility(instance, schedule) if v.constraint == 2] == []
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_feasible_with_late_shift_starts(self, seed):
-        # Every rule check_feasibility knows, not only the shift start, on
-        # random days whose surgeons may start up to 6 h late.
+    def test_random_late_shift_starts_respect_the_shift(self, seed):
+        # Every rule check_feasibility knows holds, not only the shift start,
+        # packed and with random slack.
         rng = np.random.default_rng(seed)
-        day = generate_instance(random_genspec(rng))
-        surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
-                            shift_end=s.shift_end) for s in day.surgeons]
-        instance = Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
-                            or_open_hours=day.or_open_hours, day_hours=day.day_hours)
+        instance = late_shift_instance(rng)
         sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
         for slack in (None, rng):
             assert check_feasibility(instance, construct_schedule(instance, sequence, slack)) == []
