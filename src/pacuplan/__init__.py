@@ -12,7 +12,6 @@ from .forecast import (
     OccupancyCurve,
     exact_occupancy_cdf,
     occupancy_curve,
-    support_upper_bound,
     time_grid,
 )
 from .model import (
@@ -51,7 +50,6 @@ __all__ = [
     "OccupancyCurve",
     "exact_occupancy_cdf",
     "occupancy_curve",
-    "support_upper_bound",
     "time_grid",
     "FEASIBILITY_EPS",
     "Instance",

@@ -77,8 +77,9 @@ class GenSpec:
             _require_type(f"spec: {name}", getattr(self, name), numbers.Integral, "an integer")
         _require_finite("spec", recovery_fraction=self.recovery_fraction,
                         or_open_hours=self.or_open_hours, day_hours=self.day_hours)
-        if min(self.or_count, self.surgeon_count, self.patient_count) < 1:
-            raise ValueError("counts must all be at least 1")
+        for name in ("or_count", "surgeon_count", "patient_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"spec: {name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"spec: seed must be non-negative, got {self.seed}")
         if self.surgeon_count > self.patient_count:

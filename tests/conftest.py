@@ -22,6 +22,23 @@ def in_recovery_oracle(patient, start, t):
     return min(1.0, max(0.0, lognormal_cdf(x, patient.surgery) - lognormal_cdf(x, patient.combined)))
 
 
+def support_upper_bound(surgery, combined, start=0.0):
+    """Time at which the two standardised log arguments coincide, the crossing lag past ``start``.
+
+    Past this point the surgery CDF no longer exceeds the combined CDF (for
+    the usual case sigma_combined < sigma_surgery), so the in-recovery
+    probability is zero.  Returns inf when the sigmas lie within 1e-12 and
+    the crossing formula is singular, or when the crossing lies past any float.
+    """
+    s, c = surgery.sigma, combined.sigma
+    if abs(c - s) < 1e-12:
+        return math.inf
+    try:
+        return start + math.exp((c * surgery.mu - s * combined.mu) / (c - s))
+    except OverflowError:
+        return math.inf
+
+
 # Bound on the (n, block) intermediate of the characteristic-function product.
 _DFT_BLOCK = 512
 

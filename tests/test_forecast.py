@@ -17,14 +17,13 @@ from pacuplan import (
     generate_instance,
     occupancy_curve,
     poisson_binomial_cdf,
-    support_upper_bound,
     time_grid,
 )
 from pacuplan import forecast, solver
 from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
 from conftest import (dft_cdf_oracle, in_recovery_oracle, late_shift_instance, make_patient,
-                      pmf_oracle)
+                      pmf_oracle, support_upper_bound)
 
 
 def matrix_probs(patients, starts, times):
@@ -68,6 +67,8 @@ class TestTimeGrid:
 
 
 class TestSupportUpperBound:
+    """The crossing-lag oracle that the zero-probability tests rest on."""
+
     def test_equal_sigmas_unbounded(self):
         surgery = LognormalParams(1.0, 0.25)
         combined = LognormalParams(2.0, 0.25)
@@ -127,6 +128,33 @@ class TestRecoveryProbMatrix:
             for factor in (1.0001, 1.5, 4.0):
                 assert matrix_prob(patient, 0.0, bound * factor) == 0.0
             assert matrix_prob(patient, 0.0, bound * 0.7) > 0.0
+
+    def test_zero_from_the_widened_crossing_on(self):
+        # Exactly 0.0 from a relative 1e-6 past the crossing on, including the
+        # first lags past it, while the median lag before it is positive.
+        rng = np.random.default_rng(8)
+        spec = GenSpec()
+        checked = 0
+        while checked < 200:
+            patient = make_patient(surgery=(rng.uniform(*spec.surgery_log_mean),
+                                            rng.uniform(*spec.surgery_log_var)),
+                                   recovery=(rng.uniform(*spec.recovery_log_mean),
+                                             rng.uniform(*spec.recovery_log_var)))
+            if patient.combined.sigma >= patient.surgery.sigma - 1e-12:
+                continue
+            limit = support_upper_bound(patient.surgery, patient.combined) * (1.0 + 1e-6)
+            if limit > 1e6:
+                continue
+            checked += 1
+            lags = np.concatenate([limit * (1.0 + np.arange(50) * 1e-15),
+                                   np.linspace(limit, 4.0 * limit, 200)])
+            probs = recovery_prob_matrix(
+                np.array([patient.surgery.mu]), np.array([patient.surgery.sigma]),
+                np.array([patient.combined.mu]), np.array([patient.combined.sigma]),
+                np.zeros(1), lags)
+            assert (probs == 0.0).all()
+            median = math.exp(patient.surgery.mu)  # before the crossing, with a positive probability
+            assert median < limit and in_recovery_oracle(patient, 0.0, median) > 0.0
 
     def test_time_translation_invariance(self):
         patient = make_patient(surgery=(0.3, 0.2), recovery=(0.1, 0.3))
@@ -329,7 +357,7 @@ class TestConvolvedRecoveryModel:
 
 
 class TestMeoKernel:
-    """The banded kernel's peak equals the full curve's peak, float for float."""
+    """The kernel's peak equals the full curve's peak, float for float."""
 
     @staticmethod
     def assert_same_peak(patients, starts, grid_step=0.1, horizon=24.0):
@@ -349,15 +377,21 @@ class TestMeoKernel:
                 starts = rng.uniform(-1.0, 12.0, len(instance.patients)).tolist()
                 assert kernel.peak(starts) == occupancy_curve(
                     instance.patients, starts, grid_step, horizon).peak()
+            # Starts on grid times and at exact step multiples before zero, so
+            # that lags are 0 or whole steps.
+            on_grid = np.concatenate([kernel.times, -np.arange(1, 40) * grid_step])
+            for _ in range(10):
+                starts = rng.choice(on_grid, len(instance.patients)).tolist()
+                assert kernel.peak(starts) == occupancy_curve(
+                    instance.patients, starts, grid_step, horizon).peak()
 
     def test_unbounded_band(self):
         wide = make_patient(pid="w", surgery=(0.0, 0.05), recovery=(0.3, 0.8))
         assert wide.combined.sigma >= wide.surgery.sigma
         narrow = make_patient(pid="n", surgeon="s2", surgery=(0.5, 0.5), recovery=(-1.0, 0.05))
         patients = [wide, narrow]
-        assert MeoKernel(patients, 0.1, 24.0).lag_limit.tolist() == [
-            math.inf, support_upper_bound(narrow.surgery, narrow.combined)
-            * (1.0 + forecast._BAND_MARGIN)]
+        assert narrow.combined.sigma < narrow.surgery.sigma
+        assert support_upper_bound(narrow.surgery, narrow.combined) < 24.0
         for start in (0.0, 0.33, 7.9, 18.25):
             self.assert_same_peak(patients, [start, 0.5 * start])
             self.assert_same_peak(patients, [start, 0.5 * start], grid_step=0.037)
@@ -408,61 +442,6 @@ class TestMeoKernel:
         kernel = MeoKernel(patients, 0.1, 24.0)
         assert [kernel.peak([z, 2.0 * z]) for z in (0.0, 3.5, 30.0)] == [0.0, 0.0, 0.0]
 
-    def test_cells_outside_the_matrix_raise(self):
-        instance = generate_instance(GenSpec(seed=1))
-        rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(instance.patients)
-        times = time_grid(0.1, instance.day_hours)
-        starts = np.full(rows.size, 1.0)
-        last_row, last_col = rows.size - 1, times.size - 1
-        inside = (np.array([0, last_row]), np.array([0, last_col]))
-        full = recovery_prob_matrix(mu, sd, cmu, csd, starts, times)
-        assert np.array_equal(recovery_prob_matrix(mu, sd, cmu, csd, starts, times, cells=inside),
-                              full[inside])
-        empty = (np.array([], dtype=int), np.array([], dtype=int))
-        assert recovery_prob_matrix(mu, sd, cmu, csd, starts, times, cells=empty).size == 0
-        for row, col in ((last_row + 1, 0), (0, last_col + 1), (-1, 0), (0, -1)):
-            cells = (np.array([0, row]), np.array([0, col]))
-            with pytest.raises(IndexError):
-                recovery_prob_matrix(mu, sd, cmu, csd, starts, times, cells=cells)
-
-    def test_lag_limit_is_the_widened_support_bound(self):
-        for seed in range(5):
-            patients = generate_instance(GenSpec(seed=seed)).patients
-            recovery = [p for p in patients if p.needs_recovery]
-            limits = MeoKernel(patients, 0.1, 24.0).lag_limit
-            assert len(limits) == len(recovery)
-            for p, limit in zip(recovery, limits):
-                if p.combined.sigma < p.surgery.sigma - forecast.SIGMA_TOLERANCE:
-                    assert limit == support_upper_bound(p.surgery, p.combined) \
-                        * (1.0 + forecast._BAND_MARGIN)
-                else:
-                    assert limit == math.inf
-
-    def test_full_matrix_is_zero_from_the_lag_limit_on(self):
-        # Every cell the band leaves out evaluates to exactly 0.0 in the full
-        # matrix, including the first lags past the limit.
-        rng = np.random.default_rng(8)
-        spec = GenSpec()
-        checked = 0
-        while checked < 200:
-            patient = make_patient(surgery=(rng.uniform(*spec.surgery_log_mean),
-                                            rng.uniform(*spec.surgery_log_var)),
-                                   recovery=(rng.uniform(*spec.recovery_log_mean),
-                                             rng.uniform(*spec.recovery_log_var)))
-            limit = MeoKernel([patient], 0.1, 24.0).lag_limit[0]
-            if limit == math.inf or limit > 1e6:
-                continue
-            checked += 1
-            lags = np.concatenate([limit * (1.0 + np.arange(50) * 1e-15),
-                                   np.linspace(limit, 4.0 * limit, 200)])
-            probs = recovery_prob_matrix(
-                np.array([patient.surgery.mu]), np.array([patient.surgery.sigma]),
-                np.array([patient.combined.mu]), np.array([patient.combined.sigma]),
-                np.zeros(1), lags)
-            assert (probs == 0.0).all()
-            median = math.exp(patient.surgery.mu)  # inside the band, with a positive probability
-            assert median < limit and in_recovery_oracle(patient, 0.0, median) > 0.0
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_constructed_schedules_on_random_days(self, seed):
@@ -494,7 +473,7 @@ class TestMeoKernel:
                     make_patient(pid="b", surgeon="s2", surgery=(0.0, 0.2), recovery=(-1.0, 1e-6)),
                     make_patient(pid="c", surgeon="s3", surgery=(0.0, 0.05), recovery=(0.3, 0.8)),
                     make_patient(pid="d", surgeon="s4", surgery=(1.0, 0.3), recovery=(0.0, 0.3))]
-        assert MeoKernel(patients, 0.1, 24.0).lag_limit[2] == math.inf
+        assert patients[2].combined.sigma >= patients[2].surgery.sigma  # never zero again
         rng = np.random.default_rng(21)
         for grid_step in (0.1, 0.07, 1.0 / 3.0):
             for _ in range(50):
@@ -507,7 +486,7 @@ class TestMeoKernel:
     def test_one_point_grid(self):
         patients = generate_instance(GenSpec(seed=1)).patients
         kernel = MeoKernel(patients, 0.5, 0.3)
-        assert kernel.times.tolist() == [0.0] and kernel.upper.shape[1] == 2
+        assert kernel.times.tolist() == [0.0] and kernel.upper.shape[1] == 3
         rng = np.random.default_rng(2)
         for _ in range(20):
             starts = rng.uniform(-6.0, 1.0, len(patients)).tolist()
@@ -515,51 +494,61 @@ class TestMeoKernel:
         assert self.assert_same_peak(patients, [-2.0] * len(patients), 0.5, 0.3) > 0.0
 
     def test_bounds_hold_for_every_cell(self):
-        # Every cell with a positive lag, band or not, lies between the bounds
-        # of its table entry, up to the few ulps the module docstring allows.
+        # Every cell, whatever its lag, lies between the bounds of the table
+        # entry the kernel's own index gives it, up to the few ulps the module
+        # docstring allows; lags <= 0 included.
         rng = np.random.default_rng(17)
         for seed, grid_step in ((0, 0.1), (1, 0.07), (2, 1.0 / 3.0), (3, 0.25)):
             patients = generate_instance(GenSpec(seed=seed)).patients
             kernel = MeoKernel(patients, grid_step, 24.0)
             upper, lower = kernel.upper, kernel.lower
+            entries = upper.shape[1]
+            assert entries == kernel.times.size + 2
             assert ((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)).all()
+            assert (upper[:, 0] == 0.0).all() and (lower[:, 0] == 0.0).all()
             assert (lower[:, -1] == 0.0).all()
             rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
-            for _ in range(5):
-                z = rng.uniform(-30.0, 24.0, rows.size)
+            for draw in range(6):
+                if draw % 2:  # lags of exactly 0 and of whole steps
+                    z = rng.choice(kernel.times, rows.size)
+                else:
+                    z = rng.uniform(-30.0, 24.0, rows.size)
+                index, _ = kernel._table_index(z)
+                own_row = np.arange(rows.size)[:, None] * entries
+                assert ((own_row <= index) & (index < own_row + entries)).all()
                 lag = kernel.times[None, :] - z[:, None]
-                positive = lag > 0.0
-                entry = np.minimum(np.floor(lag / grid_step), kernel.upper.shape[1] - 1)
-                entry = np.where(positive, entry, 0).astype(int)
-                cell_upper = np.take_along_axis(upper, entry, axis=1)[positive]
-                cell_lower = np.take_along_axis(lower, entry, axis=1)[positive]
-                probs = recovery_prob_matrix(mu, sd, cmu, csd, z, kernel.times)[positive]
+                assert (index == own_row)[lag <= -grid_step].all()  # entry 0
+                cell_upper, cell_lower = upper.ravel()[index], lower.ravel()[index]
+                probs = recovery_prob_matrix(mu, sd, cmu, csd, z, kernel.times)
                 assert (probs <= cell_upper + 4e-15).all()
                 assert (probs >= cell_lower - 4e-15).all()
                 assert (cell_lower > 0.0).any()
+                assert (probs[lag <= 0.0] == 0.0).all()
+                assert (lag == 0.0).any() or not draw % 2
 
     def test_one_probability_call_on_fewer_cells(self, monkeypatch):
-        # Pruning leaves most band cells unevaluated on a constructed schedule,
-        # and each peak still makes exactly one call for probabilities.
+        # Pruning leaves most grid columns unevaluated on a constructed
+        # schedule, and each peak still makes exactly one call for
+        # probabilities, over every recovery row.
         instance = generate_instance(GenSpec(seed=0))
         ws = solver._Workspace(instance)
         rng = np.random.default_rng(4)
         kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
         evaluated = []
 
-        def counting(*args, cells, **kwargs):
-            evaluated.append(cells[0].size)
-            return recovery_prob_matrix(*args, cells=cells, **kwargs)
+        def counting(*args, **kwargs):
+            starts, times = args[4], args[5]
+            evaluated.append((starts.size, times.size))
+            return recovery_prob_matrix(*args, **kwargs)
 
         monkeypatch.setattr(forecast, "recovery_prob_matrix", counting)
         for calls in range(1, 21):
             starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
             kernel.peak(starts)
             assert len(evaluated) == calls
-            z = np.asarray(starts)[kernel.rows]
-            band = np.searchsorted(kernel.times, z + kernel.lag_limit, side="left") \
-                - np.searchsorted(kernel.times, z, side="right")
-            assert 0 < evaluated[-1] < 0.5 * np.maximum(band, 0).sum()
+            rows, columns = evaluated[-1]
+            assert rows == kernel.rows.size
+            assert 0 < columns < 0.5 * kernel.times.size
 
 
 class TestExactOccupancyCdf:
