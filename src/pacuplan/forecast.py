@@ -17,19 +17,37 @@ kernel proves it without evaluating them (bound and prune).  Each cell's
 value, F_S(x) - F_C(x) at lag x, lies between F_S(lo) - F_C(hi) and
 F_S(hi) - F_C(lo) for any lo <= x <= hi, because both CDFs are
 non-decreasing, and it is exactly zero at lag x <= 0.  At construction the
-kernel tabulates F_S and F_C of each recovery patient at the lags m*h of
-its grid step h, widened outward so that a cell whose computed lag gives
-table index floor(lag / h) = m lies inside [lo_m, hi_{m+1}] despite float
-rounding; every negative index takes one zero entry.  Summing the cell bounds by column gives an upper and a lower
-bound on every column sum.  A column whose upper bound falls below the
-largest lower bound, by more than a margin that covers rounding, is not the
-peak: the computed erf is within 4.5e-16 of the exact one, so a computed
-cell strays outside its table bounds by at most a few ulps of 1, and three
-column sums of at most ``rows`` values in [0, 1] round by far less than
-1e-9 * rows for fewer than a million rows.  Only the remaining columns are
-evaluated, by the same elementwise ``recovery_prob_matrix`` on the same
-rows, and summed in the same row order as in ``occupancy_curve``, so the
-peak is bitwise the one ``occupancy_curve`` gives.
+kernel tabulates these bounds for each recovery patient, with grid step h
+and T grid times: entry m in [0, T) covers the lags [lo_m, hi_{m+1}],
+entry T every lag from lo_T on, where lo_m = m h (1 - w) - d h and
+hi_m = m h (1 + w) + d h are widened outward by w = ``_LAG_WIDENING`` and
+d = ``_LAG_OFFSET`` (T + 1).
+
+A cell's entry comes from its row's phase.  Time t_j lies within a few ulps
+of j h, so the lag t_j - z of a row starting at z is (j - z / h) steps; one
+shift per row, k = floor(-z / h), gives cell j the entry m = j + k, with no
+float pass over the cells.  Rounding cannot move a cell out of its entry's
+interval: a row whose entries include some m in [-1, T) has |z| <= (T + 1) h,
+and the quotient -z / h, the time t_j and the computed lag fl(t_j - z) then
+each err by at most a few (T + 1) 2^-53 steps, far below d steps; from entry T
+on, where lags and starts may be large, the error is relative and w m
+covers it.  A tiny positive lag could still reach m = -1, so that entry's
+upper bound is F_S(hi_0) and its lower bound 0, and the argument needs no
+claim about how the division rounds; every m <= -2 holds lags below -1 + d
+steps, exactly zero cells, and reads zero.  The bounds are stored as
+float32 pairs rounded outward (lower toward -inf, upper toward +inf), so
+they still enclose the float64 ones.
+
+Summing the cell bounds by column gives an upper and a lower bound on every
+column sum.  A column whose upper bound falls below the largest lower bound,
+by more than a margin that covers rounding, is not the peak: the computed
+erf is within 4.5e-16 of the exact one, so a computed cell strays outside
+its table bounds by at most a few ulps of 1, and three column sums of at
+most ``rows`` values in [0, 1] round by far less than 1e-9 * rows for fewer
+than a million rows.  Only the remaining columns are evaluated, by the same
+elementwise ``recovery_prob_matrix`` on the same rows, and summed in the
+same row order as in ``occupancy_curve``, so the peak is bitwise the one
+``occupancy_curve`` gives.
 """
 from __future__ import annotations
 
@@ -47,8 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # Width of the two-sided 95% normal prediction band.
 Z95 = 1.96
 
-# Outward widening of the MEO kernel's bound-table lags, relative and in
-# grid steps; covers the rounding of a cell's lag and of its table index.
+# Outward widening of the MEO kernel's bound-table lags: relative, and in
+# grid steps per grid time; covers the rounding of a cell's lag and of its
+# row's shift.
 _LAG_WIDENING = 1e-9
 _LAG_OFFSET = 1e-12
 # Per recovery row, the rounding allowance when pruning columns by their bounds.
@@ -110,23 +129,27 @@ def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
     times = np.asarray(times, dtype=float)
     starts = np.asarray(starts, dtype=float)
     # One block per call, also the erf's scratch: separate scratch arrays make
-    # malloc return and re-fault its pages on every call of a large day.
-    x, a, b, c = np.empty((4, starts.size, times.size))
+    # malloc return and re-fault its pages on every call of a large day.  The
+    # erf arguments lead it, the surgery's and (moment model) the combined
+    # one's, so one _erf call serves both; plane 1 ends up as the combined
+    # CDF on the erf scale, and the lags use a plane of the erf's scratch.
+    n_erf = 2 if combined_cdf is None else 1
+    block = np.empty((2 + 2 * n_erf, starts.size, times.size))
+    z, x = block[:n_erf], block[2]
     np.subtract(times, starts[:, None], out=x)
     outside = x <= 0.0
     np.copyto(x, 1.0, where=outside)
     logx = np.log(x, out=x)
-    zs = np.subtract(logx, log_mean[:, None], out=a)
-    zs /= SQRT2 * log_sd[:, None]
+    np.subtract(logx, log_mean[:, None], out=z[0])
+    z[0] /= SQRT2 * log_sd[:, None]
     if combined_cdf is None:
-        zc = np.subtract(logx, combined_log_mean[:, None], out=b)
-        zc /= SQRT2 * combined_log_sd[:, None]
-        combined = _erf(zc, out=zc, work=(x, c))
+        np.subtract(logx, combined_log_mean[:, None], out=z[1])
+        z[1] /= SQRT2 * combined_log_sd[:, None]
     else:
-        combined = np.multiply(combined_cdf, 2.0, out=b)
-        combined -= 1.0  # a CDF F on the erf scale, 2F - 1
-    probs = _erf(zs, out=zs, work=(x, c))
-    probs -= combined
+        np.multiply(combined_cdf, 2.0, out=block[1])
+        block[1] -= 1.0  # a CDF F on the erf scale, 2F - 1
+    _erf(z, out=z, work=(block[2:2 + n_erf], block[2 + n_erf:]))
+    probs = np.subtract(block[0], block[1], out=block[0])
     probs *= 0.5
     np.clip(probs, 0.0, 1.0, out=probs)
     np.copyto(probs, 0.0, where=outside)
@@ -157,12 +180,12 @@ class MeoKernel:
     Evaluates only the grid columns whose bounds leave them a chance of
     holding the peak (see the module docstring); ``peak`` equals
     ``occupancy_curve(...).peak()`` for the same patients, starts, grid step
-    and horizon, bit for bit.  ``upper`` and ``lower`` hold, one row per
-    recovery patient, the bounds on a cell whose lag has table index
-    m = floor(lag / grid_step), clipped to [-1, times.size], in entry m + 1:
-    entry 0 covers the negative lags and is zero, entry m + 1 the
-    lags [m, m + 1] steps, and the last entry every lag from ``times.size``
-    steps on.
+    and horizon, bit for bit.  ``bounds`` holds, for each recovery patient,
+    2T + 2 (lower, upper) float32 pairs, T = ``times.size``: the cell at grid
+    time j of a row with shift k reads entry m = j + k, stored at row entry
+    T + 1 + m.  Entries m <= -2 are zero pairs (padding, so that no index
+    needs a lower clip), m = -1 covers lags within rounding of zero, m in
+    [0, T) the lags [m, m + 1] steps, and m = T every lag from T steps on.
     """
 
     def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
@@ -171,59 +194,63 @@ class MeoKernel:
         self.n_patients = len(patients)
         (self.rows, self.log_mean, self.log_sd, self.combined_log_mean, self.combined_log_sd,
          _, _) = _recovery_params(patients)
-        entries = self.times.size + 1
-        nodes = np.arange(entries) * grid_step
-        lags = np.concatenate([nodes * (1.0 - _LAG_WIDENING) - _LAG_OFFSET * grid_step,
-                               nodes[1:] * (1.0 + _LAG_WIDENING) + _LAG_OFFSET * grid_step])
-        self.upper = np.zeros((self.rows.size, entries + 1))
-        self.lower = np.zeros((self.rows.size, entries + 1))
+        n = self.times.size
+        nodes = np.arange(n + 1) * grid_step
+        offset = _LAG_OFFSET * (n + 1) * grid_step
+        # The lags lo_0 .. lo_n, then hi_0 .. hi_n.
+        lags = np.concatenate([nodes * (1.0 - _LAG_WIDENING) - offset,
+                               nodes * (1.0 + _LAG_WIDENING) + offset])
+        self.bounds = np.zeros((self.rows.size, 2 * n + 2, 2), dtype=np.float32)
         for first in range(0, self.rows.size, _TABLE_BLOCK_ROWS):
             block = slice(first, first + _TABLE_BLOCK_ROWS)
             surgery = _lognormal_cdf_matrix(self.log_mean[block], self.log_sd[block], lags[None, :])
             combined = _lognormal_cdf_matrix(self.combined_log_mean[block],
                                              self.combined_log_sd[block], lags[None, :])
-            # Columns [0, entries) are the lags lo_m, the rest hi_{m+1}.
-            np.subtract(surgery[:, entries:], combined[:, :entries - 1],
-                        out=self.upper[block, 1:-1])
-            np.subtract(1.0, combined[:, entries - 1], out=self.upper[block, -1])
-            np.subtract(surgery[:, :entries - 1], combined[:, entries:],
-                        out=self.lower[block, 1:-1])
-        np.clip(self.upper, 0.0, 1.0, out=self.upper)
-        np.clip(self.lower, 0.0, 1.0, out=self.lower)
-        # Flat index of each row's entry for m = 0.
-        self._row_offset = (np.arange(self.rows.size) * (entries + 1) + 1)[:, None]
+            # Entries m = -1 .. n; the lower bounds of m = -1 and m = n are zero.
+            lower, upper = np.zeros((2, surgery.shape[0], n + 2))
+            upper[:, 0] = surgery[:, n + 1]
+            np.subtract(surgery[:, n + 2:], combined[:, :n], out=upper[:, 1:-1])
+            np.subtract(1.0, combined[:, n], out=upper[:, -1])
+            np.subtract(surgery[:, :n], combined[:, n + 2:], out=lower[:, 1:-1])
+            _round_outward(lower, -np.inf, out=self.bounds[block, n:, 0])
+            _round_outward(upper, np.inf, out=self.bounds[block, n:, 1])
+        self._pairs = self.bounds.reshape(-1, 2)
+        # Each row's entry m = 0 and its last entry, m = n, in ``_pairs``.
+        self._row_zero = np.arange(self.rows.size, dtype=np.intp) * (2 * n + 2) + n + 1
+        self._row_last = (self._row_zero + n)[:, None]
+        self._columns = np.arange(n, dtype=np.intp)
 
-    def _table_index(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each cell's flat index into the bound tables, and a float array of the same shape.
-
-        One row per recovery patient (starts ``z``), one column per grid
-        time; the float array is the caller's scratch.
-        """
-        # Both share one block: glibc trims freed heap, to fault it in again on
-        # the next call, once that outgrows twice the largest block.
-        block = np.empty((2, z.size, self.times.size))
-        steps, index = block[0], block[1].view(np.intp)
-        np.subtract(self.times, z[:, None], out=steps)
-        steps /= self.grid_step
-        np.floor(steps, out=steps)
-        np.clip(steps, -1.0, self.times.size, out=steps)
-        np.copyto(index, steps, casting="unsafe")
-        index += self._row_offset
-        return index, steps
+    def _table_index(self, z: np.ndarray) -> np.ndarray:
+        """Each cell's entry in ``_pairs``: one row per recovery patient (starts ``z``), one column per grid time."""
+        n = self.times.size
+        # The shift k = floor(-z / h), kept within [-n - 1, n], where it still
+        # reaches the padding and the last entry, before the integer cast.
+        shift = np.floor(z / -self.grid_step)
+        np.maximum(shift, -n - 1.0, out=shift)
+        np.minimum(shift, n, out=shift)
+        start = self._row_zero + shift.astype(np.intp)
+        index = np.add(start[:, None], self._columns)
+        return np.minimum(index, self._row_last, out=index)
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
         z = _recovery_starts(starts, self.rows, self.n_patients)
         if self.rows.size == 0:
             return 0.0
-        index, bounds = self._table_index(z)
-        # "clip" takes without an intermediate buffer; every index is in range.
-        column_lower = np.take(self.lower, index, out=bounds, mode="clip").sum(axis=0)
-        column_upper = np.take(self.upper, index, out=bounds, mode="clip").sum(axis=0)
+        pairs = np.take(self._pairs, self._table_index(z), axis=0)
+        column_lower, column_upper = pairs.sum(axis=0, dtype=np.float64).T
         keep = column_upper >= column_lower.max() - _PRUNE_MARGIN * (1.0 + z.size)
         probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
                                      self.combined_log_sd, z, self.times[keep])
         return float(_column_sums(probs).max())
+
+
+def _round_outward(values: np.ndarray, toward: float, out: np.ndarray) -> None:
+    """``values`` clipped to [0, 1] and cast into the float32 ``out``, rounded toward ``toward``."""
+    np.clip(values, 0.0, 1.0, out=values)
+    out[...] = values
+    wrong = out > values if toward < 0.0 else out < values
+    np.copyto(out, np.nextafter(out, np.float32(toward)), where=wrong)
 
 
 def _column_sums(probs: np.ndarray) -> np.ndarray:

@@ -160,6 +160,7 @@ class RunManifest:
     timings_s: dict[str, float] = field(default_factory=dict)  # seconds per stage
     samples_per_s: float | None = None  # sampling throughput, for sampling commands
     evaluations_per_s: float | None = None  # annealing candidates evaluated per second
+    best_found_s: float | None = None  # seconds into the winning search when its best appeared
 
     def to_dict(self) -> dict:
         measured = {"timings_s": self.timings_s} if self.timings_s else {}
@@ -167,6 +168,8 @@ class RunManifest:
             measured["samples_per_s"] = self.samples_per_s
         if self.evaluations_per_s is not None:
             measured["evaluations_per_s"] = self.evaluations_per_s
+        if self.best_found_s is not None:
+            measured["best_found_s"] = self.best_found_s
         return {
             "command": self.command,
             "version": self.version,

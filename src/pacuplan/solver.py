@@ -69,6 +69,10 @@ class SolveReport:
     ``best_meo`` (0 when no candidate beat the initial schedule);
     ``acceptance_by_epoch`` is the accepted share of the candidates tried in
     each ``cooling_period`` of iterations, the last one possibly partial.
+    ``construct_seconds`` and ``kernel_seconds`` are the parts of
+    ``wall_clock_seconds`` spent building schedules and in the MEO kernel
+    (its tables included); ``best_found_seconds`` is when, into the run, the
+    best candidate was evaluated (0 when none beat the initial schedule).
     """
 
     best_schedule: Schedule
@@ -85,6 +89,9 @@ class SolveReport:
     best_iteration: int = 0
     acceptance_by_epoch: list[float] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
+    construct_seconds: float = 0.0
+    kernel_seconds: float = 0.0
+    best_found_seconds: float = 0.0
     config: SAConfig | None = None
 
 
@@ -127,23 +134,36 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
     No patient starts before its surgeon's shift, whatever its predecessors.
     """
     duration, setup, cleanup, room, surgeon = ws.duration, ws.setup, ws.cleanup, ws.room, ws.surgeon
+    shift_start, inf = ws.shift_start, math.inf
+    # Comparisons of locals stand in for min and max, which cost a builtin
+    # call each; like them, they keep the first argument on a tie.
     latest = [ws.or_close] * ws.n
-    cap_room, cap_surgeon = [math.inf] * ws.room_count, [math.inf] * ws.surgeon_count
+    cap_room, cap_surgeon = [inf] * ws.room_count, [inf] * ws.surgeon_count
     for p in reversed(order):
-        cap = min(cap_room[room[p]], cap_surgeon[surgeon[p]])
-        if cap < math.inf:
+        r, s = room[p], surgeon[p]
+        cap, other = cap_room[r], cap_surgeon[s]
+        if other < cap:
+            cap = other
+        if cap < inf:
             latest[p] = cap - cleanup[p]
-        cap_room[room[p]] = cap_surgeon[surgeon[p]] = latest[p] - duration[p] - setup[p]
+        cap_room[r] = cap_surgeon[s] = latest[p] - duration[p] - setup[p]
     draws = rng.random(ws.n).tolist() if rng is not None else [0.0] * ws.n
-    floor_room, floor_surgeon = [-math.inf] * ws.room_count, [-math.inf] * ws.surgeon_count
+    floor_room, floor_surgeon = [-inf] * ws.room_count, [-inf] * ws.surgeon_count
     starts = [0.0] * ws.n
     for p, u in zip(order, draws):
-        floor = max(floor_room[room[p]], floor_surgeon[surgeon[p]])
-        earliest = max(floor + setup[p], ws.shift_start[p])
-        slack = latest[p] - earliest - duration[p]
-        starts[p] = earliest + max(0.0, u * slack)
+        r, s = room[p], surgeon[p]
+        floor, other = floor_room[r], floor_surgeon[s]
+        if other > floor:
+            floor = other
+        earliest = floor + setup[p]
+        if shift_start[p] > earliest:
+            earliest = shift_start[p]
+        slack = u * (latest[p] - earliest - duration[p])
+        # max(0.0, slack), which keeps 0.0 for a slack of -0.0
+        start = earliest + (slack if slack > 0.0 else 0.0)
+        starts[p] = start
         # later patients chain off the realised start
-        floor_room[room[p]] = floor_surgeon[surgeon[p]] = starts[p] + duration[p] + cleanup[p]
+        floor_room[r] = floor_surgeon[s] = start + duration[p] + cleanup[p]
     return starts
 
 
@@ -180,14 +200,19 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     slack draws, and acceptance draws.
     """
     config = config or SAConfig()
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
     ws = _Workspace(instance)
-    kernel = forecast.MeoKernel(instance.patients, config.grid_step, instance.day_hours)
     rng = np.random.default_rng(config.seed)
 
     order = list(range(ws.n))
+    tick = clock()
     current_starts = _construct_starts(ws, order, None)
+    built = clock()
+    kernel = forecast.MeoKernel(instance.patients, config.grid_step, instance.day_hours)
     current = kernel.peak(current_starts)
+    done = clock()
+    construct_seconds, kernel_seconds, best_found = built - tick, done - built, 0.0
     initial = current
     best, best_starts, best_order, best_iteration = current, current_starts, order, 0
 
@@ -205,8 +230,13 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             i, j = _draw_swap(ws.n, rng)
             candidate_order = order.copy()
             candidate_order[i], candidate_order[j] = candidate_order[j], candidate_order[i]
+        tick = clock()
         candidate_starts = _construct_starts(ws, candidate_order, rng)
+        built = clock()
         candidate = kernel.peak(candidate_starts)
+        done = clock()
+        construct_seconds += built - tick
+        kernel_seconds += done - built
         delta = candidate - current
         take = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
         if take:
@@ -216,7 +246,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             rejected += 1
         if candidate < best:
             best, best_starts, best_order = candidate, candidate_starts, candidate_order
-            best_iteration = iteration
+            best_iteration, best_found = iteration, done - started
         meo_trace.append(candidate)
         best_trace.append(best)
         temperature_trace.append(temperature)
@@ -242,6 +272,9 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         rejected=rejected,
         best_iteration=best_iteration,
         acceptance_by_epoch=[sum(epoch) / len(epoch) for epoch in epochs],
-        wall_clock_seconds=time.perf_counter() - started,
+        wall_clock_seconds=clock() - started,
+        construct_seconds=construct_seconds,
+        kernel_seconds=kernel_seconds,
+        best_found_seconds=best_found,
         config=config,
     )

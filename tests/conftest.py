@@ -5,6 +5,7 @@ import pytest
 
 from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, forecast,
                       generate_instance, lognormal_cdf)
+from pacuplan.distributions import SQRT2, _erf
 from pacuplan.simulation import _CHUNK, _RECOVERY_MODEL_OF_MODE, _draw_windows
 
 
@@ -20,6 +21,37 @@ def in_recovery_oracle(patient, start, t):
     """Scalar in-recovery probability, F_surgery(t - start) - F_combined(t - start) in [0, 1]."""
     x = t - start
     return min(1.0, max(0.0, lognormal_cdf(x, patient.surgery) - lognormal_cdf(x, patient.combined)))
+
+
+def two_call_recovery_prob_matrix(log_mean, log_sd, combined_log_mean, combined_log_sd,
+                                  starts, times, combined_cdf=None):
+    """``recovery_prob_matrix`` as it was before one _erf call served both CDFs.
+
+    The surgery and combined erf arguments each get their own ``_erf`` call
+    in a four-plane block; the stacked form must give the same floats.
+    """
+    times = np.asarray(times, dtype=float)
+    starts = np.asarray(starts, dtype=float)
+    x, a, b, c = np.empty((4, starts.size, times.size))
+    np.subtract(times, starts[:, None], out=x)
+    outside = x <= 0.0
+    np.copyto(x, 1.0, where=outside)
+    logx = np.log(x, out=x)
+    zs = np.subtract(logx, log_mean[:, None], out=a)
+    zs /= SQRT2 * log_sd[:, None]
+    if combined_cdf is None:
+        zc = np.subtract(logx, combined_log_mean[:, None], out=b)
+        zc /= SQRT2 * combined_log_sd[:, None]
+        combined = _erf(zc, out=zc, work=(x, c))
+    else:
+        combined = np.multiply(combined_cdf, 2.0, out=b)
+        combined -= 1.0
+    probs = _erf(zs, out=zs, work=(x, c))
+    probs -= combined
+    probs *= 0.5
+    np.clip(probs, 0.0, 1.0, out=probs)
+    np.copyto(probs, 0.0, where=outside)
+    return probs
 
 
 def support_upper_bound(surgery, combined, start=0.0):

@@ -23,7 +23,7 @@ from pacuplan import forecast, solver
 from pacuplan.forecast import MeoKernel, recovery_prob_matrix
 
 from conftest import (dft_cdf_oracle, in_recovery_oracle, late_shift_instance, make_patient,
-                      pmf_oracle, support_upper_bound)
+                      pmf_oracle, support_upper_bound, two_call_recovery_prob_matrix)
 
 
 def matrix_probs(patients, starts, times):
@@ -176,6 +176,27 @@ class TestRecoveryProbMatrix:
         estimate = hits.mean()
         se = math.sqrt(estimate * (1 - estimate) / n)
         assert abs(matrix_prob(patient, 0.0, 4.0) - estimate) <= 4 * se
+
+
+    @pytest.mark.parametrize("columns", [1, 8, 24, 241])
+    def test_one_erf_call_gives_the_two_calls_floats(self, columns):
+        # Stacking both erf arguments into one _erf call changes no float, on
+        # either recovery model, from a lone column to a whole day's grid.
+        rng = np.random.default_rng(columns)
+        for seed in range(3):
+            patients = generate_instance(GenSpec(seed=seed)).patients
+            rows, mu, sd, cmu, csd, rmu, rsd = forecast._recovery_params(patients)
+            z = rng.uniform(-2.0, 12.0, rows.size)
+            times = np.sort(rng.choice(time_grid(0.1, 24.0), columns, replace=False))
+            ours = recovery_prob_matrix(mu, sd, cmu, csd, z, times)
+            assert np.array_equal(ours, two_call_recovery_prob_matrix(mu, sd, cmu, csd, z, times))
+            assert (ours > 0.0).any()
+            cdf = forecast.convolved_sum_cdf(mu, sd, rmu, rsd, z, 0.1, 241)[:, :columns]
+            grid = time_grid(0.1, 24.0)[:columns]
+            assert np.array_equal(recovery_prob_matrix(mu, sd, cmu, csd, z, grid, cdf),
+                                  two_call_recovery_prob_matrix(mu, sd, cmu, csd, z, grid, cdf))
+        empty = np.empty(0)
+        assert recovery_prob_matrix(empty, empty, empty, empty, empty, times).shape == (0, columns)
 
 
 class TestAggregates:
@@ -486,45 +507,114 @@ class TestMeoKernel:
     def test_one_point_grid(self):
         patients = generate_instance(GenSpec(seed=1)).patients
         kernel = MeoKernel(patients, 0.5, 0.3)
-        assert kernel.times.tolist() == [0.0] and kernel.upper.shape[1] == 3
+        assert kernel.times.tolist() == [0.0] and kernel.bounds.shape[1:] == (4, 2)
         rng = np.random.default_rng(2)
         for _ in range(20):
             starts = rng.uniform(-6.0, 1.0, len(patients)).tolist()
             assert self.assert_same_peak(patients, starts, 0.5, 0.3) >= 0.0
         assert self.assert_same_peak(patients, [-2.0] * len(patients), 0.5, 0.3) > 0.0
 
-    def test_bounds_hold_for_every_cell(self):
+    @staticmethod
+    def wide_patients(count):
+        """Patients in recovery with probability 0.1-0.7 a few ulps of a day's time after their start.
+
+        A log-sd of 5 and a median surgery of 2e-16 h put much of the surgery
+        mass at those lags, while the combined duration is about an hour.
+        """
+        return [make_patient(pid=f"wide{i}", surgeon=f"s{i}", surgery=(-36.0, 25.0),
+                             recovery=(0.0, 0.1), duration=1.0) for i in range(count)]
+
+    @staticmethod
+    def assert_cells_within_bounds(kernel, patients, z, columns=slice(None)):
+        """Every cell in ``columns`` lies within the pair its own table entry holds."""
+        rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
+        entries = kernel.bounds.shape[1]
+        index = kernel._table_index(z)
+        own_row = np.arange(rows.size)[:, None] * entries
+        assert ((own_row <= index) & (index < own_row + entries)).all()
+        lower, upper = np.moveaxis(kernel._pairs[index[:, columns]].astype(float), -1, 0)
+        times = kernel.times[columns]
+        probs = recovery_prob_matrix(mu, sd, cmu, csd, z, times)
+        assert (probs <= upper + 4e-15).all()
+        assert (probs >= lower - 4e-15).all()
+        lag = times[None, :] - z[:, None]
+        assert (probs[lag <= 0.0] == 0.0).all()
+        return lag, probs
+
+    @pytest.mark.parametrize("grid_step", [0.1, 0.07, 1.0 / 3.0, 0.25, 0.001],
+                             ids=["0.1", "0.07", "1/3", "0.25", "0.001"])
+    def test_bounds_hold_for_every_cell(self, grid_step):
         # Every cell, whatever its lag, lies between the bounds of the table
         # entry the kernel's own index gives it, up to the few ulps the module
-        # docstring allows; lags <= 0 included.
+        # docstring allows; lags <= 0 and lags of an ulp or two included.
+        wide = self.wide_patients(64)
+        kernel = MeoKernel(wide, grid_step, 24.0)
+        n = kernel.times.size
+        lower, upper = np.moveaxis(kernel.bounds, -1, 0)
+        assert kernel.bounds.dtype == np.float32 and kernel.bounds.shape == (64, 2 * n + 2, 2)
+        assert ((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)).all()
+        assert (kernel.bounds[:, :n] == 0.0).all()  # m <= -2: padding
+        assert (lower[:, n] == 0.0).all() and (upper[:, n] > 0.5).all()  # m = -1
+        assert (lower[:, -1] == 0.0).all()  # m = n
+        # Starts on every grid time and one or two ulps either side of it; on
+        # the finest grid, the times of the last hour, where the lags of the
+        # largest starts and times are small.
+        on_grid = kernel.times if n < 1000 else kernel.times[-1000:]
+        starts = [on_grid]
+        for direction in (-np.inf, np.inf):
+            starts += [np.nextafter(on_grid, direction)]
+            starts += [np.nextafter(starts[-1], direction)]
+        starts = np.concatenate(starts)
+        tiny_lags_in_recovery = 0
+        for first in range(0, starts.size, 64):
+            z = np.resize(starts[first:first + 64], 64)
+            columns = slice(None)
+            if n >= 1000:  # this block's columns, and lags of up to 60 steps
+                low = int(z.min() / grid_step) - 60
+                columns = slice(max(low, 0), int(z.max() / grid_step) + 61)
+            lag, probs = self.assert_cells_within_bounds(kernel, wide, z, columns)
+            tiny_lags_in_recovery += int((probs[(0.0 < lag) & (lag < 1e-12)] > 0.1).sum())
+        assert tiny_lags_in_recovery >= 2 * (on_grid.size - 1)
+        # A generated day with the same starts, two horizons away on either
+        # side, and anywhere around the day.
+        patients = [*generate_instance(GenSpec(seed=int(grid_step * 1000) % 5)).patients,
+                    *wide[:2]]
+        kernel = MeoKernel(patients, grid_step, 24.0)
+        rows = kernel.rows.size
         rng = np.random.default_rng(17)
-        for seed, grid_step in ((0, 0.1), (1, 0.07), (2, 1.0 / 3.0), (3, 0.25)):
-            patients = generate_instance(GenSpec(seed=seed)).patients
-            kernel = MeoKernel(patients, grid_step, 24.0)
-            upper, lower = kernel.upper, kernel.lower
-            entries = upper.shape[1]
-            assert entries == kernel.times.size + 2
-            assert ((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)).all()
-            assert (upper[:, 0] == 0.0).all() and (lower[:, 0] == 0.0).all()
-            assert (lower[:, -1] == 0.0).all()
-            rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
-            for draw in range(6):
-                if draw % 2:  # lags of exactly 0 and of whole steps
-                    z = rng.choice(kernel.times, rows.size)
-                else:
-                    z = rng.uniform(-30.0, 24.0, rows.size)
-                index, _ = kernel._table_index(z)
-                own_row = np.arange(rows.size)[:, None] * entries
-                assert ((own_row <= index) & (index < own_row + entries)).all()
-                lag = kernel.times[None, :] - z[:, None]
-                assert (index == own_row)[lag <= -grid_step].all()  # entry 0
-                cell_upper, cell_lower = upper.ravel()[index], lower.ravel()[index]
-                probs = recovery_prob_matrix(mu, sd, cmu, csd, z, kernel.times)
-                assert (probs <= cell_upper + 4e-15).all()
-                assert (probs >= cell_lower - 4e-15).all()
-                assert (cell_lower > 0.0).any()
-                assert (probs[lag <= 0.0] == 0.0).all()
-                assert (lag == 0.0).any() or not draw % 2
+        for z in (*(rng.choice(starts, rows) for _ in range(3)),
+                  np.full(rows, -48.0), np.full(rows, 48.0),
+                  *(rng.uniform(-30.0, 30.0, rows) for _ in range(3))):
+            lag, probs = self.assert_cells_within_bounds(kernel, patients, z)
+            assert (probs[lag > 0.0] > 0.0).any() or z[0] == 48.0
+
+    @pytest.mark.parametrize("grid_step", [0.1, 1.0 / 3.0], ids=["0.1", "1/3"])
+    def test_float32_pairs_bracket_the_float64_bounds(self, grid_step):
+        # The float64 bounds on each entry, from the same CDFs at the same
+        # widened lags; the float32 pairs lie outside them, by less than a
+        # float32 rounding.
+        patients = [*generate_instance(GenSpec(seed=3)).patients, *self.wide_patients(2)]
+        kernel = MeoKernel(patients, grid_step, 24.0)
+        _, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
+        n = kernel.times.size
+        nodes = np.arange(n + 1)[None, :] * grid_step
+        offset = forecast._LAG_OFFSET * (n + 1) * grid_step
+        lo = nodes * (1.0 - forecast._LAG_WIDENING) - offset
+        hi = nodes * (1.0 + forecast._LAG_WIDENING) + offset
+        surgery_lo = forecast._lognormal_cdf_matrix(mu, sd, lo)
+        surgery_hi = forecast._lognormal_cdf_matrix(mu, sd, hi)
+        combined_lo = forecast._lognormal_cdf_matrix(cmu, csd, lo)
+        combined_hi = forecast._lognormal_cdf_matrix(cmu, csd, hi)
+        zero = np.zeros((mu.size, 1))
+        lower = np.hstack([zero, surgery_lo[:, :-1] - combined_hi[:, 1:], zero])
+        upper = np.hstack([surgery_hi[:, :1], surgery_hi[:, 1:] - combined_lo[:, :-1],
+                           1.0 - combined_lo[:, -1:]])
+        lower, upper = np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+        pairs = kernel.bounds[:, n:].astype(float)
+        assert (pairs[..., 0] <= lower).all() and (pairs[..., 1] >= upper).all()
+        assert np.abs(pairs[..., 0] - lower).max() <= 6e-8
+        assert np.abs(pairs[..., 1] - upper).max() <= 6e-8
+        assert (pairs[..., 0] < lower).any() and (pairs[..., 1] > upper).any()
 
     def test_one_probability_call_on_fewer_cells(self, monkeypatch):
         # Pruning leaves most grid columns unevaluated on a constructed

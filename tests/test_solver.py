@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -103,7 +104,8 @@ def reference_starts(instance, sequence, rng):
     """The neighbour-list builder the chain builder replaced, kept as its oracle.
 
     Each pass takes the max (min) over every earlier (later) patient sharing
-    an OR or surgeon, and draws one scalar uniform per patient.
+    an OR or surgeon, and draws one scalar uniform per patient.  No patient
+    starts before its surgeon's shift.
     """
     patients = instance.patients
     n = len(patients)
@@ -134,7 +136,7 @@ def reference_starts(instance, sequence, rng):
         floors = [earliest_start[q] + duration[q] + cleanup[q]
                   for q in neighbors[p] if position[q] < position[p]]
         if floors:
-            earliest_start[p] = max(floors) + setup[p]
+            earliest_start[p] = max(max(floors) + setup[p], earliest[p])
         u = rng.random() if rng is not None else 0.0
         slack = latest_completion[p] - earliest_start[p] - duration[p]
         starts[p] = earliest_start[p] + max(0.0, u * slack)
@@ -156,6 +158,24 @@ class TestChainBuilderMatchesNeighbourLists:
             assert construct_schedule(instance, sequence, ours).starts == \
                 reference_starts(instance, sequence, theirs)
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bit_for_bit_on_late_shift_days(self, seed):
+        # The same bits, signed zeros included, as the oracle's max and min
+        # calls, packed and with random slack, on days whose surgeons may
+        # start late.
+        rng = np.random.default_rng(seed)
+        instance = late_shift_instance(rng)
+        sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+        draw = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(draw), np.random.default_rng(draw)
+        for mine, oracle in ((None, None), (ours, theirs)):
+            starts = construct_schedule(instance, sequence, mine).starts
+            expected = reference_starts(instance, sequence, oracle)
+            assert {k: v.hex() for k, v in starts.items()} == \
+                {k: v.hex() for k, v in expected.items()}
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_random_day_shapes(self):
         rng = np.random.default_rng(77)
@@ -297,3 +317,34 @@ class TestSimulatedAnnealing:
         assert report.best_schedule.starts == {}
         assert report.best_iteration == 0
         assert report.acceptance_by_epoch == [1.0]
+
+    def test_time_split(self, small_instance):
+        report = simulated_annealing(small_instance, SAConfig(iterations=200, seed=3))
+        assert 0.0 < report.construct_seconds and 0.0 < report.kernel_seconds
+        assert report.construct_seconds + report.kernel_seconds < report.wall_clock_seconds
+        assert 0.0 < report.best_found_seconds < report.wall_clock_seconds
+        assert report.best_iteration > 0
+        unimproved = simulated_annealing(make_instance([make_patient(needs_recovery=False)]),
+                                         SAConfig(iterations=5, seed=0))
+        assert unimproved.best_iteration == 0 and unimproved.best_found_seconds == 0.0
+
+
+class TestGoldenOutcomes:
+    """Annealing outcomes pinned from before the shift-indexed kernel; every change since keeps them."""
+
+    @pytest.mark.parametrize("spec, iterations, seed, best_meo, accepted, sequence_sha256", [
+        (GenSpec(), 2500, 0, 5.090852055577912, 1685,
+         "f235155c1b42970e90d41b427c10f64996bf9325448c78ca575c9e33fd64f439"),
+        (GenSpec(), 2500, 1, 4.963066440927679, 1703,
+         "f68304aa070490971063f6a50b8205e6f0b9b2739cb7c66d88860b22ecb06f10"),
+        (GenSpec(patient_count=1000, surgeon_count=574, or_count=344), 100, 1,
+         91.68863755194519, 12,
+         "8e27b2821bd82b980f1323ce23e34d6854fcec9f549460cd702f7e081f761b1e"),
+    ], ids=["default-day-seed0", "default-day-seed1", "1000-patient-day-seed1"])
+    def test_pinned(self, spec, iterations, seed, best_meo, accepted, sequence_sha256):
+        report = simulated_annealing(generate_instance(spec),
+                                     SAConfig(iterations=iterations, seed=seed))
+        assert report.best_meo == best_meo
+        assert report.accepted == accepted
+        digest = hashlib.sha256(",".join(report.best_sequence).encode()).hexdigest()
+        assert digest == sequence_sha256
