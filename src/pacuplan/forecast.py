@@ -214,14 +214,16 @@ class MeoKernel:
             np.subtract(surgery[:, :n], combined[:, n + 2:], out=lower[:, 1:-1])
             _round_outward(lower, -np.inf, out=self.bounds[block, n:, 0])
             _round_outward(upper, np.inf, out=self.bounds[block, n:, 1])
-        self._pairs = self.bounds.reshape(-1, 2)
-        # Each row's entry m = 0 and its last entry, m = n, in ``_pairs``.
+        # Each row's entry m = 0 and its last entry, m = n, in ``bounds.reshape(-1, 2)``.
         self._row_zero = np.arange(self.rows.size, dtype=np.intp) * (2 * n + 2) + n + 1
         self._row_last = (self._row_zero + n)[:, None]
         self._columns = np.arange(n, dtype=np.intp)
 
     def _table_index(self, z: np.ndarray) -> np.ndarray:
-        """Each cell's entry in ``_pairs``: one row per recovery patient (starts ``z``), one column per grid time."""
+        """Each cell's index into ``bounds.reshape(-1, 2)``.
+
+        One row per recovery patient (starts ``z``), one column per grid time.
+        """
         n = self.times.size
         # The shift k = floor(-z / h), kept within [-n - 1, n], where it still
         # reaches the padding and the last entry, before the integer cast.
@@ -237,7 +239,7 @@ class MeoKernel:
         z = _recovery_starts(starts, self.rows, self.n_patients)
         if self.rows.size == 0:
             return 0.0
-        pairs = np.take(self._pairs, self._table_index(z), axis=0)
+        pairs = np.take(self.bounds.reshape(-1, 2), self._table_index(z), axis=0)
         column_lower, column_upper = pairs.sum(axis=0, dtype=np.float64).T
         keep = column_upper >= column_lower.max() - _PRUNE_MARGIN * (1.0 + z.size)
         probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,

@@ -532,7 +532,7 @@ class TestMeoKernel:
         index = kernel._table_index(z)
         own_row = np.arange(rows.size)[:, None] * entries
         assert ((own_row <= index) & (index < own_row + entries)).all()
-        lower, upper = np.moveaxis(kernel._pairs[index[:, columns]].astype(float), -1, 0)
+        lower, upper = np.moveaxis(kernel.bounds.reshape(-1, 2)[index[:, columns]].astype(float), -1, 0)
         times = kernel.times[columns]
         probs = recovery_prob_matrix(mu, sd, cmu, csd, z, times)
         assert (probs <= upper + 4e-15).all()
