@@ -28,17 +28,11 @@ from . import forecast
 
 def _manifest(args: argparse.Namespace, config: dict, inputs: list[str],
               outputs: list[str], started: float, **measured) -> None:
-    """Write the run's manifest; ``measured`` holds extra RunManifest fields such as timings."""
-    io.write_manifest(io.RunManifest(
-        command=args.command,
-        version=__version__,
-        seed=getattr(args, "seed", None),
-        config=config,
-        inputs=inputs,
-        outputs=outputs,
-        wall_clock_seconds=time.perf_counter() - started,
-        **measured,
-    ), outputs[0])
+    """Write the run's manifest; ``measured`` holds its timings and rates, such as ``timings_s``."""
+    io.write_manifest(outputs[0], command=args.command, version=__version__,
+                      seed=getattr(args, "seed", None), config=config, inputs=inputs,
+                      outputs=outputs, wall_clock_seconds=time.perf_counter() - started,
+                      **measured)
 
 
 def _read_schedule_of(instance: Instance, path: str) -> Schedule:

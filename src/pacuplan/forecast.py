@@ -11,6 +11,12 @@ Aggregating the per-patient Bernoulli indicators gives the expected
 headcount, its variance, and a normal-theory 95% prediction band, evaluated
 on a regular time grid.
 
+Every path, the Monte Carlo sampler's included, reads the recovery patients
+in one array form, ``RecoveryRows``: their positions among the day's
+patients and the lognormal (mu, sigma) of surgery, surgery + recovery and
+recovery, one row each.  Its ``starts`` is the one check of a schedule's
+starts (one finite start per patient) and picks out the rows'.
+
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
 kernel proves it without evaluating them (bound and prune).  Each cell's
@@ -51,6 +57,7 @@ same row order as in ``occupancy_curve``, so the peak is bitwise the one
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -72,9 +79,9 @@ _LAG_WIDENING = 1e-9
 _LAG_OFFSET = 1e-12
 # Per recovery row, the rounding allowance when pruning columns by their bounds.
 _PRUNE_MARGIN = 1e-9
-# Recovery rows per block when the MEO kernel tabulates its bounds; keeps its
-# temporaries to a few hundred kB, far below the tables themselves.
-_TABLE_BLOCK_ROWS = 16
+# Recovery rows per block when the MEO kernel tabulates its bounds, both CDFs
+# at once; keeps its temporaries to a few hundred kB, far below the tables.
+_TABLE_BLOCK_ROWS = 8
 
 RECOVERY_MODELS = ("moment", "convolved")
 
@@ -115,16 +122,44 @@ def time_grid(grid_step: float, horizon: float) -> np.ndarray:
     return times if decimals is None else np.round(times, decimals, out=times)
 
 
-def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
-                         combined_log_mean: np.ndarray, combined_log_sd: np.ndarray,
-                         starts: np.ndarray, times: np.ndarray,
-                         combined_cdf: np.ndarray | None = None) -> np.ndarray:
-    """Vectorised in-recovery probabilities, one row per patient, one column per time.
+class RecoveryRows:
+    """A day's recovery patients in array form, one row each, in patient order.
 
-    ``combined_cdf``, when given, holds P(surgery + recovery <= t - start)
-    for each cell and stands in for the moment-matched lognormal's CDF.
-    Every cell depends on its own row's parameters and start and its own
-    time only.
+    ``index`` holds their positions among the day's patients; ``mu`` and
+    ``sd`` are (3, rows) arrays of their lognormal parameters for surgery,
+    surgery + recovery (moment-matched) and recovery, in that order.
+    """
+
+    def __init__(self, patients: Sequence["Patient"]):
+        self.n_patients = len(patients)
+        rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
+                 p.recovery.mu, p.recovery.sigma) for i, p in enumerate(patients) if p.needs_recovery]
+        # One fromiter over the flattened tuples takes half the time of np.array(rows);
+        # every exact tail query builds these rows.
+        table = np.fromiter(itertools.chain.from_iterable(rows), dtype=float).reshape(-1, 7)
+        self.index = table[:, 0].astype(np.intp)
+        self.mu, self.sd = np.ascontiguousarray(table[:, 1:].reshape(-1, 3, 2).T)
+
+    def starts(self, starts: Sequence[float]) -> np.ndarray:
+        """The rows' starts, out of one finite start per patient."""
+        if len(starts) != self.n_patients:
+            raise ValueError(f"expected one start per patient, got {len(starts)} starts "
+                             f"for {self.n_patients} patients")
+        starts = np.asarray(starts, dtype=float)
+        if not np.isfinite(starts).all():
+            bad = int(np.flatnonzero(~np.isfinite(starts))[0])
+            raise ValueError(f"start {bad} is not finite: {starts[bad]}")
+        return starts[self.index]
+
+
+def recovery_prob_matrix(rows: RecoveryRows, starts: np.ndarray, times: np.ndarray,
+                         combined_cdf: np.ndarray | None = None) -> np.ndarray:
+    """Vectorised in-recovery probabilities, one row per recovery row, one column per time.
+
+    ``starts`` holds each row's start.  ``combined_cdf``, when given, holds
+    P(surgery + recovery <= t - start) for each cell and stands in for the
+    moment-matched lognormal's CDF.  Every cell depends on its own row's
+    parameters and start and its own time only.
     """
     times = np.asarray(times, dtype=float)
     starts = np.asarray(starts, dtype=float)
@@ -140,12 +175,9 @@ def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
     outside = x <= 0.0
     np.copyto(x, 1.0, where=outside)
     logx = np.log(x, out=x)
-    np.subtract(logx, log_mean[:, None], out=z[0])
-    z[0] /= SQRT2 * log_sd[:, None]
-    if combined_cdf is None:
-        np.subtract(logx, combined_log_mean[:, None], out=z[1])
-        z[1] /= SQRT2 * combined_log_sd[:, None]
-    else:
+    np.subtract(logx, rows.mu[:n_erf, :, None], out=z)
+    z /= SQRT2 * rows.sd[:n_erf, :, None]
+    if combined_cdf is not None:
         np.multiply(combined_cdf, 2.0, out=block[1])
         block[1] -= 1.0  # a CDF F on the erf scale, 2F - 1
     _erf(z, out=z, work=(block[2:2 + n_erf], block[2 + n_erf:]))
@@ -154,24 +186,6 @@ def recovery_prob_matrix(log_mean: np.ndarray, log_sd: np.ndarray,
     np.clip(probs, 0.0, 1.0, out=probs)
     np.copyto(probs, 0.0, where=outside)
     return probs
-
-
-def _recovery_params(patients: Sequence["Patient"]) -> tuple[np.ndarray, ...]:
-    """Recovery patients' indices, then their surgery, combined and recovery (mu, sd) arrays."""
-    rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
-             p.recovery.mu, p.recovery.sigma)
-            for i, p in enumerate(patients) if p.needs_recovery]
-    if not rows:
-        return (np.empty(0, dtype=np.int64), *(np.empty(0) for _ in range(6)))
-    index, *params = zip(*rows)
-    return (np.array(index, dtype=np.int64), *(np.asarray(col, dtype=float) for col in params))
-
-
-def _recovery_starts(starts: Sequence[float], rows: np.ndarray, n_patients: int) -> np.ndarray:
-    """The starts of the patients at ``rows``, out of one start per patient."""
-    if len(starts) != n_patients:
-        raise ValueError(f"expected one start per patient, got {len(starts)} starts for {n_patients} patients")
-    return np.asarray(starts, dtype=float)[rows]
 
 
 class MeoKernel:
@@ -191,21 +205,17 @@ class MeoKernel:
     def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
         self.times = time_grid(grid_step, horizon)
         self.grid_step = grid_step
-        self.n_patients = len(patients)
-        (self.rows, self.log_mean, self.log_sd, self.combined_log_mean, self.combined_log_sd,
-         _, _) = _recovery_params(patients)
-        n = self.times.size
+        self.rows = rows = RecoveryRows(patients)
+        n_rows, n = rows.index.size, self.times.size
         nodes = np.arange(n + 1) * grid_step
         offset = _LAG_OFFSET * (n + 1) * grid_step
         # The lags lo_0 .. lo_n, then hi_0 .. hi_n.
         lags = np.concatenate([nodes * (1.0 - _LAG_WIDENING) - offset,
                                nodes * (1.0 + _LAG_WIDENING) + offset])
-        self.bounds = np.zeros((self.rows.size, 2 * n + 2, 2), dtype=np.float32)
-        for first in range(0, self.rows.size, _TABLE_BLOCK_ROWS):
+        self.bounds = np.zeros((n_rows, 2 * n + 2, 2), dtype=np.float32)
+        for first in range(0, n_rows, _TABLE_BLOCK_ROWS):
             block = slice(first, first + _TABLE_BLOCK_ROWS)
-            surgery = _lognormal_cdf_matrix(self.log_mean[block], self.log_sd[block], lags[None, :])
-            combined = _lognormal_cdf_matrix(self.combined_log_mean[block],
-                                             self.combined_log_sd[block], lags[None, :])
+            surgery, combined = _lognormal_cdf_matrix(rows.mu[:2, block], rows.sd[:2, block], lags)
             # Entries m = -1 .. n; the lower bounds of m = -1 and m = n are zero.
             lower, upper = np.zeros((2, surgery.shape[0], n + 2))
             upper[:, 0] = surgery[:, n + 1]
@@ -215,7 +225,7 @@ class MeoKernel:
             _round_outward(lower, -np.inf, out=self.bounds[block, n:, 0])
             _round_outward(upper, np.inf, out=self.bounds[block, n:, 1])
         # Each row's entry m = 0 and its last entry, m = n, in ``bounds.reshape(-1, 2)``.
-        self._row_zero = np.arange(self.rows.size, dtype=np.intp) * (2 * n + 2) + n + 1
+        self._row_zero = np.arange(n_rows, dtype=np.intp) * (2 * n + 2) + n + 1
         self._row_last = (self._row_zero + n)[:, None]
         self._columns = np.arange(n, dtype=np.intp)
 
@@ -236,14 +246,13 @@ class MeoKernel:
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
-        z = _recovery_starts(starts, self.rows, self.n_patients)
-        if self.rows.size == 0:
+        z = self.rows.starts(starts)
+        if z.size == 0:
             return 0.0
         pairs = np.take(self.bounds.reshape(-1, 2), self._table_index(z), axis=0)
         column_lower, column_upper = pairs.sum(axis=0, dtype=np.float64).T
         keep = column_upper >= column_lower.max() - _PRUNE_MARGIN * (1.0 + z.size)
-        probs = recovery_prob_matrix(self.log_mean, self.log_sd, self.combined_log_mean,
-                                     self.combined_log_sd, z, self.times[keep])
+        probs = recovery_prob_matrix(self.rows, z, self.times[keep])
         return float(_column_sums(probs).max())
 
 
@@ -264,16 +273,15 @@ def _column_sums(probs: np.ndarray) -> np.ndarray:
 
 
 def _lognormal_cdf_matrix(log_mean: np.ndarray, log_sd: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P(duration <= x) for one lognormal per row of ``x``; zero where x <= 0."""
+    """P(duration <= x), zero where x <= 0; ``x`` broadcasts along a new last axis of the parameters."""
     positive = x > 0.0
-    z = (np.log(np.where(positive, x, 1.0)) - log_mean[:, None]) / (SQRT2 * log_sd[:, None])
+    z = (np.log(np.where(positive, x, 1.0)) - log_mean[..., None]) / (SQRT2 * log_sd[..., None])
     return np.where(positive, 0.5 * (1.0 + _erf(z)), 0.0)
 
 
-def convolved_sum_cdf(surgery_mu: np.ndarray, surgery_sd: np.ndarray,
-                      recovery_mu: np.ndarray, recovery_sd: np.ndarray,
-                      starts: np.ndarray, grid_step: float, n_times: int) -> np.ndarray:
-    """P(surgery + recovery <= t - start) at t = 0, grid_step, ..., one row per patient.
+def convolved_sum_cdf(rows: RecoveryRows, starts: np.ndarray, grid_step: float,
+                      n_times: int) -> np.ndarray:
+    """P(surgery + recovery <= t - start) at t = 0, grid_step, ..., one row per recovery row.
 
     Surgery S and recovery R are independent lognormals, so the CDF of the
     sum is the integral of F_R(x - s) dF_S(s).  Each patient's CDF is
@@ -294,18 +302,18 @@ def convolved_sum_cdf(surgery_mu: np.ndarray, surgery_sd: np.ndarray,
     index = first[:, None] + m * np.arange(n_times)[None, :]
     values = np.empty(index.shape)
     for lo in range(0, starts.size, _SUM_BLOCK_ROWS):
-        rows = slice(lo, lo + _SUM_BLOCK_ROWS)
-        n_lags = max(int(index[rows].max()), 0) + 2  # a spare column for the second difference
-        surgery_mass = np.diff(_lognormal_cdf_matrix(surgery_mu[rows], surgery_sd[rows],
+        block = slice(lo, lo + _SUM_BLOCK_ROWS)
+        n_lags = max(int(index[block].max()), 0) + 2  # a spare column for the second difference
+        surgery_mass = np.diff(_lognormal_cdf_matrix(rows.mu[0, block], rows.sd[0, block],
                                                      np.arange(n_lags + 1)[None, :] * h), axis=1)
-        recovery = _lognormal_cdf_matrix(recovery_mu[rows], recovery_sd[rows],
-                                         offset[rows, None] + (np.arange(n_lags)[None, :] - 0.5) * h)
+        recovery = _lognormal_cdf_matrix(rows.mu[2, block], rows.sd[2, block],
+                                         offset[block, None] + (np.arange(n_lags)[None, :] - 0.5) * h)
         size = 1 << (2 * n_lags - 1).bit_length()  # no wrap-around in the first n_lags terms
         spectrum = np.fft.rfft(surgery_mass, size, axis=1) * np.fft.rfft(recovery, size, axis=1)
         table = np.fft.irfft(spectrum, size, axis=1)[:, :n_lags]
         padded = np.pad(table, ((0, 0), (1, 1)))
         table = table - (padded[:, 2:] - 2.0 * table + padded[:, :-2]) / 24.0
-        values[rows] = np.take_along_axis(table, np.maximum(index[rows], 0), axis=1)
+        values[block] = np.take_along_axis(table, np.maximum(index[block], 0), axis=1)
     return np.where(index >= 0, np.clip(values, 0.0, 1.0), 0.0)
 
 
@@ -321,15 +329,15 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
     if recovery_model not in RECOVERY_MODELS:
         raise ValueError(f"unknown recovery model {recovery_model!r}; expected one of {RECOVERY_MODELS}")
     times = time_grid(grid_step, horizon)
-    rows, mu, sd, cmu, csd, rmu, rsd = _recovery_params(patients)
-    z = _recovery_starts(starts, rows, len(patients))
-    if rows.size == 0:
+    rows = RecoveryRows(patients)
+    z = rows.starts(starts)
+    if z.size == 0:
         zero = np.zeros(times.size)
         return OccupancyCurve(times, zero, zero.copy(), zero.copy(), zero.copy())
     combined_cdf = None
     if recovery_model == "convolved":
-        combined_cdf = convolved_sum_cdf(mu, sd, rmu, rsd, z, grid_step, times.size)
-    probs = recovery_prob_matrix(mu, sd, cmu, csd, z, times, combined_cdf)
+        combined_cdf = convolved_sum_cdf(rows, z, grid_step, times.size)
+    probs = recovery_prob_matrix(rows, z, times, combined_cdf)
     variance = (probs * (1.0 - probs)).sum(axis=0)
     mean = _column_sums(probs).copy()
     half_band = Z95 * np.sqrt(variance)
@@ -344,7 +352,6 @@ def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
     The normal band on the curve is an approximation; this is the opt-in
     exact query for tail probabilities where that approximation is too crude.
     """
-    rows, mu, sd, cmu, csd, _, _ = _recovery_params(patients)
-    probs = recovery_prob_matrix(mu, sd, cmu, csd, _recovery_starts(starts, rows, len(patients)),
-                                 np.array([t]))
+    rows = RecoveryRows(patients)
+    probs = recovery_prob_matrix(rows, rows.starts(starts), np.array([t]))
     return poisson_binomial_cdf(probs[:, 0], k)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .distributions import LognormalParams
@@ -145,50 +144,14 @@ def write_occupancy_csv(curve: OccupancyCurve, path: str | Path) -> None:
                              float(curve.upper[i])])
 
 
-@dataclass
-class RunManifest:
-    """Provenance of one CLI run; re-running with these values reproduces the outputs."""
-
-    command: str
-    version: str
-    seed: int | None
-    config: dict
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    wall_clock_seconds: float = 0.0
-    created: str = ""
-    timings_s: dict[str, float] = field(default_factory=dict)  # seconds per stage
-    samples_per_s: float | None = None  # sampling throughput, for sampling commands
-    evaluations_per_s: float | None = None  # annealing candidates evaluated per second
-    best_found_s: float | None = None  # seconds into the winning search when its best appeared
-
-    def to_dict(self) -> dict:
-        measured = {"timings_s": self.timings_s} if self.timings_s else {}
-        if self.samples_per_s is not None:
-            measured["samples_per_s"] = self.samples_per_s
-        if self.evaluations_per_s is not None:
-            measured["evaluations_per_s"] = self.evaluations_per_s
-        if self.best_found_s is not None:
-            measured["best_found_s"] = self.best_found_s
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "created": self.created or datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            **measured,
-        }
-
-
 def manifest_path(out_path: str | Path) -> Path:
     p = Path(out_path)
     return p.with_name(p.stem + ".manifest.json")
 
 
-def write_manifest(manifest: RunManifest, out_path: str | Path) -> Path:
+def write_manifest(out_path: str | Path, **fields) -> Path:
+    """Write ``fields`` and the time of writing, ``created``, as ``out_path``'s run manifest."""
     target = manifest_path(out_path)
-    write_json(manifest.to_dict(), target)
+    created = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    write_json({**fields, "created": created}, target)
     return target

@@ -155,9 +155,6 @@ class Violation:
     or_id: int | None = None
     magnitude: float = 0.0
 
-    def __str__(self) -> str:  # pragma: no cover - convenience only
-        return f"({self.constraint}) {self.message}"
-
 
 def _require_complete(instance: Instance, schedule: Schedule) -> None:
     """Reject a schedule unless it gives exactly the instance's patients finite starts."""
@@ -184,8 +181,7 @@ def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]
     return overtime
 
 
-def check_feasibility(instance: Instance, schedule: Schedule,
-                      eps: float = FEASIBILITY_EPS) -> list[Violation]:
+def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]:
     """All sequencing-rule violations beyond tolerance; empty means feasible.
 
     Checks, by constraint number: shift starts (2), shift ends net of
@@ -201,12 +197,12 @@ def check_feasibility(instance: Instance, schedule: Schedule,
         own = instance.patients_by_surgeon[surgeon.id]
         for p in own:
             z = schedule.starts[p.id]
-            if z < surgeon.shift_start - eps:
+            if z < surgeon.shift_start - FEASIBILITY_EPS:
                 violations.append(Violation(
                     2, f"patient {p.id} starts {surgeon.shift_start - z:.4g} h before surgeon {surgeon.id}'s shift",
                     patients=(p.id,), surgeon=surgeon.id, magnitude=surgeon.shift_start - z))
             past_shift = schedule.end_of(p) - (surgeon.shift_end + overtime[surgeon.id])
-            if past_shift > eps:
+            if past_shift > FEASIBILITY_EPS:
                 violations.append(Violation(
                     3, f"patient {p.id} ends {past_shift:.4g} h past surgeon {surgeon.id}'s shift plus overtime",
                     patients=(p.id,), surgeon=surgeon.id, magnitude=past_shift))
@@ -214,14 +210,14 @@ def check_feasibility(instance: Instance, schedule: Schedule,
             cap = (sum(p.expected_duration + p.setup + p.cleanup for p in own)
                    - surgeon.shift_start + surgeon.shift_end)
             excess = overtime[surgeon.id] - cap
-            if excess > eps:
+            if excess > FEASIBILITY_EPS:
                 violations.append(Violation(
                     4, f"surgeon {surgeon.id} overtime exceeds its cap by {excess:.4g} h",
                     surgeon=surgeon.id, magnitude=excess))
 
     def ends_after_start(p: Patient, q: Patient) -> bool:
-        """q's surgery ends strictly (beyond eps) after p's starts."""
-        return schedule.end_of(q) > schedule.starts[p.id] + eps
+        """q's surgery ends strictly (beyond FEASIBILITY_EPS) after p's starts."""
+        return schedule.end_of(q) > schedule.starts[p.id] + FEASIBILITY_EPS
 
     def check_group(group: Sequence[Patient], overlap_constraint: int, gap_constraint: int,
                     surgeon: str | None, or_id: int | None) -> None:
@@ -239,7 +235,7 @@ def check_feasibility(instance: Instance, schedule: Schedule,
                     continue
                 required = schedule.end_of(p) + q.setup + p.cleanup
                 gap_short = required - schedule.starts[q.id]
-                if gap_short > eps:
+                if gap_short > FEASIBILITY_EPS:
                     violations.append(Violation(
                         gap_constraint,
                         f"patient {q.id} follows {p.id} with {gap_short:.4g} h too little turnover",

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import forecast
 from .distributions import LognormalParams, _require_finite
-from .model import Instance, Patient, Schedule, Surgeon, _require_type
+from .model import Instance, Patient, Schedule, Surgeon, _require_complete, _require_type
 
 SAMPLING_MODES = ("true", "matched")
 
@@ -185,22 +185,21 @@ def generate_instance(spec: GenSpec, rng: np.random.Generator | None = None) -> 
                     or_open_hours=spec.or_open_hours, day_hours=spec.day_hours)
 
 
-def _draw_windows(patient: Patient, start: float, rng: np.random.Generator,
+def _draw_windows(mu: np.ndarray, sd: np.ndarray, start: float, rng: np.random.Generator,
                   size: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Recovery entry/exit times for one patient across ``size`` sampled days."""
+    """Recovery entry/exit times across ``size`` sampled days for one ``RecoveryRows`` row.
+
+    ``mu`` and ``sd`` are the row's column: surgery, combined, recovery.
+    """
     if mode == "true":
-        surgery = np.exp(patient.surgery.mu + patient.surgery.sigma * rng.standard_normal(size))
-        recovery = np.exp(patient.recovery.mu + patient.recovery.sigma * rng.standard_normal(size))
+        surgery = np.exp(mu[0] + sd[0] * rng.standard_normal(size))
+        recovery = np.exp(mu[2] + sd[2] * rng.standard_normal(size))
         entry = start + surgery
         return entry, entry + recovery
-    if mode == "matched":
-        # One percentile draw drives both durations, so entry <= t < exit has
-        # probability max(0, F_surgery(t) - F_combined(t)): the analytic model.
-        w = rng.standard_normal(size)
-        entry = start + np.exp(patient.surgery.mu + patient.surgery.sigma * w)
-        exit_ = start + np.exp(patient.combined.mu + patient.combined.sigma * w)
-        return entry, exit_
-    raise ValueError(f"unknown sampling mode {mode!r}; expected one of {SAMPLING_MODES}")
+    # One percentile draw drives both durations, so entry <= t < exit has
+    # probability max(0, F_surgery(t) - F_combined(t)): the analytic model.
+    w = rng.standard_normal(size)
+    return start + np.exp(mu[0] + sd[0] * w), start + np.exp(mu[1] + sd[1] * w)
 
 
 def _grid_index(times: np.ndarray, grid_step: float, x: np.ndarray) -> np.ndarray:
@@ -273,6 +272,7 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
         raise ValueError("need at least one sample")
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}; expected one of {SAMPLING_MODES}")
+    _require_complete(instance, schedule)
     rng = np.random.default_rng(0) if rng is None else rng
 
     starts = [schedule.starts[p.id] for p in instance.patients]
@@ -280,13 +280,15 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
                                         grid_step=grid_step, horizon=instance.day_hours,
                                         recovery_model=_RECOVERY_MODEL_OF_MODE[mode])
     times = analytic.times
-    recovery = [(p, schedule.starts[p.id]) for p in instance.patients if p.needs_recovery]
+    rows = forecast.RecoveryRows(instance.patients)
+    z = rows.starts(starts)
 
-    n_counts = len(recovery) + 1  # occupancy takes values 0 .. len(recovery)
+    n_counts = z.size + 1  # occupancy takes values 0 .. the recovery patients
     histogram = np.zeros((times.size, n_counts), dtype=np.int64)
     for block_start in range(0, n_samples, _CHUNK):
         block = min(_CHUNK, n_samples - block_start)
-        windows = (_draw_windows(patient, start, rng, block, mode) for patient, start in recovery)
+        windows = (_draw_windows(rows.mu[:, r], rows.sd[:, r], z[r], rng, block, mode)
+                   for r in range(z.size))
         histogram += _occupancy_histogram(times, grid_step, windows, block, n_counts)
 
     counts = np.arange(n_counts)

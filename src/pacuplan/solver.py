@@ -81,8 +81,6 @@ class SolveReport:
     initial_meo: float
     meo_trace: list[float] = field(repr=False)
     best_trace: list[float] = field(repr=False)
-    temperature_trace: list[float] = field(repr=False)
-    delta_trace: list[float] = field(repr=False)
     accepted_trace: list[bool] = field(repr=False)
     accepted: int = 0
     rejected: int = 0
@@ -218,8 +216,6 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
 
     meo_trace: list[float] = []
     best_trace: list[float] = []
-    temperature_trace: list[float] = []
-    delta_trace: list[float] = []
     accepted_trace: list[bool] = []
     accepted = rejected = 0
     temperature = config.initial_temperature
@@ -249,8 +245,6 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             best_iteration, best_found = iteration, done - started
         meo_trace.append(candidate)
         best_trace.append(best)
-        temperature_trace.append(temperature)
-        delta_trace.append(delta)
         accepted_trace.append(take)
         if iteration % config.cooling_period == 0:
             temperature *= config.cooling_factor
@@ -265,8 +259,6 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         initial_meo=initial,
         meo_trace=meo_trace,
         best_trace=best_trace,
-        temperature_trace=temperature_trace,
-        delta_trace=delta_trace,
         accepted_trace=accepted_trace,
         accepted=accepted,
         rejected=rejected,

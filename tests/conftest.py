@@ -23,8 +23,7 @@ def in_recovery_oracle(patient, start, t):
     return min(1.0, max(0.0, lognormal_cdf(x, patient.surgery) - lognormal_cdf(x, patient.combined)))
 
 
-def two_call_recovery_prob_matrix(log_mean, log_sd, combined_log_mean, combined_log_sd,
-                                  starts, times, combined_cdf=None):
+def two_call_recovery_prob_matrix(rows, starts, times, combined_cdf=None):
     """``recovery_prob_matrix`` as it was before one _erf call served both CDFs.
 
     The surgery and combined erf arguments each get their own ``_erf`` call
@@ -37,11 +36,11 @@ def two_call_recovery_prob_matrix(log_mean, log_sd, combined_log_mean, combined_
     outside = x <= 0.0
     np.copyto(x, 1.0, where=outside)
     logx = np.log(x, out=x)
-    zs = np.subtract(logx, log_mean[:, None], out=a)
-    zs /= SQRT2 * log_sd[:, None]
+    zs = np.subtract(logx, rows.mu[0, :, None], out=a)
+    zs /= SQRT2 * rows.sd[0, :, None]
     if combined_cdf is None:
-        zc = np.subtract(logx, combined_log_mean[:, None], out=b)
-        zc /= SQRT2 * combined_log_sd[:, None]
+        zc = np.subtract(logx, rows.mu[1, :, None], out=b)
+        zc /= SQRT2 * rows.sd[1, :, None]
         combined = _erf(zc, out=zc, work=(x, c))
     else:
         combined = np.multiply(combined_cdf, 2.0, out=b)
@@ -52,6 +51,12 @@ def two_call_recovery_prob_matrix(log_mean, log_sd, combined_log_mean, combined_
     np.clip(probs, 0.0, 1.0, out=probs)
     np.copyto(probs, 0.0, where=outside)
     return probs
+
+
+def draw_windows(patient, start, rng, size, mode):
+    """``_draw_windows`` for one recovery patient, from its ``RecoveryRows`` column."""
+    rows = forecast.RecoveryRows([patient])
+    return _draw_windows(rows.mu[:, 0], rows.sd[:, 0], start, rng, size, mode)
 
 
 def support_upper_bound(surgery, combined, start=0.0):
@@ -129,7 +134,8 @@ def broadcast_mc_oracle(instance, schedule, n_samples, grid_step=0.1, mode="true
                                         grid_step=grid_step, horizon=instance.day_hours,
                                         recovery_model=_RECOVERY_MODEL_OF_MODE[mode])
     times = analytic.times
-    recovery = [(p, schedule.starts[p.id]) for p in instance.patients if p.needs_recovery]
+    rows = forecast.RecoveryRows(instance.patients)
+    z = rows.starts(starts)
     total = np.zeros(times.size)
     total_sq = np.zeros(times.size)
     above = np.zeros(times.size, dtype=np.int64)
@@ -137,8 +143,8 @@ def broadcast_mc_oracle(instance, schedule, n_samples, grid_step=0.1, mode="true
     for block_start in range(0, n_samples, _CHUNK):
         block = min(_CHUNK, n_samples - block_start)
         occupancy = np.zeros((times.size, block), dtype=np.int16)
-        for patient, start in recovery:
-            entry, exit_ = _draw_windows(patient, start, rng, block, mode)
+        for r in range(z.size):
+            entry, exit_ = _draw_windows(rows.mu[:, r], rows.sd[:, r], z[r], rng, block, mode)
             occupancy += (entry[None, :] <= times[:, None]) & (times[:, None] < exit_[None, :])
         occ = occupancy.astype(np.float64)
         total += occ.sum(axis=1)

@@ -1,0 +1,69 @@
+"""What ``bench/`` calls of the package, with the benchmark's own argument shapes.
+
+The benchmark imports these names directly and times others by wrapping
+them, so a cleanup that deletes or renames one breaks the benchmark even
+when every other test passes.
+"""
+import inspect
+import math
+
+import numpy as np
+
+import pacuplan
+from pacuplan import distributions, forecast, model, simulation, solver
+
+
+def test_the_calls_bench_makes(default_instance):
+    instance = default_instance
+    schedule = pacuplan.baseline_schedule(instance)
+    starts = [schedule.starts[p.id] for p in instance.patients]
+    times = forecast.time_grid(0.1, instance.day_hours)
+    assert times.size == 241
+    k = math.ceil(model.max_expected_occupancy(instance, schedule))
+    risks = [1.0 - forecast.exact_occupancy_cdf(instance.patients, starts, t, k)
+             for t in times[::40]]
+    assert all(0.0 <= r <= 1.0 for r in risks) and max(risks) > 0.0
+    patient = next(p for p in instance.patients if p.needs_recovery)
+    x = 5.0 - schedule.starts[patient.id]
+    for params in (patient.surgery, patient.combined):
+        assert 0.0 <= distributions.lognormal_cdf(x, params) <= 1.0
+    rng = np.random.default_rng(1)
+    ids = instance.patient_ids
+    built = solver.construct_schedule(instance, list(rng.permutation(ids)), rng)
+    assert model.check_feasibility(instance, built) == []
+
+
+# The names the benchmark's tracer times: it wraps public module-level functions only.
+TIMED = {
+    distributions: ["poisson_binomial_cdf"],
+    forecast: ["recovery_prob_matrix", "occupancy_curve", "exact_occupancy_cdf"],
+    model: ["max_expected_occupancy"],
+    simulation: ["generate_instance", "monte_carlo_curve"],
+    solver: ["simulated_annealing"],
+}
+
+
+def test_timed_names_stay_module_level_functions():
+    for module, names in TIMED.items():
+        for name in names:
+            value = getattr(module, name)
+            assert inspect.isfunction(value) and value.__module__ == module.__name__, name
+
+
+def test_probabilities_are_looked_up_on_the_module(default_instance, monkeypatch):
+    # The benchmark counts the MEO kernel's calls by wrapping the module
+    # attribute, so the kernel and the exact tail must look it up there.
+    calls = []
+    original = forecast.recovery_prob_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forecast, "recovery_prob_matrix", counting)
+    schedule = pacuplan.baseline_schedule(default_instance)
+    model.max_expected_occupancy(default_instance, schedule)
+    assert len(calls) == 1
+    starts = [schedule.starts[p.id] for p in default_instance.patients]
+    forecast.exact_occupancy_cdf(default_instance.patients, starts, 5.0, 3)
+    assert len(calls) == 2

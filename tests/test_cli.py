@@ -20,9 +20,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def assert_stage_timings(output, stages):
-    """The manifest next to ``output`` times exactly ``stages``, within its wall clock."""
+# The measured rates a manifest may carry, each only for the commands that measure it.
+RATES = {"samples_per_s", "evaluations_per_s", "best_found_s"}
+
+
+def assert_stage_timings(output, stages, rates=()):
+    """The manifest next to ``output`` times exactly ``stages``, within its wall clock.
+
+    Of the measured rates it carries ``rates`` and no other.
+    """
     manifest = json.loads(io.manifest_path(output).read_text())
+    assert RATES & set(manifest) == set(rates)
     timings = manifest["timings_s"]
     assert sorted(timings) == sorted(stages)
     assert all(value >= 0.0 for value in timings.values())
@@ -284,7 +292,8 @@ class TestOptimize:
         assert run("optimize", small_instance_file, "--iterations", 20, "--out", out) == 0
         # Annealing splits into construction, the MEO kernel and the rest of the search.
         stages = ["read", "construct", "kernel", "search", "write"]
-        assert_stage_timings(out, stages)
+        rates = ["evaluations_per_s", "best_found_s"]
+        assert_stage_timings(out, stages, rates)
         manifest = json.loads(io.manifest_path(out).read_text())
         timings = manifest["timings_s"]
         anneal = timings["construct"] + timings["kernel"] + timings["search"]
@@ -294,7 +303,7 @@ class TestOptimize:
         replicas = tmp_path / "replicas.json"
         assert run("optimize", small_instance_file, "--iterations", 20, "--replicas", 3,
                    "--out", replicas) == 0
-        assert_stage_timings(replicas, stages)
+        assert_stage_timings(replicas, stages, rates)
         manifest = json.loads(io.manifest_path(replicas).read_text())
         timings = manifest["timings_s"]
         anneal = timings["construct"] + timings["kernel"] + timings["search"]
@@ -375,11 +384,9 @@ class TestValidate:
         assert 0.0 < report["fraction_within_3se"] <= 1.0
         assert not any("time" in key and key != "max_bias_time" for key in report)
 
+        assert_stage_timings(out, ["read", "sampling", "write"], ["samples_per_s"])
         manifest = json.loads(io.manifest_path(out).read_text())
         timings = manifest["timings_s"]
-        assert sorted(timings) == ["read", "sampling", "write"]
-        assert all(value >= 0.0 for value in timings.values())
-        assert sum(timings.values()) <= manifest["wall_clock_seconds"]
         assert manifest["samples_per_s"] == pytest.approx(3000 / timings["sampling"])
 
     def test_zero_samples_rejected(self, tmp_path, small_instance_file, small_schedule_file):

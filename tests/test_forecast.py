@@ -28,8 +28,8 @@ from conftest import (dft_cdf_oracle, in_recovery_oracle, late_shift_instance, m
 
 def matrix_probs(patients, starts, times):
     """``recovery_prob_matrix`` over the recovery patients, one row each, one column per time."""
-    rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
-    return recovery_prob_matrix(mu, sd, cmu, csd, np.asarray(starts, dtype=float)[rows],
+    rows = forecast.RecoveryRows(patients)
+    return recovery_prob_matrix(rows, rows.starts(starts),
                                 np.atleast_1d(np.asarray(times, dtype=float)))
 
 
@@ -97,6 +97,32 @@ class TestSupportUpperBound:
         assert support_upper_bound(surgery, combined, start=5.5) == pytest.approx(base + 5.5)
 
 
+class TestRecoveryRows:
+    def test_layout(self):
+        patients = [make_patient(pid="a", surgery=(0.1, 0.2), recovery=(0.3, 0.4)),
+                    make_patient(pid="b", needs_recovery=False),
+                    make_patient(pid="c", surgery=(0.5, 0.6), recovery=(0.7, 0.8))]
+        rows = forecast.RecoveryRows(patients)
+        assert rows.index.tolist() == [0, 2]
+        for r, p in enumerate((patients[0], patients[2])):
+            params = (p.surgery, p.combined, p.recovery)
+            assert rows.mu[:, r].tolist() == [q.mu for q in params]
+            assert rows.sd[:, r].tolist() == [q.sigma for q in params]
+        assert rows.starts([1.0, 2.0, 3.0]).tolist() == [1.0, 3.0]
+
+    def test_no_recovery_patients(self):
+        rows = forecast.RecoveryRows([make_patient(needs_recovery=False)])
+        assert rows.index.size == 0 and rows.mu.shape == rows.sd.shape == (3, 0)
+        assert rows.starts([1.0]).size == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_named_by_position(self, bad):
+        # Also the start of a patient who needs no recovery bed.
+        rows = forecast.RecoveryRows([make_patient(), make_patient(needs_recovery=False)])
+        with pytest.raises(ValueError, match="start 1 is not finite"):
+            rows.starts([0.0, bad])
+
+
 class TestRecoveryProbMatrix:
     def test_zero_at_start_and_far_future(self):
         patient = make_patient()
@@ -148,10 +174,7 @@ class TestRecoveryProbMatrix:
             checked += 1
             lags = np.concatenate([limit * (1.0 + np.arange(50) * 1e-15),
                                    np.linspace(limit, 4.0 * limit, 200)])
-            probs = recovery_prob_matrix(
-                np.array([patient.surgery.mu]), np.array([patient.surgery.sigma]),
-                np.array([patient.combined.mu]), np.array([patient.combined.sigma]),
-                np.zeros(1), lags)
+            probs = recovery_prob_matrix(forecast.RecoveryRows([patient]), np.zeros(1), lags)
             assert (probs == 0.0).all()
             median = math.exp(patient.surgery.mu)  # before the crossing, with a positive probability
             assert median < limit and in_recovery_oracle(patient, 0.0, median) > 0.0
@@ -185,18 +208,18 @@ class TestRecoveryProbMatrix:
         rng = np.random.default_rng(columns)
         for seed in range(3):
             patients = generate_instance(GenSpec(seed=seed)).patients
-            rows, mu, sd, cmu, csd, rmu, rsd = forecast._recovery_params(patients)
-            z = rng.uniform(-2.0, 12.0, rows.size)
+            rows = forecast.RecoveryRows(patients)
+            z = rng.uniform(-2.0, 12.0, rows.index.size)
             times = np.sort(rng.choice(time_grid(0.1, 24.0), columns, replace=False))
-            ours = recovery_prob_matrix(mu, sd, cmu, csd, z, times)
-            assert np.array_equal(ours, two_call_recovery_prob_matrix(mu, sd, cmu, csd, z, times))
+            ours = recovery_prob_matrix(rows, z, times)
+            assert np.array_equal(ours, two_call_recovery_prob_matrix(rows, z, times))
             assert (ours > 0.0).any()
-            cdf = forecast.convolved_sum_cdf(mu, sd, rmu, rsd, z, 0.1, 241)[:, :columns]
+            cdf = forecast.convolved_sum_cdf(rows, z, 0.1, 241)[:, :columns]
             grid = time_grid(0.1, 24.0)[:columns]
-            assert np.array_equal(recovery_prob_matrix(mu, sd, cmu, csd, z, grid, cdf),
-                                  two_call_recovery_prob_matrix(mu, sd, cmu, csd, z, grid, cdf))
-        empty = np.empty(0)
-        assert recovery_prob_matrix(empty, empty, empty, empty, empty, times).shape == (0, columns)
+            assert np.array_equal(recovery_prob_matrix(rows, z, grid, cdf),
+                                  two_call_recovery_prob_matrix(rows, z, grid, cdf))
+        empty = forecast.RecoveryRows([])
+        assert recovery_prob_matrix(empty, np.empty(0), times).shape == (0, columns)
 
 
 class TestAggregates:
@@ -299,6 +322,12 @@ class TestOccupancyCurve:
     def test_mismatched_starts_rejected(self):
         with pytest.raises(ValueError):
             occupancy_curve([make_patient()], [0.0, 1.0])
+
+    @pytest.mark.parametrize("model", forecast.RECOVERY_MODELS)
+    def test_non_finite_start_rejected(self, model):
+        patients = [make_patient(), make_patient(pid="p2")]
+        with pytest.raises(ValueError, match="start 1 is not finite"):
+            occupancy_curve(patients, [0.0, math.nan], recovery_model=model)
 
 
 def _in_recovery_by_quadrature(patient, x):
@@ -457,6 +486,11 @@ class TestMeoKernel:
         assert len({peak for _, peak in seen}) > 40
         assert all(kernel.peak(starts) == peak for starts, peak in seen)
 
+    def test_non_finite_start_rejected(self):
+        kernel = MeoKernel([make_patient(), make_patient(pid="p2")], 0.1, 24.0)
+        with pytest.raises(ValueError, match="start 1 is not finite"):
+            kernel.peak([0.0, math.nan])
+
     def test_repeated_calls_without_recovery_patients(self):
         patients = [make_patient(needs_recovery=False),
                     make_patient(pid="p2", surgeon="s2", needs_recovery=False)]
@@ -527,14 +561,13 @@ class TestMeoKernel:
     @staticmethod
     def assert_cells_within_bounds(kernel, patients, z, columns=slice(None)):
         """Every cell in ``columns`` lies within the pair its own table entry holds."""
-        rows, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
         entries = kernel.bounds.shape[1]
         index = kernel._table_index(z)
-        own_row = np.arange(rows.size)[:, None] * entries
+        own_row = np.arange(z.size)[:, None] * entries
         assert ((own_row <= index) & (index < own_row + entries)).all()
         lower, upper = np.moveaxis(kernel.bounds.reshape(-1, 2)[index[:, columns]].astype(float), -1, 0)
         times = kernel.times[columns]
-        probs = recovery_prob_matrix(mu, sd, cmu, csd, z, times)
+        probs = recovery_prob_matrix(forecast.RecoveryRows(patients), z, times)
         assert (probs <= upper + 4e-15).all()
         assert (probs >= lower - 4e-15).all()
         lag = times[None, :] - z[:, None]
@@ -582,7 +615,7 @@ class TestMeoKernel:
         patients = [*generate_instance(GenSpec(seed=int(grid_step * 1000) % 5)).patients,
                     *wide[:2]]
         kernel = MeoKernel(patients, grid_step, 24.0)
-        rows = kernel.rows.size
+        rows = kernel.rows.index.size
         rng = np.random.default_rng(17)
         for z in (*(rng.choice(starts, rows) for _ in range(3)),
                   np.full(rows, -48.0), np.full(rows, 48.0),
@@ -597,17 +630,17 @@ class TestMeoKernel:
         # float32 rounding.
         patients = [*generate_instance(GenSpec(seed=3)).patients, *self.wide_patients(2)]
         kernel = MeoKernel(patients, grid_step, 24.0)
-        _, mu, sd, cmu, csd, _, _ = forecast._recovery_params(patients)
+        mu, sd = kernel.rows.mu, kernel.rows.sd
         n = kernel.times.size
         nodes = np.arange(n + 1)[None, :] * grid_step
         offset = forecast._LAG_OFFSET * (n + 1) * grid_step
         lo = nodes * (1.0 - forecast._LAG_WIDENING) - offset
         hi = nodes * (1.0 + forecast._LAG_WIDENING) + offset
-        surgery_lo = forecast._lognormal_cdf_matrix(mu, sd, lo)
-        surgery_hi = forecast._lognormal_cdf_matrix(mu, sd, hi)
-        combined_lo = forecast._lognormal_cdf_matrix(cmu, csd, lo)
-        combined_hi = forecast._lognormal_cdf_matrix(cmu, csd, hi)
-        zero = np.zeros((mu.size, 1))
+        surgery_lo = forecast._lognormal_cdf_matrix(mu[0], sd[0], lo)
+        surgery_hi = forecast._lognormal_cdf_matrix(mu[0], sd[0], hi)
+        combined_lo = forecast._lognormal_cdf_matrix(mu[1], sd[1], lo)
+        combined_hi = forecast._lognormal_cdf_matrix(mu[1], sd[1], hi)
+        zero = np.zeros((mu.shape[1], 1))
         lower = np.hstack([zero, surgery_lo[:, :-1] - combined_hi[:, 1:], zero])
         upper = np.hstack([surgery_hi[:, :1], surgery_hi[:, 1:] - combined_lo[:, :-1],
                            1.0 - combined_lo[:, -1:]])
@@ -629,7 +662,7 @@ class TestMeoKernel:
         evaluated = []
 
         def counting(*args, **kwargs):
-            starts, times = args[4], args[5]
+            starts, times = args[1], args[2]
             evaluated.append((starts.size, times.size))
             return recovery_prob_matrix(*args, **kwargs)
 
@@ -639,7 +672,7 @@ class TestMeoKernel:
             kernel.peak(starts)
             assert len(evaluated) == calls
             rows, columns = evaluated[-1]
-            assert rows == kernel.rows.size
+            assert rows == kernel.rows.index.size
             assert 0 < columns < 0.5 * kernel.times.size
 
 
@@ -651,6 +684,11 @@ class TestExactOccupancyCdf:
 
     def test_empty(self):
         assert exact_occupancy_cdf([], [], 1.0, 0) == 1.0
+
+    def test_non_finite_start_rejected(self):
+        patients = [make_patient(), make_patient(pid="p2")]
+        with pytest.raises(ValueError, match="start 1 is not finite"):
+            exact_occupancy_cdf(patients, [0.0, math.nan], 2.0, 1)
 
     def test_constructed_three_patient_half(self):
         # Narrow lognormals (surgery ~1 h, recovery ~8 h) give a long flat

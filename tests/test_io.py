@@ -78,24 +78,13 @@ class TestManifest:
 
     def test_write_and_content(self, tmp_path):
         out = tmp_path / "thing.json"
-        manifest = io.RunManifest(command="generate", version="0.1.0", seed=3,
-                                  config={"patients": 5}, inputs=[], outputs=[str(out)],
-                                  wall_clock_seconds=0.25)
-        target = io.write_manifest(manifest, out)
+        target = io.write_manifest(out, command="generate", version="0.1.0", seed=3,
+                                   config={"patients": 5}, inputs=[], outputs=[str(out)],
+                                   wall_clock_seconds=0.25)
         payload = json.loads(target.read_text())
         assert payload["command"] == "generate"
         assert payload["seed"] == 3
         assert payload["config"] == {"patients": 5}
         assert payload["created"]
-        assert not {"timings_s", "samples_per_s", "evaluations_per_s"} & set(payload)
-
-    def test_measured_fields_only_when_set(self):
-        manifest = io.RunManifest(command="validate", version="0.1.0", seed=0, config={},
-                                  timings_s={"sampling": 0.5}, samples_per_s=2000.0)
-        payload = manifest.to_dict()
-        assert payload["timings_s"] == {"sampling": 0.5}
-        assert payload["samples_per_s"] == 2000.0
-        assert "evaluations_per_s" not in payload
-        optimize = io.RunManifest(command="optimize", version="0.1.0", seed=0, config={},
-                                  evaluations_per_s=4000.0)
-        assert optimize.to_dict()["evaluations_per_s"] == 4000.0
+        assert set(payload) == {"command", "version", "seed", "config", "inputs", "outputs",
+                                "wall_clock_seconds", "created"}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ from pacuplan import (
     monte_carlo_curve,
     simulated_annealing,
 )
-from pacuplan.simulation import _count_dtype, _draw_windows, _grid_index
+from pacuplan.simulation import _CHUNK, _count_dtype, _grid_index
 
-from conftest import broadcast_mc_oracle, make_instance, make_patient
+from conftest import broadcast_mc_oracle, draw_windows, make_instance, make_patient
 
 MC_FIELDS = ("sample_mean", "sample_variance", "standard_error", "above", "below", "inside")
 
@@ -92,7 +93,7 @@ class TestDrawWindows:
         patient = make_patient(surgery=(math.log(2.0), 1e-10), recovery=(math.log(0.5), 1e-10))
         rng = np.random.default_rng(1)
         for _ in range(50):
-            (entry,), (exit_,) = _draw_windows(patient, 3.0, rng, 1, "true")
+            (entry,), (exit_,) = draw_windows(patient, 3.0, rng, 1, "true")
             assert entry == pytest.approx(3.0 + 2.0, abs=1e-3)
             assert exit_ - entry == pytest.approx(0.5, abs=1e-3)
 
@@ -100,24 +101,55 @@ class TestDrawWindows:
     def test_entry_and_exit_shapes(self, mode):
         rng = np.random.default_rng(2)
         for start in (0.0, 2.0):
-            entry, exit_ = _draw_windows(make_patient(), start, rng, 5, mode)
+            entry, exit_ = draw_windows(make_patient(), start, rng, 5, mode)
             assert entry.shape == exit_.shape == (5,)
             assert (exit_ > entry).all() and (entry > start).all()
 
     def test_recovery_duration_mean(self):
         patient = make_patient(surgery=(1.0, 0.25), recovery=(0.5, 0.25))
         rng = np.random.default_rng(3)
-        entry, exit_ = _draw_windows(patient, 0.0, rng, 10 ** 6, "true")
+        entry, exit_ = draw_windows(patient, 0.0, rng, 10 ** 6, "true")
         durations = exit_ - entry
         se = durations.std(ddof=1) / math.sqrt(durations.size)
         assert abs(durations.mean() - patient.recovery.mean()) <= 4 * se
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            _draw_windows(make_patient(), 0.0, np.random.default_rng(0), 1, "bogus")
-
 
 class TestMonteCarloCurve:
+    def test_unknown_mode_rejected(self):
+        instance = make_instance([make_patient()])
+        with pytest.raises(ValueError, match="mode"):
+            monte_carlo_curve(instance, Schedule({"p1": 0.0}), 1, mode="bogus",
+                              rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("starts, message", [
+        ({"p1": 0.0, "p2": 1.0, "ghost": 2.0}, "not in the instance: ghost"),
+        ({"p1": 0.0}, "missing start times for patients: p2"),
+        ({"p1": 0.0, "p2": math.nan}, "non-finite start times for patients: p2"),
+    ], ids=["unknown-id", "missing-id", "nan-start"])
+    def test_rejects_a_schedule_that_does_not_fit_the_day(self, starts, message):
+        instance = make_instance([make_patient(), make_patient(pid="p2")])
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_curve(instance, Schedule(starts), 10, rng=np.random.default_rng(0))
+
+    # SHA-256 of sample_mean, above and below (in that order, native bytes) on
+    # the default day's baseline, 40 000 samples (two blocks), seed 7.
+    GOLDEN_STREAM = {
+        "true": "8376ea595b6c403077f46ad8421b12b920db02b4a8ece50e9c32fc16b66d5e85",
+        "matched": "cd1c9ed1e5a230ec98120920e25e5dada92fcf3ad2c8484e0592c8c9165a2559",
+    }
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    def test_sampled_stream_is_pinned(self, default_instance, mode):
+        # The broadcast oracle shares the draws, so only a pinned digest
+        # catches a change to the seeded stream itself.
+        assert 40_000 > _CHUNK
+        curve = monte_carlo_curve(default_instance, baseline_schedule(default_instance),
+                                  40_000, mode=mode, rng=np.random.default_rng(7))
+        digest = hashlib.sha256()
+        for values in (curve.sample_mean, curve.above, curve.below):
+            digest.update(np.ascontiguousarray(values).tobytes())
+        assert digest.hexdigest() == self.GOLDEN_STREAM[mode]
+
     def test_single_sample_single_patient_is_binary(self):
         instance = make_instance([make_patient()])
         curve = monte_carlo_curve(instance, Schedule({"p1": 0.0}), n_samples=1,
@@ -227,8 +259,8 @@ class TestBroadcastOracle:
     @pytest.mark.parametrize("grid_step", [0.1, 0.037])
     def test_exits_past_the_horizon(self, grid_step, mode):
         instance, schedule = late_day()
-        _, exit_ = _draw_windows(instance.patients[0], schedule.starts["p1"],
-                                 np.random.default_rng(11), 1000, mode)
+        _, exit_ = draw_windows(instance.patients[0], schedule.starts["p1"],
+                                np.random.default_rng(11), 1000, mode)
         assert (exit_ > instance.day_hours).mean() > 0.3
         self.assert_same(instance, schedule, 25_000, grid_step, mode)
 
@@ -236,8 +268,8 @@ class TestBroadcastOracle:
     def test_matched_exit_before_entry(self, grid_step):
         instance, schedule = crossing_day()
         # p1 draws first in each block, so this replays its first block's draws.
-        entry, exit_ = _draw_windows(instance.patients[0], schedule.starts["p1"],
-                                     np.random.default_rng(11), 20_000, "matched")
+        entry, exit_ = draw_windows(instance.patients[0], schedule.starts["p1"],
+                                    np.random.default_rng(11), 20_000, "matched")
         assert ((exit_ < entry) & (exit_ < instance.day_hours)).sum() >= 10
         self.assert_same(instance, schedule, 25_000, grid_step, "matched")
 

@@ -22,6 +22,27 @@ from pacuplan.solver import _draw_swap
 from conftest import late_shift_instance, make_instance, make_patient, random_genspec
 
 
+def temperature_trace(report):
+    """Each iteration's temperature, from the report's config by the annealer's own products."""
+    config, temperatures = report.config, []
+    temperature = config.initial_temperature
+    for iteration in range(1, config.iterations + 1):
+        temperatures.append(temperature)
+        if iteration % config.cooling_period == 0:
+            temperature *= config.cooling_factor
+    return temperatures
+
+
+def delta_trace(report):
+    """Each candidate's MEO less the incumbent's it was compared with."""
+    current, deltas = report.initial_meo, []
+    for candidate, taken in zip(report.meo_trace, report.accepted_trace):
+        deltas.append(candidate - current)
+        if taken:
+            current = candidate
+    return deltas
+
+
 class TestConstructSchedule:
     def test_single_patient_starts_at_shift(self):
         instance = make_instance([make_patient(duration=2.0)],
@@ -284,7 +305,7 @@ class TestSimulatedAnnealing:
 
     def test_geometric_cooling_schedule(self, small_instance):
         report = simulated_annealing(small_instance, SAConfig(iterations=450, seed=1))
-        temps = report.temperature_trace
+        temps = temperature_trace(report)
         assert temps[0] == 1.0
         assert temps[199] == 1.0
         assert temps[200] == pytest.approx(0.95)
@@ -292,10 +313,10 @@ class TestSimulatedAnnealing:
 
     def test_metropolis_rule_on_trace(self, small_instance):
         report = simulated_annealing(small_instance, SAConfig(iterations=2000, seed=11))
-        uphill = [(d, t, a) for d, t, a in zip(report.delta_trace, report.temperature_trace,
+        deltas = delta_trace(report)
+        uphill = [(d, t, a) for d, t, a in zip(deltas, temperature_trace(report),
                                                report.accepted_trace) if d > 0]
-        downhill_accepted = [a for d, a in zip(report.delta_trace, report.accepted_trace)
-                             if d <= 0]
+        downhill_accepted = [a for d, a in zip(deltas, report.accepted_trace) if d <= 0]
         assert all(downhill_accepted)
         assert len(uphill) > 50
         expected = [math.exp(-d / t) for d, t, _ in uphill]
