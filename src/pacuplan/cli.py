@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .model import Instance, Schedule, _require_complete
+from .model import Instance, Schedule, _require_complete, check_feasibility
 from .simulation import (BIAS_FLOOR, GenSpec, coverage_stats, generate_instance,
                          monte_carlo_curve)
 from .solver import SAConfig, simulated_annealing
@@ -133,6 +133,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     base_meo = reports[0].initial_meo
     winner = min(range(len(reports)), key=lambda i: (reports[i].best_meo, i))
     best = reports[winner]
+    violations = check_feasibility(instance, best.best_schedule)
+    if violations:
+        first = violations[0]
+        raise ValueError(f"{args.instance}: the best schedule found is infeasible, "
+                         f"{len(violations)} violation(s); constraint {first.constraint}: "
+                         f"{first.message}")
+    check_done = time.perf_counter()
 
     io.write_schedule(best.best_schedule, args.out)
     report_path = Path(args.out).with_name(Path(args.out).stem + ".report.json")
@@ -172,7 +179,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               [args.instance], [args.out, str(report_path)], started,
               timings_s={"read": read_done - started, "construct": construct_s,
                          "kernel": kernel_s, "search": anneal_s - construct_s - kernel_s,
-                         "write": write_done - anneal_done},
+                         "check": check_done - anneal_done, "write": write_done - check_done},
               evaluations_per_s=args.iterations * args.replicas / anneal_s,
               best_found_s=best.best_found_seconds)
     return 0

@@ -15,7 +15,9 @@ Every path, the Monte Carlo sampler's included, reads the recovery patients
 in one array form, ``RecoveryRows``: their positions among the day's
 patients and the lognormal (mu, sigma) of surgery, surgery + recovery and
 recovery, one row each.  Its ``starts`` is the one check of a schedule's
-starts (one finite start per patient) and picks out the rows'.
+starts (one finite start per patient) and picks out the rows'.  Callers
+take the rows from ``RecoveryRows.of``, which builds them once for a run of
+calls on the same day, such as a sweep of exact tail queries.
 
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
@@ -60,7 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -127,18 +129,40 @@ class RecoveryRows:
 
     ``index`` holds their positions among the day's patients; ``mu`` and
     ``sd`` are (3, rows) arrays of their lognormal parameters for surgery,
-    surgery + recovery (moment-matched) and recovery, in that order.
+    surgery + recovery (moment-matched) and recovery, in that order.  All
+    three are read-only, so one object can serve every caller.
     """
+
+    # The last day's patients and their rows: ``of`` builds a day's rows once.
+    _memo: tuple[tuple["Patient", ...], "RecoveryRows"] | None = None
 
     def __init__(self, patients: Sequence["Patient"]):
         self.n_patients = len(patients)
         rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
                  p.recovery.mu, p.recovery.sigma) for i, p in enumerate(patients) if p.needs_recovery]
-        # One fromiter over the flattened tuples takes half the time of np.array(rows);
-        # every exact tail query builds these rows.
+        # One fromiter over the flattened tuples takes half the time of np.array(rows).
         table = np.fromiter(itertools.chain.from_iterable(rows), dtype=float).reshape(-1, 7)
         self.index = table[:, 0].astype(np.intp)
         self.mu, self.sd = np.ascontiguousarray(table[:, 1:].reshape(-1, 3, 2).T)
+        for array in (self.index, self.mu, self.sd):
+            array.flags.writeable = False
+
+    @classmethod
+    def of(cls, patients: Iterable["Patient"]) -> "RecoveryRows":
+        """The rows of ``patients``, built once for consecutive calls on the same day.
+
+        One entry, keyed on the patients as a tuple and compared by equality:
+        on the same patient objects that is one identity check per patient.
+        Equal but distinct patients (the same day read again) reuse the rows
+        and become the key, so that only their first call compares fields.
+        The rows are read-only, so callers may share them; two threads racing
+        here at worst build them twice.
+        """
+        key = tuple(patients)
+        memo = cls._memo
+        rows = memo[1] if memo is not None and memo[0] == key else cls(key)
+        cls._memo = (key, rows)
+        return rows
 
     def starts(self, starts: Sequence[float]) -> np.ndarray:
         """The rows' starts, out of one finite start per patient."""
@@ -205,7 +229,7 @@ class MeoKernel:
     def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
         self.times = time_grid(grid_step, horizon)
         self.grid_step = grid_step
-        self.rows = rows = RecoveryRows(patients)
+        self.rows = rows = RecoveryRows.of(patients)
         n_rows, n = rows.index.size, self.times.size
         nodes = np.arange(n + 1) * grid_step
         offset = _LAG_OFFSET * (n + 1) * grid_step
@@ -329,7 +353,7 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
     if recovery_model not in RECOVERY_MODELS:
         raise ValueError(f"unknown recovery model {recovery_model!r}; expected one of {RECOVERY_MODELS}")
     times = time_grid(grid_step, horizon)
-    rows = RecoveryRows(patients)
+    rows = RecoveryRows.of(patients)
     z = rows.starts(starts)
     if z.size == 0:
         zero = np.zeros(times.size)
@@ -352,6 +376,6 @@ def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
     The normal band on the curve is an approximation; this is the opt-in
     exact query for tail probabilities where that approximation is too crude.
     """
-    rows = RecoveryRows(patients)
+    rows = RecoveryRows.of(patients)
     probs = recovery_prob_matrix(rows, rows.starts(starts), np.array([t]))
     return poisson_binomial_cdf(probs[:, 0], k)

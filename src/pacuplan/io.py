@@ -11,7 +11,7 @@ import datetime
 import json
 from pathlib import Path
 
-from .distributions import LognormalParams
+from .distributions import LognormalParams, _is_finite
 from .forecast import OccupancyCurve
 from .model import Instance, Patient, Schedule, Surgeon
 
@@ -131,6 +131,9 @@ def read_schedule(path: str | Path) -> Schedule:
     if not isinstance(starts, dict) or not all(
             isinstance(z, (int, float)) and not isinstance(z, bool) for z in starts.values()):
         raise ValueError(f"{p}: starts must map patient ids to numbers")
+    non_finite = [pid for pid, z in starts.items() if not _is_finite(z)]
+    if non_finite:
+        raise ValueError(f"{p}: starts: non-finite start times for patients: {', '.join(non_finite)}")
     return Schedule(starts={pid: float(z) for pid, z in starts.items()})
 
 

@@ -280,7 +280,7 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
                                         grid_step=grid_step, horizon=instance.day_hours,
                                         recovery_model=_RECOVERY_MODEL_OF_MODE[mode])
     times = analytic.times
-    rows = forecast.RecoveryRows(instance.patients)
+    rows = forecast.RecoveryRows.of(instance.patients)
     z = rows.starts(starts)
 
     n_counts = z.size + 1  # occupancy takes values 0 .. the recovery patients

@@ -5,7 +5,7 @@ import pytest
 
 from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, forecast,
                       generate_instance, lognormal_cdf)
-from pacuplan.distributions import SQRT2, _erf
+from pacuplan.distributions import SQRT2, _erf, _validate_probs
 from pacuplan.simulation import _CHUNK, _RECOVERY_MODEL_OF_MODE, _draw_windows
 
 
@@ -108,6 +108,30 @@ def dft_cdf_oracle(probs, k):
     if k >= n:
         return 1.0
     return min(1.0, max(0.0, dft_terms(probs, k).real))
+
+
+def per_trial_cdf_oracle(probs, k):
+    """``poisson_binomial_cdf`` as it was before the block product: one step per trial.
+
+    P(at most k successes) by the truncated recurrence
+    f_j <- f_j (1 - q) + f_{j-1} q over j <= k, with the same validation,
+    dropping of exact zeros and conventions (k < 0 yields 0, k >= the number
+    of non-zero probabilities yields 1).
+    """
+    p = _validate_probs(probs)
+    if k < 0:
+        return 0.0
+    p = p[p > 0.0]
+    if k >= p.size:
+        return 1.0
+    f = np.zeros(k + 1)
+    f[0] = 1.0
+    head, tail, shifted = f[:-1], f[1:], np.empty(k)
+    for q in p.tolist():  # in place, no temporaries
+        np.multiply(head, q, out=shifted)
+        f *= 1.0 - q
+        tail += shifted
+    return float(min(1.0, f.sum()))
 
 
 def pmf_oracle(probs):

@@ -67,3 +67,21 @@ def test_probabilities_are_looked_up_on_the_module(default_instance, monkeypatch
     starts = [schedule.starts[p.id] for p in default_instance.patients]
     forecast.exact_occupancy_cdf(default_instance.patients, starts, 5.0, 3)
     assert len(calls) == 2
+
+
+def test_one_tail_query_makes_one_module_level_cdf_call(default_instance, monkeypatch):
+    # The benchmark counts Poisson-binomial calls (distributions.pb_calls, 241
+    # on the scaled day's sweep) by wrapping the name where forecast looks it up.
+    calls = []
+    original = forecast.poisson_binomial_cdf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forecast, "poisson_binomial_cdf", counting)
+    schedule = pacuplan.baseline_schedule(default_instance)
+    starts = [schedule.starts[p.id] for p in default_instance.patients]
+    for expected, t in enumerate((5.0, 5.1, 12.0), start=1):
+        forecast.exact_occupancy_cdf(default_instance.patients, starts, t, 3)
+        assert len(calls) == expected

@@ -13,7 +13,7 @@ from pacuplan import GenSpec, Instance, Schedule, generate_instance, monte_carlo
 from pacuplan import io
 from pacuplan.cli import main
 
-from conftest import in_recovery_oracle
+from conftest import in_recovery_oracle, late_shift_instance
 
 
 def run(*argv):
@@ -291,7 +291,7 @@ class TestOptimize:
         out = tmp_path / "best.json"
         assert run("optimize", small_instance_file, "--iterations", 20, "--out", out) == 0
         # Annealing splits into construction, the MEO kernel and the rest of the search.
-        stages = ["read", "construct", "kernel", "search", "write"]
+        stages = ["read", "construct", "kernel", "search", "check", "write"]
         rates = ["evaluations_per_s", "best_found_s"]
         assert_stage_timings(out, stages, rates)
         manifest = json.loads(io.manifest_path(out).read_text())
@@ -350,6 +350,20 @@ class TestOptimize:
     def test_bad_replicas(self, tmp_path, small_instance_file):
         assert run("optimize", small_instance_file, "--replicas", 0,
                    "--out", tmp_path / "x.json") == 2
+
+    def test_infeasible_best_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # On this late-shift day the input-order packing, the best after one
+        # iteration, keeps surgeon s4's case waiting behind other surgeons'
+        # cases in a shared OR past s4's overtime cap (constraint 4).
+        day = tmp_path / "late.json"
+        io.write_instance(late_shift_instance(np.random.default_rng(195156)), day)
+        out = tmp_path / "out" / "best.json"
+        out.parent.mkdir()
+        assert run("optimize", day, "--iterations", 1, "--seed", 0, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "constraint 4" in err and "surgeon s4" in err
+        assert "Traceback" not in err
+        assert list(out.parent.iterdir()) == []
 
 
 class TestValidate:

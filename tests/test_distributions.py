@@ -15,10 +15,11 @@ from pacuplan.distributions import (
     _erf,
     lognormal_cdf,
     moment_match_sum,
+    _PAIR_LEVELS,
     poisson_binomial_cdf,
 )
 
-from conftest import dft_cdf_oracle, dft_terms, pmf_oracle
+from conftest import dft_cdf_oracle, dft_terms, per_trial_cdf_oracle, pmf_oracle
 
 # Independent quadrature oracle over the density on [0, 3] for mu=1, sigma2=0.25.
 LOGNORMAL_CDF_AT_3 = 0.578174100802873
@@ -293,6 +294,24 @@ class TestPoissonBinomialCdf:
         assert poisson_binomial_cdf(probs, n + 3) == 1.0
         for k, v in enumerate(values):
             assert abs(poisson_binomial_cdf(shuffled, k) - v) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["uniform", "near 0 and 1", "tiny"])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, 639, 1000])
+    def test_block_product_matches_the_per_trial_recurrence(self, n, kind):
+        # Sizes around the block of 2^_PAIR_LEVELS = 16 trials leave partial
+        # blocks padded with identity rows; 639 is the thousand-patient day's
+        # count of non-zero probabilities at its peak.
+        assert 1 << _PAIR_LEVELS == 16
+        rng = np.random.default_rng(1000 * n + len(kind))
+        if kind == "uniform":
+            probs = rng.random(n)
+        elif kind == "near 0 and 1":
+            probs = np.abs(rng.integers(0, 2, n) - 1e-3 * rng.random(n))
+        else:
+            probs = 1e-3 * rng.uniform(0.5, 1.5, n)
+        for k in sorted({0, 1, n // 2, n - 1}):
+            expected = per_trial_cdf_oracle(probs, k)
+            assert abs(poisson_binomial_cdf(probs, k) - expected) <= 1e-14, k
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):

@@ -115,6 +115,41 @@ class TestRecoveryRows:
         assert rows.index.size == 0 and rows.mu.shape == rows.sd.shape == (3, 0)
         assert rows.starts([1.0]).size == 0
 
+    def test_of_builds_a_day_once(self):
+        patients = [make_patient(pid=f"p{i}", surgery=(0.1 * i, 0.2)) for i in range(4)]
+        rows = forecast.RecoveryRows.of(patients)
+        assert forecast.RecoveryRows.of(list(patients)) is rows  # equal, not the same list
+        assert forecast.RecoveryRows.of(tuple(patients)) is rows
+        assert rows.index.tolist() == [0, 1, 2, 3]
+        # The same day built again: equal patients, none of them the same object.
+        again = [make_patient(pid=f"p{i}", surgery=(0.1 * i, 0.2)) for i in range(4)]
+        assert again == patients and again[0] is not patients[0]
+        assert forecast.RecoveryRows.of(again) is rows
+
+    def test_of_sees_a_list_changed_after_a_call(self):
+        patients = [make_patient(pid=f"p{i}", surgery=(0.1 * i, 0.2)) for i in range(3)]
+        rows = forecast.RecoveryRows.of(patients)
+        patients[1] = make_patient(pid="p1", needs_recovery=False)
+        changed = forecast.RecoveryRows.of(patients)
+        assert changed is not rows
+        assert changed.index.tolist() == [0, 2] and rows.index.tolist() == [0, 1, 2]
+        patients.append(make_patient(pid="p3"))
+        assert forecast.RecoveryRows.of(patients).n_patients == 4
+
+    def test_of_takes_a_generator(self):
+        patients = [make_patient(pid=f"p{i}") for i in range(3)]
+        rows = forecast.RecoveryRows.of(p for p in patients)
+        assert rows.n_patients == 3 and rows.index.tolist() == [0, 1, 2]
+        assert forecast.RecoveryRows.of(patients) is rows
+
+    def test_arrays_are_read_only(self):
+        rows = forecast.RecoveryRows.of([make_patient(), make_patient(pid="p2")])
+        for array in (rows.index, rows.mu, rows.sd):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            rows.mu[...] = 0.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_start_named_by_position(self, bad):
         # Also the start of a patient who needs no recovery bed.

@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pacuplan import GenSpec, Instance, Schedule, generate_instance, occupancy_curve
+from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Schedule, Surgeon,
+                      generate_instance, occupancy_curve)
 from pacuplan import io
 
 from conftest import make_instance, make_patient
@@ -55,6 +59,101 @@ class TestScheduleRoundTrip:
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps({"format_version": 1}))
         with pytest.raises(ValueError, match="starts"):
+            io.read_schedule(path)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_IDS = st.text(min_size=1, max_size=6)
+_LOGNORMALS = st.builds(LognormalParams, _finite(-4.0, 4.0), _finite(1e-3, 3.0))
+
+
+@st.composite
+def instances(draw):
+    """Valid days of up to 4 ORs, 4 surgeons and 8 patients, over arbitrary finite floats."""
+    day_hours = draw(_finite(1.0, 48.0))
+    or_count = draw(st.integers(1, 4))
+    surgeons = []
+    for sid in draw(st.lists(_IDS, min_size=1, max_size=4, unique=True)):
+        shift_start = draw(_finite(0.0, day_hours / 2))
+        surgeons.append(Surgeon(id=sid, shift_start=shift_start,
+                                shift_end=draw(_finite(shift_start, day_hours).filter(
+                                    lambda end: end > shift_start)),
+                                new_or_setup=draw(_finite(0.0, 2.0))))
+    patients = [Patient(id=pid, surgeon_id=draw(st.sampled_from(surgeons)).id,
+                        or_id=draw(st.integers(1, or_count)),
+                        needs_recovery=draw(st.booleans()),
+                        surgery=draw(_LOGNORMALS), recovery=draw(_LOGNORMALS),
+                        expected_duration=draw(st.none() | _finite(1e-6, 20.0)),
+                        setup=draw(_finite(0.0, 1.0)), cleanup=draw(_finite(0.0, 1.0)))
+                for pid in draw(st.lists(_IDS, max_size=8, unique=True))]
+    return Instance(surgeons=surgeons, patients=patients, or_count=or_count,
+                    or_open_hours=draw(_finite(0.0, day_hours).filter(lambda h: h > 0.0)),
+                    day_hours=day_hours)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(instances())
+    def test_instances_come_back_equal(self, tmp_path_factory, instance):
+        path = tmp_path_factory.mktemp("day") / "instance.json"
+        io.write_instance(instance, path)
+        assert io.read_instance(path) == instance
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(_IDS, _finite(-1e300, 1e300), max_size=10))
+    def test_schedules_come_back_equal(self, tmp_path_factory, starts):
+        path = tmp_path_factory.mktemp("schedule") / "schedule.json"
+        io.write_schedule(Schedule(starts), path)
+        assert io.read_schedule(path) == Schedule(starts)
+
+
+# Every numeric field of an instance file, as the path of keys and list indices to it.
+NUMERIC_FIELDS = [
+    ("or_count",), ("or_open_hours",), ("day_hours",),
+    ("surgeons", 1, "shift_start"), ("surgeons", 1, "shift_end"), ("surgeons", 1, "new_or_setup"),
+    ("patients", 2, "or_id"), ("patients", 2, "expected_duration"), ("patients", 2, "setup"),
+    ("patients", 2, "cleanup"), ("patients", 2, "surgery", "mu"), ("patients", 2, "surgery", "sigma2"),
+    ("patients", 2, "recovery", "mu"), ("patients", 2, "recovery", "sigma2"),
+]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS, ids=lambda f: "/".join(map(str, f)))
+    def test_instance_field_rejected_by_name(self, tmp_path, field, bad):
+        payload = io.instance_to_dict(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=4)))
+        *parents, key = field
+        target = payload
+        for step in parents:
+            target = target[step]
+        target[key] = bad
+        path = tmp_path / "day.json"
+        path.write_text(json.dumps(payload))  # NaN, Infinity, -Infinity
+        with pytest.raises(ValueError) as raised:
+            io.read_instance(path)
+        message = str(raised.value)
+        assert key in message
+        if parents:  # the entry, and the lognormal within it: "patients[2] surgery"
+            assert " ".join([f"{parents[0]}[{parents[1]}]", *parents[2:]]) in message
+
+    def test_integer_beyond_float_range_rejected_by_name(self, tmp_path):
+        payload = io.instance_to_dict(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=4)))
+        payload["surgeons"][1]["shift_end"] = 10 ** 400
+        path = tmp_path / "day.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"surgeons\[1\]: .*shift_end must be a finite number"):
+            io.read_instance(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400])
+    def test_schedule_start_rejected_naming_the_patient(self, tmp_path, bad):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"format_version": 1, "starts": {"p1": 0.5, "p2": bad}}))
+        with pytest.raises(ValueError, match="starts: non-finite start times for patients: p2$"):
             io.read_schedule(path)
 
 
