@@ -152,6 +152,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "best_sequence": best.best_sequence,
         "accepted": best.accepted,
         "rejected": best.rejected,
+        "infeasible": best.infeasible,
         "best_iteration": best.best_iteration,
         "acceptance_by_epoch": best.acceptance_by_epoch,
         "seed": best.config.seed,
@@ -253,19 +254,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     read_done = time.perf_counter()
 
     cells = list(itertools.product(args.iteration_grid, args.factor_grid, args.period_grid))
-    results = []
-    for iterations, factor, period in cells:
-        totals = []
-        for rep in range(args.reps):
-            config_seed = args.seed + rep
-            total = 0.0
-            for inst in instances:
+    # Instances outermost, so that each one's MEO kernel is built once; every
+    # (cell, rep) total still adds the instances' best MEOs in instance order.
+    totals = [[0.0] * args.reps for _ in cells]
+    for inst in instances:
+        for (iterations, factor, period), cell_totals in zip(cells, totals):
+            for rep in range(args.reps):
                 config = SAConfig(iterations=iterations, cooling_factor=factor,
                                   cooling_period=period, grid_step=args.grid_step,
-                                  seed=config_seed)
-                total += simulated_annealing(inst, config).best_meo
-            totals.append(total)
-        results.append((iterations, factor, period, float(np.mean(totals))))
+                                  seed=args.seed + rep)
+                cell_totals[rep] += simulated_annealing(inst, config).best_meo
+    results = [(*cell, float(np.mean(cell_totals))) for cell, cell_totals in zip(cells, totals)]
     anneal_done = time.perf_counter()
 
     best_row = min(range(len(results)), key=lambda i: (results[i][3], i))

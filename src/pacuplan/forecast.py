@@ -25,34 +25,49 @@ kernel proves it without evaluating them (bound and prune).  Each cell's
 value, F_S(x) - F_C(x) at lag x, lies between F_S(lo) - F_C(hi) and
 F_S(hi) - F_C(lo) for any lo <= x <= hi, because both CDFs are
 non-decreasing, and it is exactly zero at lag x <= 0.  At construction the
-kernel tabulates these bounds for each recovery patient, with grid step h
-and T grid times: entry m in [0, T) covers the lags [lo_m, hi_{m+1}],
-entry T every lag from lo_T on, where lo_m = m h (1 - w) - d h and
-hi_m = m h (1 + w) + d h are widened outward by w = ``_LAG_WIDENING`` and
-d = ``_LAG_OFFSET`` (T + 1).
+kernel tabulates these bounds for each recovery patient in two phases per
+grid step, with grid step h and T grid times, on the half-step nodes
+lo_i = i (h / 2) (1 - w) - d h and hi_i = i (h / 2) (1 + w) + d h,
+i = 0 .. 2T + 1, widened outward by w = ``_LAG_WIDENING`` and
+d = ``_LAG_OFFSET`` (T + 1).  Entry m in [0, T) of phase q in {0, 1} covers
+the lags [lo_{2m+q}, hi_{2m+q+1}], about [m + q / 2, m + (q + 1) / 2]
+steps, and entry T of phase q every lag from lo_{2T+q} on.
 
-A cell's entry comes from its row's phase.  Time t_j lies within a few ulps
-of j h, so the lag t_j - z of a row starting at z is (j - z / h) steps; one
-shift per row, k = floor(-z / h), gives cell j the entry m = j + k, with no
-float pass over the cells.  Rounding cannot move a cell out of its entry's
-interval: a row whose entries include some m in [-1, T) has |z| <= (T + 1) h,
-and the quotient -z / h, the time t_j and the computed lag fl(t_j - z) then
-each err by at most a few (T + 1) 2^-53 steps, far below d steps; from entry T
-on, where lags and starts may be large, the error is relative and w m
-covers it.  A tiny positive lag could still reach m = -1, so that entry's
-upper bound is F_S(hi_0) and its lower bound 0, and the argument needs no
-claim about how the division rounds; every m <= -2 holds lags below -1 + d
-steps, exactly zero cells, and reads zero.  The bounds are stored as
-float32 pairs rounded outward (lower toward -inf, upper toward +inf), so
-they still enclose the float64 ones.
+A cell's entry comes from its row's shift and phase.  Time t_j lies within
+a few ulps of j h, so the lag t_j - z of a row starting at z is (j + u)
+steps, u = -z / h; one shift per row, k = floor(u), and one phase,
+q = floor(2 (u - k)), give cell j the entry m = j + k of phase q, with no
+float pass over the cells.  The difference u - k and its doubling are
+exact, so the phase adds no rounding to the shift's.  Rounding cannot move
+a cell out of its entry's interval: a row whose entries include some m in
+[-1, T) has |z| <= (T + 1) h, and the quotient u, the time t_j and the
+computed lag fl(t_j - z) then each err by at most a few (T + 1) 2^-53
+steps, far below d steps; from entry T on, where lags and starts may be
+large, the error is relative and w m covers it.  A tiny positive lag could
+still reach m = -1 of phase 1, so that entry's upper bound is F_S(hi_0) and
+its lower bound 0, and the argument needs no claim about how the division
+rounds; m = -1 of phase 0 and every m <= -2 hold lags below -1/2 + d
+steps, exactly zero cells, and read zero.
 
-Summing the cell bounds by column gives an upper and a lower bound on every
-column sum.  A column whose upper bound falls below the largest lower bound,
-by more than a margin that covers rounding, is not the peak: the computed
-erf is within 4.5e-16 of the exact one, so a computed cell strays outside
-its table bounds by at most a few ulps of 1, and three column sums of at
-most ``rows`` values in [0, 1] round by far less than 1e-9 * rows for fewer
-than a million rows.  Only the remaining columns are evaluated, by the same
+Each row and phase stores 3T + 1 entries: T zero entries for m <= -2, the
+entries m = -1 .. T, and T - 1 copies of entry T.  For every shift k in
+[-T - 1, T] a row's T cells are then the T consecutive entries from its
+phase's entry T + 1 + k, one window, and a shift beyond that range reads
+the window at its end: all zero, or all entry T, which covers every lag
+from T + 1 steps on in either phase.  One fancy index over a sliding-window
+view of the table gathers every row's window.
+
+The bounds are stored as uint16 counts of 1 / 65535 (``_UNITS``), rounded
+outward (lower down, upper up), so they still enclose the float64 ones, and
+their sums by column are exact integers (uint32 up to 65537 rows), an
+upper and a lower bound on every column sum.  A column whose upper bound
+falls below the largest lower bound by more than a margin is not the peak.
+The margin only covers the computed cells: the computed erf is within
+4.5e-16 of the exact one, so a computed cell strays outside its float64
+bounds by at most a few ulps of 1, and the computed column sums of at most
+``rows`` values in [0, 1] round by far less than 1e-9 * rows for fewer than
+a million rows; the margin is that, ``_PRUNE_MARGIN`` (1 + rows), in units
+rounded up.  Only the remaining columns are evaluated, by the same
 elementwise ``recovery_prob_matrix`` on the same rows, and summed in the
 same row order as in ``occupancy_curve``, so the peak is bitwise the one
 ``occupancy_curve`` gives.
@@ -81,9 +96,15 @@ _LAG_WIDENING = 1e-9
 _LAG_OFFSET = 1e-12
 # Per recovery row, the rounding allowance when pruning columns by their bounds.
 _PRUNE_MARGIN = 1e-9
+# Phases per grid step of the MEO kernel's bound tables, the fixed-point
+# units per 1 of their uint16 bounds, and scale factors a few ulps either side
+# of it that round the bounds outward.
+_PHASES = 2
+_UNITS = 65535
+_UNITS_DOWN, _UNITS_UP = _UNITS * (1.0 - 2.0**-50), _UNITS * (1.0 + 2.0**-50)
 # Recovery rows per block when the MEO kernel tabulates its bounds, both CDFs
 # at once; keeps its temporaries to a few hundred kB, far below the tables.
-_TABLE_BLOCK_ROWS = 8
+_TABLE_BLOCK_ROWS = 4
 
 RECOVERY_MODELS = ("moment", "convolved")
 
@@ -218,74 +239,106 @@ class MeoKernel:
     Evaluates only the grid columns whose bounds leave them a chance of
     holding the peak (see the module docstring); ``peak`` equals
     ``occupancy_curve(...).peak()`` for the same patients, starts, grid step
-    and horizon, bit for bit.  ``bounds`` holds, for each recovery patient,
-    2T + 2 (lower, upper) float32 pairs, T = ``times.size``: the cell at grid
-    time j of a row with shift k reads entry m = j + k, stored at row entry
-    T + 1 + m.  Entries m <= -2 are zero pairs (padding, so that no index
-    needs a lower clip), m = -1 covers lags within rounding of zero, m in
-    [0, T) the lags [m, m + 1] steps, and m = T every lag from T steps on.
+    and horizon, bit for bit.  ``bounds`` holds, for each recovery patient
+    and each of the ``_PHASES`` phases, 3T + 1 (lower, upper) pairs of uint16
+    units, T = ``times.size``: entry m at T + 1 + m, so m <= -2 (zero
+    padding) from 0, m = -1 at T, m = 0 .. T at T + 1 .. 2T + 1, then T - 1
+    copies of entry T.  A row with shift k reads the T entries from
+    T + 1 + k of its phase.
     """
+
+    # The last day's kernel: ``of`` builds a day's tables once.
+    _memo: tuple[tuple, "MeoKernel"] | None = None
 
     def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
         self.times = time_grid(grid_step, horizon)
         self.grid_step = grid_step
         self.rows = rows = RecoveryRows.of(patients)
         n_rows, n = rows.index.size, self.times.size
-        nodes = np.arange(n + 1) * grid_step
+        width, last = 3 * n + 1, 2 * n + 1  # entries per row and phase; m = n's entry
+        nodes = np.arange(_PHASES * (n + 1)) * (grid_step / _PHASES)
         offset = _LAG_OFFSET * (n + 1) * grid_step
-        # The lags lo_0 .. lo_n, then hi_0 .. hi_n.
+        # The half-step lags lo_0 .. lo_{2n+1}, then hi_0 .. hi_{2n+1}.
         lags = np.concatenate([nodes * (1.0 - _LAG_WIDENING) - offset,
                                nodes * (1.0 + _LAG_WIDENING) + offset])
-        self.bounds = np.zeros((n_rows, 2 * n + 2, 2), dtype=np.float32)
+        n_nodes = nodes.size
+        self.bounds = np.zeros((n_rows, _PHASES, width, 2), dtype=np.uint16)
         for first in range(0, n_rows, _TABLE_BLOCK_ROWS):
             block = slice(first, first + _TABLE_BLOCK_ROWS)
             surgery, combined = _lognormal_cdf_matrix(rows.mu[:2, block], rows.sd[:2, block], lags)
-            # Entries m = -1 .. n; the lower bounds of m = -1 and m = n are zero.
-            lower, upper = np.zeros((2, surgery.shape[0], n + 2))
-            upper[:, 0] = surgery[:, n + 1]
-            np.subtract(surgery[:, n + 2:], combined[:, :n], out=upper[:, 1:-1])
-            np.subtract(1.0, combined[:, n], out=upper[:, -1])
-            np.subtract(surgery[:, :n], combined[:, n + 2:], out=lower[:, 1:-1])
-            _round_outward(lower, -np.inf, out=self.bounds[block, n:, 0])
-            _round_outward(upper, np.inf, out=self.bounds[block, n:, 1])
-        # Each row's entry m = 0 and its last entry, m = n, in ``bounds.reshape(-1, 2)``.
-        self._row_zero = np.arange(n_rows, dtype=np.intp) * (2 * n + 2) + n + 1
-        self._row_last = (self._row_zero + n)[:, None]
-        self._columns = np.arange(n, dtype=np.intp)
+            # Entry (q, m) is half-step entry e = 2m + q, m = -1 .. n, at index
+            # e + 2: it covers the lags [lo_e, hi_{e+1}]; e = -1 only lags up to
+            # hi_0, e = -2 none above zero, and the last two, m = n, every lag
+            # from lo_e on.
+            lower, upper = np.zeros((2, surgery.shape[0], n_nodes + 2))
+            upper[:, 1] = surgery[:, n_nodes]
+            np.subtract(surgery[:, n_nodes + 1:-1], combined[:, :n_nodes - 2], out=upper[:, 2:-2])
+            np.subtract(1.0, combined[:, n_nodes - 2:n_nodes], out=upper[:, -2:])
+            np.subtract(surgery[:, :n_nodes - 2], combined[:, n_nodes + 1:-1], out=lower[:, 2:-2])
+            table = self.bounds[block]
+            entries = table[:, :, n:last + 1].swapaxes(1, 2)  # (rows, m, phase, pair)
+            _fixed_point(lower.reshape(-1, n + 2, _PHASES), -1, out=entries[..., 0])
+            _fixed_point(upper.reshape(-1, n + 2, _PHASES), 1, out=entries[..., 1])
+            table[:, :, last + 1:] = table[:, :, last:last + 1]
+        self.bounds.flags.writeable = False
+        # Every run of n entries of the flattened table (none without rows):
+        # the cells of a row with shift k are the run from its entry n + 1 + k.
+        flat = self.bounds.reshape(-1, 2) if n_rows else np.zeros((n, 2), np.uint16)
+        self._windows = np.lib.stride_tricks.sliding_window_view(flat, n, axis=0).swapaxes(1, 2)
+        self._row_start = np.arange(n_rows, dtype=np.intp) * (_PHASES * width) + n + 1
+        self._sum_dtype = np.uint32 if n_rows <= 65537 else np.uint64  # 65537 * 65535 < 2**32
+        self._margin = math.ceil(_PRUNE_MARGIN * (1 + n_rows) * _UNITS)
 
-    def _table_index(self, z: np.ndarray) -> np.ndarray:
-        """Each cell's index into ``bounds.reshape(-1, 2)``.
+    @classmethod
+    def of(cls, patients: Iterable["Patient"], grid_step: float, horizon: float) -> "MeoKernel":
+        """The kernel of ``patients`` on this grid, built once for consecutive calls.
 
-        One row per recovery patient (starts ``z``), one column per grid time.
+        One entry, like ``RecoveryRows.of``: keyed on the patients as a tuple,
+        the grid step and the horizon; equal but distinct patients reuse it.
         """
+        key = (tuple(patients), grid_step, horizon)
+        memo = cls._memo
+        kernel = memo[1] if memo is not None and memo[0] == key else cls(key[0], grid_step, horizon)
+        cls._memo = (key, kernel)
+        return kernel
+
+    def _cells(self, z: np.ndarray) -> np.ndarray:
+        """Each cell's (lower, upper) pair: (rows, times, 2) uint16, rows starting at ``z``."""
         n = self.times.size
-        # The shift k = floor(-z / h), kept within [-n - 1, n], where it still
-        # reaches the padding and the last entry, before the integer cast.
-        shift = np.floor(z / -self.grid_step)
+        steps = z / -self.grid_step
+        shift = np.floor(steps)
+        late = steps - shift >= 0.5  # phase 1; the difference is exact
+        # Kept within [-n - 1, n], where the windows still reach the padding
+        # and the repeated last entry, before the integer cast.
         np.maximum(shift, -n - 1.0, out=shift)
         np.minimum(shift, n, out=shift)
-        start = self._row_zero + shift.astype(np.intp)
-        index = np.add(start[:, None], self._columns)
-        return np.minimum(index, self._row_last, out=index)
+        start = self._row_start + shift.astype(np.intp)
+        start += late * (3 * n + 1)
+        return self._windows[start]
 
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
         z = self.rows.starts(starts)
         if z.size == 0:
             return 0.0
-        pairs = np.take(self.bounds.reshape(-1, 2), self._table_index(z), axis=0)
-        column_lower, column_upper = pairs.sum(axis=0, dtype=np.float64).T
-        keep = column_upper >= column_lower.max() - _PRUNE_MARGIN * (1.0 + z.size)
+        column_lower, column_upper = self._cells(z).sum(axis=0, dtype=self._sum_dtype).T
+        keep = column_upper >= max(int(column_lower.max()) - self._margin, 0)
         probs = recovery_prob_matrix(self.rows, z, self.times[keep])
         return float(_column_sums(probs).max())
 
 
-def _round_outward(values: np.ndarray, toward: float, out: np.ndarray) -> None:
-    """``values`` clipped to [0, 1] and cast into the float32 ``out``, rounded toward ``toward``."""
-    np.clip(values, 0.0, 1.0, out=values)
-    out[...] = values
-    wrong = out > values if toward < 0.0 else out < values
-    np.copyto(out, np.nextafter(out, np.float32(toward)), where=wrong)
+def _fixed_point(values: np.ndarray, toward: int, out: np.ndarray) -> None:
+    """``values`` clipped to [0, 1] into ``out`` as counts of 1 / ``_UNITS``, rounded down (-1) or up (1).
+
+    The scale factor lies a few ulps below (above) ``_UNITS``, more than the
+    product's rounding, so the floor (ceiling) of the computed product is at
+    most (least) the exact multiple of ``_UNITS``; zero stays zero.
+    Overwrites ``values``.
+    """
+    units = np.multiply(values, _UNITS_DOWN if toward < 0 else _UNITS_UP, out=values)
+    (np.floor if toward < 0 else np.ceil)(units, out=units)
+    np.maximum(units, 0.0, out=units)
+    out[...] = np.minimum(units, _UNITS, out=units)
 
 
 def _column_sums(probs: np.ndarray) -> np.ndarray:

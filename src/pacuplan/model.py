@@ -258,5 +258,5 @@ def max_expected_occupancy(instance: Instance, schedule: Schedule,
                            grid_step: float = 0.1) -> float:
     """Peak of the expected recovery occupancy over the day's time grid."""
     _require_complete(instance, schedule)
-    kernel = forecast.MeoKernel(instance.patients, grid_step, instance.day_hours)
+    kernel = forecast.MeoKernel.of(instance.patients, grid_step, instance.day_hours)
     return kernel.peak([schedule.starts[p.id] for p in instance.patients])

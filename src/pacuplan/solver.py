@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forecast
-from .model import Instance, Schedule
+from .model import FEASIBILITY_EPS, Instance, Schedule
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,10 @@ class SolveReport:
     """Everything a run produced, including per-iteration traces.
 
     ``best_iteration`` is the first iteration whose candidate reached
-    ``best_meo`` (0 when no candidate beat the initial schedule);
+    ``best_meo`` (0 when no candidate beat the initial schedule).
+    ``infeasible`` counts the candidates rejected unevaluated because a
+    surgeon's overtime exceeded its cap; their ``meo_trace`` entries are
+    None, and ``accepted + rejected + infeasible`` is the iteration count.
     ``acceptance_by_epoch`` is the accepted share of the candidates tried in
     each ``cooling_period`` of iterations, the last one possibly partial.
     ``construct_seconds`` and ``kernel_seconds`` are the parts of
@@ -79,11 +82,12 @@ class SolveReport:
     best_sequence: list[str]
     best_meo: float
     initial_meo: float
-    meo_trace: list[float] = field(repr=False)
-    best_trace: list[float] = field(repr=False)
+    meo_trace: list[float | None] = field(repr=False)
+    best_trace: list[float | None] = field(repr=False)
     accepted_trace: list[bool] = field(repr=False)
     accepted: int = 0
     rejected: int = 0
+    infeasible: int = 0
     best_iteration: int = 0
     acceptance_by_epoch: list[float] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
@@ -98,6 +102,9 @@ class _Workspace:
 
     ``room[p]`` and ``surgeon[p]`` number the OR and surgeon chains patient
     p belongs to; sequence order alone then decides each chain's order.
+    ``surgeon_shift_end[s]`` and ``surgeon_cap[s]`` are surgeon chain s's
+    shift end and overtime cap (constraint 4), as ``check_feasibility`` has
+    them.
     """
 
     def __init__(self, instance: Instance):
@@ -116,6 +123,11 @@ class _Workspace:
         self.room = [rooms[p.or_id] for p in patients]
         self.surgeon = [surgeons[p.surgeon_id] for p in patients]
         self.room_count, self.surgeon_count = len(rooms), len(surgeons)
+        shifts = [instance.surgeon_by_id[sid] for sid in surgeons]
+        self.surgeon_shift_end = [s.shift_end for s in shifts]
+        self.surgeon_cap = [sum(p.expected_duration + p.setup + p.cleanup for p in own)
+                            - s.shift_start + s.shift_end
+                            for s, own in zip(shifts, instance.patients_by_surgeon.values())]
 
     def order_from_ids(self, sequence: Sequence[str]) -> list[int]:
         if len(sequence) != self.n or {*sequence} != {*self.ids}:
@@ -124,12 +136,16 @@ class _Workspace:
 
 
 def _construct_starts(ws: _Workspace, order: Sequence[int],
-                      rng: np.random.Generator | None) -> list[float]:
+                      rng: np.random.Generator | None) -> tuple[list[float], float]:
     """Two-pass chain propagation; one uniform draw per patient when rng is given.
 
     ``cap_*`` hold, per chain, the latest start (less setup) of the chain's
     next patient, ``floor_*`` the realised finish (plus cleanup) of its last.
     No patient starts before its surgeon's shift, whatever its predecessors.
+    Also returns the largest excess of a surgeon's overtime over its cap, 0.0
+    when none: a surgeon chain's last patient ends last (see the module
+    docstring), so ``finish`` ends with the surgeon's latest end, the very
+    float ``compute_overtime`` takes the max of.
     """
     duration, setup, cleanup, room, surgeon = ws.duration, ws.setup, ws.cleanup, ws.room, ws.surgeon
     shift_start, inf = ws.shift_start, math.inf
@@ -147,6 +163,7 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
         cap_room[r] = cap_surgeon[s] = latest[p] - duration[p] - setup[p]
     draws = rng.random(ws.n).tolist() if rng is not None else [0.0] * ws.n
     floor_room, floor_surgeon = [-inf] * ws.room_count, [-inf] * ws.surgeon_count
+    finish = [-inf] * ws.surgeon_count
     starts = [0.0] * ws.n
     for p, u in zip(order, draws):
         r, s = room[p], surgeon[p]
@@ -161,19 +178,27 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
         start = earliest + (slack if slack > 0.0 else 0.0)
         starts[p] = start
         # later patients chain off the realised start
-        floor_room[r] = floor_surgeon[s] = start + duration[p] + cleanup[p]
-    return starts
+        finish[s] = end = start + duration[p]
+        floor_room[r] = floor_surgeon[s] = end + cleanup[p]
+    # An overtime of at most zero falls short of its cap, which is positive.
+    excess = 0.0
+    for last, shift_end, cap in zip(finish, ws.surgeon_shift_end, ws.surgeon_cap):
+        if last - shift_end - cap > excess:
+            excess = last - shift_end - cap
+    return starts, excess
 
 
 def construct_schedule(instance: Instance, sequence: Sequence[str],
                        rng: np.random.Generator | None = None) -> Schedule:
-    """Build a feasible schedule for the given patient sequence.
+    """Build a schedule for the given patient sequence.
 
     With ``rng`` omitted every patient is packed at its earliest start.
-    Never fails on tight days: insufficient slack turns into overtime.
+    Every rule but the overtime cap holds by construction: insufficient
+    slack turns into overtime, and a surgeon whose cases wait behind other
+    surgeons' cases in a shared OR can exceed the cap (constraint 4).
     """
     ws = _Workspace(instance)
-    starts = _construct_starts(ws, ws.order_from_ids(sequence), rng)
+    starts, _ = _construct_starts(ws, ws.order_from_ids(sequence), rng)
     return Schedule(starts=dict(zip(ws.ids, starts)))
 
 
@@ -193,7 +218,12 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     The incumbent starts as the input-order earliest-start packing.  Each
     iteration swaps two random patients, rebuilds the schedule with random
     slack placement, and applies the Metropolis rule: accept improvements
-    always, worsenings with probability exp(-delta / temperature).  Fully
+    always, worsenings with probability exp(-delta / temperature).  A
+    candidate that exceeds a surgeon's overtime cap is rejected before the
+    MEO kernel and draws no acceptance number; while the incumbent is such a
+    schedule (an infeasible input-order packing), the first feasible
+    candidate is accepted.  The best is the best feasible candidate, or the
+    input-order packing when no schedule tried was feasible.  Fully
     deterministic for a given seed: one generator drives swap choices,
     slack draws, and acceptance draws.
     """
@@ -205,19 +235,20 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
 
     order = list(range(ws.n))
     tick = clock()
-    current_starts = _construct_starts(ws, order, None)
+    current_starts, excess = _construct_starts(ws, order, None)
     built = clock()
-    kernel = forecast.MeoKernel(instance.patients, config.grid_step, instance.day_hours)
-    current = kernel.peak(current_starts)
+    kernel = forecast.MeoKernel.of(instance.patients, config.grid_step, instance.day_hours)
+    initial = kernel.peak(current_starts)
     done = clock()
     construct_seconds, kernel_seconds, best_found = built - tick, done - built, 0.0
-    initial = current
+    # An infeasible incumbent counts as infinitely bad, so any feasible candidate replaces it.
+    current = initial if excess <= FEASIBILITY_EPS else math.inf
     best, best_starts, best_order, best_iteration = current, current_starts, order, 0
 
-    meo_trace: list[float] = []
-    best_trace: list[float] = []
+    meo_trace: list[float | None] = []
+    best_trace: list[float | None] = []
     accepted_trace: list[bool] = []
-    accepted = rejected = 0
+    accepted = rejected = infeasible = 0
     temperature = config.initial_temperature
 
     for iteration in range(1, config.iterations + 1):
@@ -227,28 +258,34 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             candidate_order = order.copy()
             candidate_order[i], candidate_order[j] = candidate_order[j], candidate_order[i]
         tick = clock()
-        candidate_starts = _construct_starts(ws, candidate_order, rng)
+        candidate_starts, excess = _construct_starts(ws, candidate_order, rng)
         built = clock()
-        candidate = kernel.peak(candidate_starts)
-        done = clock()
         construct_seconds += built - tick
-        kernel_seconds += done - built
-        delta = candidate - current
-        take = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
-        if take:
-            order, current = candidate_order, candidate
-            accepted += 1
+        if excess > FEASIBILITY_EPS:
+            candidate, take = None, False
+            infeasible += 1
         else:
-            rejected += 1
-        if candidate < best:
-            best, best_starts, best_order = candidate, candidate_starts, candidate_order
-            best_iteration, best_found = iteration, done - started
+            candidate = kernel.peak(candidate_starts)
+            done = clock()
+            kernel_seconds += done - built
+            delta = candidate - current
+            take = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
+            if take:
+                order, current = candidate_order, candidate
+                accepted += 1
+            else:
+                rejected += 1
+            if candidate < best:
+                best, best_starts, best_order = candidate, candidate_starts, candidate_order
+                best_iteration, best_found = iteration, done - started
         meo_trace.append(candidate)
-        best_trace.append(best)
+        best_trace.append(best if best < math.inf else None)
         accepted_trace.append(take)
         if iteration % config.cooling_period == 0:
             temperature *= config.cooling_factor
 
+    if best == math.inf:
+        best = initial
     schedule = Schedule(starts=dict(zip(ws.ids, best_starts)))
     period = config.cooling_period
     epochs = [accepted_trace[k:k + period] for k in range(0, len(accepted_trace), period)]
@@ -262,6 +299,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         accepted_trace=accepted_trace,
         accepted=accepted,
         rejected=rejected,
+        infeasible=infeasible,
         best_iteration=best_iteration,
         acceptance_by_epoch=[sum(epoch) / len(epoch) for epoch in epochs],
         wall_clock_seconds=clock() - started,

@@ -85,3 +85,28 @@ def test_one_tail_query_makes_one_module_level_cdf_call(default_instance, monkey
     for expected, t in enumerate((5.0, 5.1, 12.0), start=1):
         forecast.exact_occupancy_cdf(default_instance.patients, starts, t, 3)
         assert len(calls) == expected
+
+
+def test_kernel_tables_keep_their_size(default_instance):
+    # The bench's peak_rss_mb rests on them: for each recovery row, two phases
+    # of 3T + 1 (lower, upper) pairs of uint16, T = 241 grid times.
+    kernel = forecast.MeoKernel(default_instance.patients, 0.1, default_instance.day_hours)
+    rows, n = kernel.rows.index.size, kernel.times.size
+    assert (rows, n) == (45, 241)
+    assert kernel.bounds.nbytes == rows * 2 * (3 * n + 1) * 2 * 2
+
+
+def test_one_probability_call_per_annealing_evaluation(default_instance, monkeypatch):
+    # forecast.kernel_calls (2501 on paper-day, 101 on scaled-day) counts the
+    # module-level calls under the annealing span: one for the initial
+    # schedule and one per iteration, as no GenSpec candidate breaks a cap.
+    calls = []
+    original = forecast.recovery_prob_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forecast, "recovery_prob_matrix", counting)
+    report = solver.simulated_annealing(default_instance, solver.SAConfig(iterations=120, seed=1))
+    assert len(calls) == 121 and report.infeasible == 0

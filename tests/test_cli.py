@@ -1,4 +1,5 @@
 import csv
+import io as _io
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import pytest
 
 import numpy as np
 
-from pacuplan import GenSpec, Instance, Schedule, generate_instance, monte_carlo_curve
-from pacuplan import io
+from pacuplan import (GenSpec, Instance, SAConfig, Schedule, generate_instance, monte_carlo_curve,
+                      simulated_annealing)
+from pacuplan import forecast, io
 from pacuplan.cli import main
 
 from conftest import in_recovery_oracle, late_shift_instance
@@ -262,6 +264,7 @@ class TestOptimize:
         report = json.loads((tmp_path / "best.report.json").read_text())
         assert report["best_meo"] <= report["initial_meo"]
         assert len(report["meo_trace"]) == 60
+        assert report["infeasible"] == 0 and report["accepted"] + report["rejected"] == 60
 
         occ = tmp_path / "check.csv"
         run("forecast", small_instance_file, out, "--out", occ)
@@ -352,9 +355,10 @@ class TestOptimize:
                    "--out", tmp_path / "x.json") == 2
 
     def test_infeasible_best_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # On this late-shift day the input-order packing, the best after one
-        # iteration, keeps surgeon s4's case waiting behind other surgeons'
-        # cases in a shared OR past s4's overtime cap (constraint 4).
+        # On this late-shift day the input-order packing keeps surgeon s4's
+        # case waiting behind other surgeons' cases in a shared OR past s4's
+        # overtime cap (constraint 4).  The one candidate breaks a cap too,
+        # so no schedule tried is feasible and the packing stays the best.
         day = tmp_path / "late.json"
         io.write_instance(late_shift_instance(np.random.default_rng(195156)), day)
         out = tmp_path / "out" / "best.json"
@@ -459,6 +463,50 @@ class TestSweep:
         assert_stage_timings(out, ["read", "anneal", "write"])
         assert out.read_text().splitlines()[0] == (
             "iterations,cooling_factor,cooling_period,mean_total_best_meo,best")
+
+    def test_one_kernel_per_instance_and_the_same_totals(self, tmp_path, monkeypatch):
+        # Two instances x two cells x two reps build one MEO kernel per
+        # instance, and the CSV holds the totals a loop over cells, then reps,
+        # then instances adds up, to the byte.
+        sweep_dir = tmp_path / "instances"
+        sweep_dir.mkdir()
+        for seed in (3, 4):
+            day = generate_instance(GenSpec(seed=seed, patient_count=12, surgeon_count=6,
+                                            or_count=4))
+            io.write_instance(day, sweep_dir / f"day{seed}.json")
+        built = []
+        original = forecast.MeoKernel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(forecast.MeoKernel, "__init__", counting)
+        monkeypatch.setattr(forecast.MeoKernel, "_memo", None)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", sweep_dir, "--iteration-grid", "15", "--factor-grid", "0.85,0.95",
+                   "--period-grid", "5", "--reps", 2, "--seed", 3, "--out", out) == 0
+        assert len(built) == 2
+
+        days = [io.read_instance(p) for p in sorted(sweep_dir.glob("*.json"))]
+        means = []
+        for factor in (0.85, 0.95):
+            totals = []
+            for rep in range(2):
+                total = 0.0
+                for day in days:
+                    config = SAConfig(iterations=15, cooling_factor=factor, cooling_period=5,
+                                      seed=3 + rep)
+                    total += simulated_annealing(day, config).best_meo
+                totals.append(total)
+            means.append(float(np.mean(totals)))
+        expected = _io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["iterations", "cooling_factor", "cooling_period",
+                         "mean_total_best_meo", "best"])
+        for i, (factor, mean) in enumerate(zip((0.85, 0.95), means)):
+            writer.writerow([15, factor, 5, mean, int(i == means.index(min(means)))])
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "none"

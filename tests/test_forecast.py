@@ -511,7 +511,7 @@ class TestMeoKernel:
             if i % 2:
                 starts = rng.uniform(-2.0, 26.0, ws.n).tolist()
             else:
-                starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+                starts, _ = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
             peak = kernel.peak(starts)
             assert type(peak) is float
             assert peak == MeoKernel(instance.patients, 0.1, instance.day_hours).peak(starts)
@@ -576,7 +576,7 @@ class TestMeoKernel:
     def test_one_point_grid(self):
         patients = generate_instance(GenSpec(seed=1)).patients
         kernel = MeoKernel(patients, 0.5, 0.3)
-        assert kernel.times.tolist() == [0.0] and kernel.bounds.shape[1:] == (4, 2)
+        assert kernel.times.tolist() == [0.0] and kernel.bounds.shape[1:] == (2, 4, 2)
         rng = np.random.default_rng(2)
         for _ in range(20):
             starts = rng.uniform(-6.0, 1.0, len(patients)).tolist()
@@ -594,13 +594,28 @@ class TestMeoKernel:
                              recovery=(0.0, 0.1), duration=1.0) for i in range(count)]
 
     @staticmethod
+    def long_patients(count):
+        """Patients still in recovery with probability above 1e-5 more than a day after their start."""
+        return [make_patient(pid=f"long{i}", surgeon=f"t{i}", surgery=(0.0, 0.05),
+                             recovery=(0.3 + 0.2 * i, 0.8)) for i in range(count)]
+
+    @staticmethod
     def assert_cells_within_bounds(kernel, patients, z, columns=slice(None)):
-        """Every cell in ``columns`` lies within the pair its own table entry holds."""
-        entries = kernel.bounds.shape[1]
-        index = kernel._table_index(z)
-        own_row = np.arange(z.size)[:, None] * entries
-        assert ((own_row <= index) & (index < own_row + entries)).all()
-        lower, upper = np.moveaxis(kernel.bounds.reshape(-1, 2)[index[:, columns]].astype(float), -1, 0)
+        """Every cell in ``columns`` lies within the pair its row's window gives it.
+
+        A row starting at z has shift k = floor(-z / h), kept within
+        [-T - 1, T], and phase q = 1 when -z / h - k is at least 1/2; its
+        cells are the T entries from entry T + 1 + k of its own phase.
+        """
+        n = kernel.times.size
+        cells = kernel._cells(z)
+        steps = z / -kernel.grid_step
+        phase = (steps - np.floor(steps) >= 0.5).astype(int)
+        first = n + 1 + np.clip(np.floor(steps), -n - 1, n).astype(int)
+        rows = np.arange(z.size)[:, None]
+        own = kernel.bounds[rows, phase[:, None], first[:, None] + np.arange(n)]
+        assert (cells == own).all()
+        lower, upper = np.moveaxis(cells[:, columns].astype(float) / forecast._UNITS, -1, 0)
         times = kernel.times[columns]
         probs = recovery_prob_matrix(forecast.RecoveryRows(patients), z, times)
         assert (probs <= upper + 4e-15).all()
@@ -611,7 +626,7 @@ class TestMeoKernel:
 
     def test_bounds_hold_for_every_cell(self):
         # Every cell, whatever its lag, lies between the bounds of the table
-        # entry the kernel's own index gives it, up to the few ulps the module
+        # entry the kernel's own window gives it, up to the few ulps the module
         # docstring allows; lags <= 0 and lags of an ulp or two included.
         for grid_step in (0.1, 0.07, 1.0 / 3.0, 0.25, 0.001):
             self.assert_bounds_hold_on_grid(grid_step)
@@ -619,21 +634,25 @@ class TestMeoKernel:
     def assert_bounds_hold_on_grid(self, grid_step):
         wide = self.wide_patients(64)
         kernel = MeoKernel(wide, grid_step, 24.0)
-        n = kernel.times.size
+        n, units = kernel.times.size, forecast._UNITS
         lower, upper = np.moveaxis(kernel.bounds, -1, 0)
-        assert kernel.bounds.dtype == np.float32 and kernel.bounds.shape == (64, 2 * n + 2, 2)
-        assert ((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)).all()
-        assert (kernel.bounds[:, :n] == 0.0).all()  # m <= -2: padding
-        assert (lower[:, n] == 0.0).all() and (upper[:, n] > 0.5).all()  # m = -1
-        assert (lower[:, -1] == 0.0).all()  # m = n
-        # Starts on every grid time and one or two ulps either side of it; on
-        # the finest grid, the times of the last hour, where the lags of the
-        # largest starts and times are small.
+        assert kernel.bounds.dtype == np.uint16 and kernel.bounds.shape == (64, 2, 3 * n + 1, 2)
+        assert ((lower <= upper) & (upper <= units)).all()
+        assert (kernel.bounds[:, :, :n] == 0).all()  # m <= -2: padding
+        assert (kernel.bounds[:, 0, n] == 0).all()  # m = -1, phase 0: lags below -1/2 step
+        assert (lower[:, 1, n] == 0).all() and (upper[:, 1, n] > 0.5 * units).all()  # m = -1
+        tail = kernel.bounds[:, :, 2 * n + 1:]  # m = n, then its T - 1 copies
+        assert (tail[..., 0] == 0).all() and (tail == tail[:, :, :1]).all()
+        # Starts on every grid time and half step, and one or two ulps either
+        # side of them; on the finest grid, those of the last hour, where the
+        # lags of the largest starts and times are small.
         on_grid = kernel.times if n < 1000 else kernel.times[-1000:]
-        starts = [on_grid]
+        half_steps = (np.round(on_grid / grid_step) + 0.5) * grid_step
+        starts = [on_grid, half_steps]
         for direction in (-np.inf, np.inf):
-            starts += [np.nextafter(on_grid, direction)]
-            starts += [np.nextafter(starts[-1], direction)]
+            for exact in (on_grid, half_steps):
+                starts += [np.nextafter(exact, direction)]
+                starts += [np.nextafter(starts[-1], direction)]
         starts = np.concatenate(starts)
         tiny_lags_in_recovery = 0
         for first in range(0, starts.size, 64):
@@ -646,28 +665,34 @@ class TestMeoKernel:
             tiny_lags_in_recovery += int((probs[(0.0 < lag) & (lag < 1e-12)] > 0.1).sum())
         assert tiny_lags_in_recovery >= 2 * (on_grid.size - 1)
         # A generated day with the same starts, two horizons away on either
-        # side, and anywhere around the day.
+        # side, anywhere around the day, and a day or so before it, in half
+        # steps, so that rows read the copies of their last entry.
         patients = [*generate_instance(GenSpec(seed=int(grid_step * 1000) % 5)).patients,
-                    *wide[:2]]
+                    *wide[:2], *self.long_patients(3)]
         kernel = MeoKernel(patients, grid_step, 24.0)
         rows = kernel.rows.index.size
+        n = kernel.times.size
+        before = -np.arange(2 * n - 16, 2 * n + 6) * (grid_step / 2)
         rng = np.random.default_rng(17)
         for z in (*(rng.choice(starts, rows) for _ in range(3)),
                   np.full(rows, -48.0), np.full(rows, 48.0),
-                  *(rng.uniform(-30.0, 30.0, rows) for _ in range(3))):
+                  *(rng.uniform(-30.0, 30.0, rows) for _ in range(3)),
+                  *(np.roll(np.resize(before, rows), shift) for shift in range(3))):
             lag, probs = self.assert_cells_within_bounds(kernel, patients, z)
             assert (probs[lag > 0.0] > 0.0).any() or z[0] == 48.0
+        long_rows = slice(rows - 3, rows)
+        assert (probs[long_rows][lag[long_rows] > 24.0] > 1.0 / forecast._UNITS).any()
 
     @pytest.mark.parametrize("grid_step", [0.1, 1.0 / 3.0], ids=["0.1", "1/3"])
-    def test_float32_pairs_bracket_the_float64_bounds(self, grid_step):
-        # The float64 bounds on each entry, from the same CDFs at the same
-        # widened lags; the float32 pairs lie outside them, by less than a
-        # float32 rounding.
+    def test_fixed_point_pairs_bracket_the_float64_bounds(self, grid_step):
+        # The float64 bounds on each half-step entry e = 2m + q, m = -1 .. T,
+        # from the same CDFs at the same widened lags; the uint16 pairs lie
+        # outside them, by at most one unit, and zero stays zero.
         patients = [*generate_instance(GenSpec(seed=3)).patients, *self.wide_patients(2)]
         kernel = MeoKernel(patients, grid_step, 24.0)
         mu, sd = kernel.rows.mu, kernel.rows.sd
-        n = kernel.times.size
-        nodes = np.arange(n + 1)[None, :] * grid_step
+        n, units = kernel.times.size, forecast._UNITS
+        nodes = np.arange(2 * n + 2)[None, :] * (grid_step / 2)
         offset = forecast._LAG_OFFSET * (n + 1) * grid_step
         lo = nodes * (1.0 - forecast._LAG_WIDENING) - offset
         hi = nodes * (1.0 + forecast._LAG_WIDENING) + offset
@@ -676,15 +701,38 @@ class TestMeoKernel:
         combined_lo = forecast._lognormal_cdf_matrix(mu[1], sd[1], lo)
         combined_hi = forecast._lognormal_cdf_matrix(mu[1], sd[1], hi)
         zero = np.zeros((mu.shape[1], 1))
-        lower = np.hstack([zero, surgery_lo[:, :-1] - combined_hi[:, 1:], zero])
-        upper = np.hstack([surgery_hi[:, :1], surgery_hi[:, 1:] - combined_lo[:, :-1],
-                           1.0 - combined_lo[:, -1:]])
-        lower, upper = np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
-        pairs = kernel.bounds[:, n:].astype(float)
-        assert (pairs[..., 0] <= lower).all() and (pairs[..., 1] >= upper).all()
-        assert np.abs(pairs[..., 0] - lower).max() <= 6e-8
-        assert np.abs(pairs[..., 1] - upper).max() <= 6e-8
-        assert (pairs[..., 0] < lower).any() and (pairs[..., 1] > upper).any()
+        lower = np.hstack([zero, zero, surgery_lo[:, :-2] - combined_hi[:, 1:-1], zero, zero])
+        upper = np.hstack([zero, surgery_hi[:, :1], surgery_hi[:, 1:-1] - combined_lo[:, :-2],
+                           1.0 - combined_lo[:, -2:]])
+        lower, upper = np.clip(lower, 0.0, 1.0) * units, np.clip(upper, 0.0, 1.0) * units
+        pairs = kernel.bounds[:, :, n:2 * n + 2].swapaxes(1, 2).reshape(-1, 2 * n + 4, 2)
+        fixed_lower, fixed_upper = pairs[..., 0].astype(float), pairs[..., 1].astype(float)
+        assert (fixed_lower <= lower).all() and (fixed_upper >= upper).all()
+        assert (lower - fixed_lower).max() <= 1.0 + 1e-9
+        assert (fixed_upper - upper).max() <= 1.0 + 1e-9
+        assert (fixed_lower < lower).any() and (fixed_upper > upper).any()
+        assert (fixed_lower[lower == 0.0] == 0.0).all() and (fixed_upper[upper == 0.0] == 0.0).all()
+        assert (upper == 0.0).any()
+
+    def test_columns_within_the_margin_are_evaluated(self, monkeypatch):
+        # The bound sums are exact integers, so a column is pruned only when its
+        # upper sum falls short of the largest lower sum by more than the
+        # margin, ceil(_PRUNE_MARGIN (1 + rows) _UNITS) units: one here.
+        kernel = MeoKernel([make_patient(), make_patient(pid="p2", surgeon="s2")], 0.1, 2.0)
+        cells = np.zeros((2, kernel.times.size, 2), dtype=np.uint16)
+        cells[:, 5] = 1000  # lower and upper sums 2000
+        cells[0, 9] = (0, 1999)
+        cells[0, 12] = (0, 1998)
+        monkeypatch.setattr(kernel, "_cells", lambda z: cells)
+        evaluated = []
+
+        def recording(rows, starts, times, *rest):
+            evaluated.append(times)
+            return recovery_prob_matrix(rows, starts, times, *rest)
+
+        monkeypatch.setattr(forecast, "recovery_prob_matrix", recording)
+        kernel.peak([0.0, 0.0])
+        assert evaluated[0].tolist() == kernel.times[[5, 9]].tolist()
 
     def test_one_probability_call_on_fewer_cells(self, monkeypatch):
         # Pruning leaves most grid columns unevaluated on a constructed
@@ -703,7 +751,7 @@ class TestMeoKernel:
 
         monkeypatch.setattr(forecast, "recovery_prob_matrix", counting)
         for calls in range(1, 21):
-            starts = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+            starts, _ = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
             kernel.peak(starts)
             assert len(evaluated) == calls
             rows, columns = evaluated[-1]

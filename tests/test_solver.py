@@ -3,21 +3,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacuplan import (
     GenSpec,
     SAConfig,
+    Schedule,
     Surgeon,
     baseline_schedule,
     check_feasibility,
+    compute_overtime,
     construct_schedule,
     generate_instance,
     max_expected_occupancy,
     simulated_annealing,
 )
-from pacuplan.solver import _draw_swap
+from pacuplan.model import FEASIBILITY_EPS
+from pacuplan.solver import _construct_starts, _draw_swap, _Workspace
 
 from conftest import late_shift_instance, make_instance, make_patient, random_genspec
 
@@ -31,6 +34,13 @@ def temperature_trace(report):
         if iteration % config.cooling_period == 0:
             temperature *= config.cooling_factor
     return temperatures
+
+
+def overtime_cap(instance, surgeon):
+    """Constraint 4's cap on the surgeon's overtime, as ``check_feasibility`` computes it."""
+    return (sum(p.expected_duration + p.setup + p.cleanup
+                for p in instance.patients_by_surgeon[surgeon.id])
+            - surgeon.shift_start + surgeon.shift_end)
 
 
 def delta_trace(report):
@@ -95,14 +105,39 @@ class TestConstructSchedule:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_random_late_shift_starts_respect_the_shift(self, seed):
-        # Every rule check_feasibility knows holds, not only the shift start,
-        # packed and with random slack.
+    @example(266912452)
+    @example(922580)
+    @example(195156)
+    def test_cap_excess_is_exactly_constraint_4(self, seed):
+        # Packed and with random slack, every rule but the overtime cap holds
+        # by construction.  The constructor's excess is the largest overtime
+        # (compute_overtime's) less its surgeon's cap, 0.0 when none exceeds
+        # it, and it is beyond tolerance exactly when check_feasibility
+        # reports constraint 4.
         rng = np.random.default_rng(seed)
         instance = late_shift_instance(rng)
-        sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+        ws = _Workspace(instance)
+        order = rng.permutation(ws.n).tolist()
         for slack in (None, rng):
-            assert check_feasibility(instance, construct_schedule(instance, sequence, slack)) == []
+            starts, excess = _construct_starts(ws, order, slack)
+            schedule = Schedule(starts=dict(zip(ws.ids, starts)))
+            overtime = compute_overtime(instance, schedule)
+            beyond = [overtime[s.id] - overtime_cap(instance, s)
+                      for s in instance.surgeons if overtime[s.id] > 0.0]
+            assert excess == max([0.0, *beyond])
+            constraints = {v.constraint for v in check_feasibility(instance, schedule)}
+            assert constraints <= {4}
+            assert (4 in constraints) == (excess > FEASIBILITY_EPS)
+
+    def test_input_order_packing_past_the_cap(self):
+        # A late-shift surgeon's case waits behind other surgeons' cases in a
+        # shared OR past the surgeon's cap; the excess is the violation's size.
+        instance = late_shift_instance(np.random.default_rng(195156))
+        ws = _Workspace(instance)
+        starts, excess = _construct_starts(ws, list(range(ws.n)), None)
+        violations = check_feasibility(instance, Schedule(starts=dict(zip(ws.ids, starts))))
+        assert [v.constraint for v in violations] == [4] and violations[0].surgeon == "s4"
+        assert excess == violations[0].magnitude > FEASIBILITY_EPS
 
     def test_sequence_must_be_permutation(self):
         instance = make_instance([make_patient(pid="a"), make_patient(pid="b", surgeon="s2")])
@@ -338,6 +373,38 @@ class TestSimulatedAnnealing:
         assert report.best_schedule.starts == {}
         assert report.best_iteration == 0
         assert report.acceptance_by_epoch == [1.0]
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(266912452)
+    @example(922580)
+    @example(195156)
+    def test_best_is_feasible_on_late_shift_days(self, seed):
+        # Candidates past a surgeon's overtime cap are rejected before the
+        # kernel, so the best is the best feasible schedule tried, and an
+        # infeasible input-order packing gives way to the first feasible one.
+        instance = late_shift_instance(np.random.default_rng(seed))
+        report = simulated_annealing(instance, SAConfig(iterations=60, seed=seed % 5))
+        assert report.infeasible == report.meo_trace.count(None)
+        assert report.accepted + report.rejected + report.infeasible == 60
+        feasible = [m for m in report.meo_trace if m is not None]
+        if check_feasibility(instance, baseline_schedule(instance)) == []:
+            feasible.append(report.initial_meo)
+        if feasible:
+            assert check_feasibility(instance, report.best_schedule) == []
+            assert report.best_meo == min(feasible) == max_expected_occupancy(
+                instance, report.best_schedule)
+        else:
+            assert report.best_meo == report.initial_meo
+
+    def test_infeasible_packing_gives_way_to_the_first_feasible_candidate(self):
+        instance = late_shift_instance(np.random.default_rng(195156))
+        report = simulated_annealing(instance, SAConfig(iterations=60, seed=0))
+        first = next(i for i, m in enumerate(report.meo_trace) if m is not None)
+        assert report.accepted_trace[first] and not any(report.accepted_trace[:first])
+        assert report.best_trace[:first] == [None] * first
+        assert report.infeasible > 0
+        assert check_feasibility(instance, report.best_schedule) == []
 
     def test_time_split(self, small_instance):
         report = simulated_annealing(small_instance, SAConfig(iterations=200, seed=3))
