@@ -16,8 +16,9 @@ in one array form, ``RecoveryRows``: their positions among the day's
 patients and the lognormal (mu, sigma) of surgery, surgery + recovery and
 recovery, one row each.  Its ``starts`` is the one check of a schedule's
 starts (one finite start per patient) and picks out the rows'.  Callers
-take the rows from ``RecoveryRows.of``, which builds them once for a run of
-calls on the same day, such as a sweep of exact tail queries.
+take the rows from ``RecoveryRows.of``, a day's one cache: it builds them
+once for a run of calls on the same day, such as an annealing run, and they
+keep the day's MEO kernel (``kernel``) and the schedule builder's workspace.
 
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
@@ -151,13 +152,16 @@ class RecoveryRows:
     ``index`` holds their positions among the day's patients; ``mu`` and
     ``sd`` are (3, rows) arrays of their lognormal parameters for surgery,
     surgery + recovery (moment-matched) and recovery, in that order.  All
-    three are read-only, so one object can serve every caller.
+    three are read-only, so one object can serve every caller.  The schedule
+    builder keeps its own parts of the day in the opaque slot ``workspace``.
     """
 
     # The last day's patients and their rows: ``of`` builds a day's rows once.
     _memo: tuple[tuple["Patient", ...], "RecoveryRows"] | None = None
 
     def __init__(self, patients: Sequence["Patient"]):
+        self._kernel: tuple[tuple[float, float], MeoKernel] | None = None
+        self.workspace = None
         self.n_patients = len(patients)
         rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
                  p.recovery.mu, p.recovery.sigma) for i, p in enumerate(patients) if p.needs_recovery]
@@ -184,6 +188,12 @@ class RecoveryRows:
         rows = memo[1] if memo is not None and memo[0] == key else cls(key)
         cls._memo = (key, rows)
         return rows
+
+    def kernel(self, grid_step: float, horizon: float) -> "MeoKernel":
+        """The rows' MEO kernel on this grid, built once for consecutive calls on it."""
+        if self._kernel is None or self._kernel[0] != (grid_step, horizon):
+            self._kernel = ((grid_step, horizon), MeoKernel(self, grid_step, horizon))
+        return self._kernel[1]
 
     def starts(self, starts: Sequence[float]) -> np.ndarray:
         """The rows' starts, out of one finite start per patient."""
@@ -244,16 +254,13 @@ class MeoKernel:
     units, T = ``times.size``: entry m at T + 1 + m, so m <= -2 (zero
     padding) from 0, m = -1 at T, m = 0 .. T at T + 1 .. 2T + 1, then T - 1
     copies of entry T.  A row with shift k reads the T entries from
-    T + 1 + k of its phase.
+    T + 1 + k of its phase.  Take a day's kernel from ``RecoveryRows.kernel``.
     """
 
-    # The last day's kernel: ``of`` builds a day's tables once.
-    _memo: tuple[tuple, "MeoKernel"] | None = None
-
-    def __init__(self, patients: Sequence["Patient"], grid_step: float, horizon: float):
+    def __init__(self, rows: RecoveryRows, grid_step: float, horizon: float):
         self.times = time_grid(grid_step, horizon)
         self.grid_step = grid_step
-        self.rows = rows = RecoveryRows.of(patients)
+        self.rows = rows
         n_rows, n = rows.index.size, self.times.size
         width, last = 3 * n + 1, 2 * n + 1  # entries per row and phase; m = n's entry
         nodes = np.arange(_PHASES * (n + 1)) * (grid_step / _PHASES)
@@ -288,19 +295,6 @@ class MeoKernel:
         self._row_start = np.arange(n_rows, dtype=np.intp) * (_PHASES * width) + n + 1
         self._sum_dtype = np.uint32 if n_rows <= 65537 else np.uint64  # 65537 * 65535 < 2**32
         self._margin = math.ceil(_PRUNE_MARGIN * (1 + n_rows) * _UNITS)
-
-    @classmethod
-    def of(cls, patients: Iterable["Patient"], grid_step: float, horizon: float) -> "MeoKernel":
-        """The kernel of ``patients`` on this grid, built once for consecutive calls.
-
-        One entry, like ``RecoveryRows.of``: keyed on the patients as a tuple,
-        the grid step and the horizon; equal but distinct patients reuse it.
-        """
-        key = (tuple(patients), grid_step, horizon)
-        memo = cls._memo
-        kernel = memo[1] if memo is not None and memo[0] == key else cls(key[0], grid_step, horizon)
-        cls._memo = (key, kernel)
-        return kernel
 
     def _cells(self, z: np.ndarray) -> np.ndarray:
         """Each cell's (lower, upper) pair: (rows, times, 2) uint16, rows starting at ``z``."""

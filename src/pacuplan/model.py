@@ -181,6 +181,13 @@ def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]
     return overtime
 
 
+def _overtime_cap(instance: Instance, surgeon: Surgeon) -> float:
+    """Constraint 4's cap on a surgeon's overtime; the schedule builder uses the same float."""
+    return (sum(p.expected_duration + p.setup + p.cleanup
+                for p in instance.patients_by_surgeon[surgeon.id])
+            - surgeon.shift_start + surgeon.shift_end)
+
+
 def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]:
     """All sequencing-rule violations beyond tolerance; empty means feasible.
 
@@ -207,9 +214,7 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]
                     3, f"patient {p.id} ends {past_shift:.4g} h past surgeon {surgeon.id}'s shift plus overtime",
                     patients=(p.id,), surgeon=surgeon.id, magnitude=past_shift))
         if overtime[surgeon.id] > 0.0:
-            cap = (sum(p.expected_duration + p.setup + p.cleanup for p in own)
-                   - surgeon.shift_start + surgeon.shift_end)
-            excess = overtime[surgeon.id] - cap
+            excess = overtime[surgeon.id] - _overtime_cap(instance, surgeon)
             if excess > FEASIBILITY_EPS:
                 violations.append(Violation(
                     4, f"surgeon {surgeon.id} overtime exceeds its cap by {excess:.4g} h",
@@ -258,5 +263,5 @@ def max_expected_occupancy(instance: Instance, schedule: Schedule,
                            grid_step: float = 0.1) -> float:
     """Peak of the expected recovery occupancy over the day's time grid."""
     _require_complete(instance, schedule)
-    kernel = forecast.MeoKernel.of(instance.patients, grid_step, instance.day_hours)
+    kernel = forecast.RecoveryRows.of(instance.patients).kernel(grid_step, instance.day_hours)
     return kernel.peak([schedule.starts[p.id] for p in instance.patients])

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forecast
-from .model import FEASIBILITY_EPS, Instance, Schedule
+from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,11 @@ class SolveReport:
 
     ``best_iteration`` is the first iteration whose candidate reached
     ``best_meo`` (0 when no candidate beat the initial schedule).
-    ``infeasible`` counts the candidates rejected unevaluated because a
-    surgeon's overtime exceeded its cap; their ``meo_trace`` entries are
-    None, and ``accepted + rejected + infeasible`` is the iteration count.
+    ``initial_feasible`` is whether the initial schedule keeps every
+    surgeon's overtime cap.  ``infeasible`` counts the candidates rejected
+    unevaluated because a surgeon's overtime exceeded its cap; their
+    ``meo_trace`` entries are None, and ``accepted + rejected + infeasible``
+    is the iteration count.
     ``acceptance_by_epoch`` is the accepted share of the candidates tried in
     each ``cooling_period`` of iterations, the last one possibly partial.
     ``construct_seconds`` and ``kernel_seconds`` are the parts of
@@ -82,6 +84,7 @@ class SolveReport:
     best_sequence: list[str]
     best_meo: float
     initial_meo: float
+    initial_feasible: bool
     meo_trace: list[float | None] = field(repr=False)
     best_trace: list[float | None] = field(repr=False)
     accepted_trace: list[bool] = field(repr=False)
@@ -104,7 +107,7 @@ class _Workspace:
     p belongs to; sequence order alone then decides each chain's order.
     ``surgeon_shift_end[s]`` and ``surgeon_cap[s]`` are surgeon chain s's
     shift end and overtime cap (constraint 4), as ``check_feasibility`` has
-    them.
+    them.  Take a day's workspace from ``of``.
     """
 
     def __init__(self, instance: Instance):
@@ -125,14 +128,20 @@ class _Workspace:
         self.room_count, self.surgeon_count = len(rooms), len(surgeons)
         shifts = [instance.surgeon_by_id[sid] for sid in surgeons]
         self.surgeon_shift_end = [s.shift_end for s in shifts]
-        self.surgeon_cap = [sum(p.expected_duration + p.setup + p.cleanup for p in own)
-                            - s.shift_start + s.shift_end
-                            for s, own in zip(shifts, instance.patients_by_surgeon.values())]
+        self.surgeon_cap = [_overtime_cap(instance, s) for s in shifts]
 
-    def order_from_ids(self, sequence: Sequence[str]) -> list[int]:
-        if len(sequence) != self.n or {*sequence} != {*self.ids}:
-            raise ValueError("sequence must be a permutation of the instance's patient ids")
-        return [self.index[pid] for pid in sequence]
+    @classmethod
+    def of(cls, instance: Instance) -> "_Workspace":
+        """The day's workspace, built once and kept on its recovery rows.
+
+        The rows are keyed on the patients; the workspace also on the
+        surgeons, which number the chains, and the OR hours.
+        """
+        rows = forecast.RecoveryRows.of(instance.patients)
+        key = (tuple(instance.surgeons), instance.or_open_hours)
+        if rows.workspace is None or rows.workspace[0] != key:
+            rows.workspace = (key, cls(instance))
+        return rows.workspace[1]
 
 
 def _construct_starts(ws: _Workspace, order: Sequence[int],
@@ -197,8 +206,10 @@ def construct_schedule(instance: Instance, sequence: Sequence[str],
     slack turns into overtime, and a surgeon whose cases wait behind other
     surgeons' cases in a shared OR can exceed the cap (constraint 4).
     """
-    ws = _Workspace(instance)
-    starts, _ = _construct_starts(ws, ws.order_from_ids(sequence), rng)
+    ws = _Workspace.of(instance)
+    if len(sequence) != ws.n or {*sequence} != {*ws.ids}:
+        raise ValueError("sequence must be a permutation of the instance's patient ids")
+    starts, _ = _construct_starts(ws, [ws.index[pid] for pid in sequence], rng)
     return Schedule(starts=dict(zip(ws.ids, starts)))
 
 
@@ -230,19 +241,20 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     config = config or SAConfig()
     clock = time.perf_counter
     started = clock()
-    ws = _Workspace(instance)
+    ws = _Workspace.of(instance)
     rng = np.random.default_rng(config.seed)
 
     order = list(range(ws.n))
     tick = clock()
     current_starts, excess = _construct_starts(ws, order, None)
     built = clock()
-    kernel = forecast.MeoKernel.of(instance.patients, config.grid_step, instance.day_hours)
+    kernel = forecast.RecoveryRows.of(instance.patients).kernel(config.grid_step, instance.day_hours)
     initial = kernel.peak(current_starts)
     done = clock()
     construct_seconds, kernel_seconds, best_found = built - tick, done - built, 0.0
     # An infeasible incumbent counts as infinitely bad, so any feasible candidate replaces it.
-    current = initial if excess <= FEASIBILITY_EPS else math.inf
+    initial_feasible = excess <= FEASIBILITY_EPS
+    current = initial if initial_feasible else math.inf
     best, best_starts, best_order, best_iteration = current, current_starts, order, 0
 
     meo_trace: list[float | None] = []
@@ -294,6 +306,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         best_sequence=[ws.ids[i] for i in best_order],
         best_meo=best,
         initial_meo=initial,
+        initial_feasible=initial_feasible,
         meo_trace=meo_trace,
         best_trace=best_trace,
         accepted_trace=accepted_trace,

@@ -90,10 +90,30 @@ def test_one_tail_query_makes_one_module_level_cdf_call(default_instance, monkey
 def test_kernel_tables_keep_their_size(default_instance):
     # The bench's peak_rss_mb rests on them: for each recovery row, two phases
     # of 3T + 1 (lower, upper) pairs of uint16, T = 241 grid times.
-    kernel = forecast.MeoKernel(default_instance.patients, 0.1, default_instance.day_hours)
+    kernel = forecast.MeoKernel(forecast.RecoveryRows(default_instance.patients), 0.1,
+                                default_instance.day_hours)
     rows, n = kernel.rows.index.size, kernel.times.size
     assert (rows, n) == (45, 241)
     assert kernel.bounds.nbytes == rows * 2 * (3 * n + 1) * 2 * 2
+
+
+def test_a_second_construction_builds_no_workspace(default_instance, monkeypatch):
+    # solver.construct_us times construct_schedule calls on one day: after the
+    # first, a call reuses the day's workspace and times the two passes alone.
+    built = []
+    original = solver._Workspace.__init__
+
+    def counting(self, instance):
+        built.append(instance)
+        original(self, instance)
+
+    monkeypatch.setattr(solver._Workspace, "__init__", counting)
+    monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        ids = list(rng.permutation(default_instance.patient_ids))
+        solver.construct_schedule(default_instance, ids, rng)
+    assert len(built) == 1
 
 
 def test_one_probability_call_per_annealing_evaluation(default_instance, monkeypatch):

@@ -10,7 +10,8 @@ import pytest
 
 import numpy as np
 
-from pacuplan import (GenSpec, Instance, SAConfig, Schedule, generate_instance, monte_carlo_curve,
+from pacuplan import (GenSpec, Instance, SAConfig, Schedule, baseline_schedule, check_feasibility,
+                      generate_instance, max_expected_occupancy, monte_carlo_curve,
                       simulated_annealing)
 from pacuplan import forecast, io
 from pacuplan.cli import main
@@ -265,6 +266,9 @@ class TestOptimize:
         assert report["best_meo"] <= report["initial_meo"]
         assert len(report["meo_trace"]) == 60
         assert report["infeasible"] == 0 and report["accepted"] + report["rejected"] == 60
+        base = report["baseline_meo"]
+        assert report["baseline_feasible"] is True
+        assert report["reduction_vs_baseline_pct"] == 100.0 * (base - report["best_meo"]) / base
 
         occ = tmp_path / "check.csv"
         run("forecast", small_instance_file, out, "--out", occ)
@@ -368,6 +372,23 @@ class TestOptimize:
         assert "infeasible" in err and "constraint 4" in err and "surgeon s4" in err
         assert "Traceback" not in err
         assert list(out.parent.iterdir()) == []
+
+    def test_infeasible_baseline_reports_no_reduction(self, tmp_path, capsys):
+        # This late-shift day's input-order packing breaks constraint 4, so no
+        # reduction is measured against it (a 48% one would be reported).
+        instance = late_shift_instance(np.random.default_rng(266912452))
+        packing = baseline_schedule(instance)
+        assert [v.constraint for v in check_feasibility(instance, packing)] == [4]
+        day, out = tmp_path / "late.json", tmp_path / "best.json"
+        io.write_instance(instance, day)
+        assert run("optimize", day, "--iterations", 1000, "--seed", 0, "--out", out) == 0
+        report = json.loads((tmp_path / "best.report.json").read_text())
+        assert report["baseline_feasible"] is False
+        assert report["reduction_vs_baseline_pct"] is None
+        assert report["baseline_meo"] == max_expected_occupancy(instance, packing)
+        assert report["best_meo"] < report["baseline_meo"]
+        assert check_feasibility(instance, io.read_schedule(out)) == []
+        assert "no reduction: the baseline breaks an overtime cap" in capsys.readouterr().out
 
 
 class TestValidate:
@@ -482,7 +503,7 @@ class TestSweep:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(forecast.MeoKernel, "__init__", counting)
-        monkeypatch.setattr(forecast.MeoKernel, "_memo", None)
+        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
         out = tmp_path / "sweep.csv"
         assert run("sweep", sweep_dir, "--iteration-grid", "15", "--factor-grid", "0.85,0.95",
                    "--period-grid", "5", "--reps", 2, "--seed", 3, "--out", out) == 0

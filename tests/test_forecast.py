@@ -20,7 +20,7 @@ from pacuplan import (
     time_grid,
 )
 from pacuplan import forecast, solver
-from pacuplan.forecast import MeoKernel, recovery_prob_matrix
+from pacuplan.forecast import MeoKernel, RecoveryRows, recovery_prob_matrix
 
 from conftest import (dft_cdf_oracle, in_recovery_oracle, late_shift_instance, make_patient,
                       pmf_oracle, support_upper_bound, two_call_recovery_prob_matrix)
@@ -446,7 +446,7 @@ class TestMeoKernel:
 
     @staticmethod
     def assert_same_peak(patients, starts, grid_step=0.1, horizon=24.0):
-        peak = MeoKernel(patients, grid_step, horizon).peak(starts)
+        peak = MeoKernel(RecoveryRows(patients), grid_step, horizon).peak(starts)
         assert peak == occupancy_curve(patients, starts, grid_step, horizon).peak()
         return peak
 
@@ -457,7 +457,7 @@ class TestMeoKernel:
         rng = np.random.default_rng(5)
         for seed in range(5):
             instance = generate_instance(GenSpec(seed=seed))
-            kernel = MeoKernel(instance.patients, grid_step, horizon)
+            kernel = MeoKernel(RecoveryRows(instance.patients), grid_step, horizon)
             for _ in range(40):
                 starts = rng.uniform(-1.0, 12.0, len(instance.patients)).tolist()
                 assert kernel.peak(starts) == occupancy_curve(
@@ -503,9 +503,9 @@ class TestMeoKernel:
         # One kernel alternates between packed constructed schedules and starts
         # spread over the day, so each call evaluates a different number of cells.
         instance = generate_instance(spec)
-        ws = solver._Workspace(instance)
+        ws = solver._Workspace.of(instance)
         rng = np.random.default_rng(31)
-        kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
+        kernel = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
         seen = []
         for i in range(50):
             if i % 2:
@@ -514,7 +514,8 @@ class TestMeoKernel:
                 starts, _ = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
             peak = kernel.peak(starts)
             assert type(peak) is float
-            assert peak == MeoKernel(instance.patients, 0.1, instance.day_hours).peak(starts)
+            fresh = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
+            assert peak == fresh.peak(starts)
             assert peak == occupancy_curve(instance.patients, starts, 0.1,
                                            instance.day_hours).peak()
             seen.append((starts, peak))
@@ -522,14 +523,14 @@ class TestMeoKernel:
         assert all(kernel.peak(starts) == peak for starts, peak in seen)
 
     def test_non_finite_start_rejected(self):
-        kernel = MeoKernel([make_patient(), make_patient(pid="p2")], 0.1, 24.0)
+        kernel = MeoKernel(RecoveryRows([make_patient(), make_patient(pid="p2")]), 0.1, 24.0)
         with pytest.raises(ValueError, match="start 1 is not finite"):
             kernel.peak([0.0, math.nan])
 
     def test_repeated_calls_without_recovery_patients(self):
         patients = [make_patient(needs_recovery=False),
                     make_patient(pid="p2", surgeon="s2", needs_recovery=False)]
-        kernel = MeoKernel(patients, 0.1, 24.0)
+        kernel = MeoKernel(RecoveryRows(patients), 0.1, 24.0)
         assert [kernel.peak([z, 2.0 * z]) for z in (0.0, 3.5, 30.0)] == [0.0, 0.0, 0.0]
 
     @settings(max_examples=60, deadline=None)
@@ -537,7 +538,7 @@ class TestMeoKernel:
     def test_constructed_schedules_on_random_days(self, seed):
         rng = np.random.default_rng(seed)
         instance = late_shift_instance(rng)
-        kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
+        kernel = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
         for _ in range(3):
             sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
             schedule = construct_schedule(instance, sequence, rng)
@@ -552,7 +553,7 @@ class TestMeoKernel:
         # Starts before zero, inside the day and past its end.
         rng = np.random.default_rng(seed)
         instance = late_shift_instance(rng)
-        kernel = MeoKernel(instance.patients, grid_step, horizon)
+        kernel = MeoKernel(RecoveryRows(instance.patients), grid_step, horizon)
         for _ in range(3):
             starts = rng.uniform(-8.0, horizon + 4.0, len(instance.patients)).tolist()
             assert kernel.peak(starts) == occupancy_curve(
@@ -575,7 +576,7 @@ class TestMeoKernel:
 
     def test_one_point_grid(self):
         patients = generate_instance(GenSpec(seed=1)).patients
-        kernel = MeoKernel(patients, 0.5, 0.3)
+        kernel = MeoKernel(RecoveryRows(patients), 0.5, 0.3)
         assert kernel.times.tolist() == [0.0] and kernel.bounds.shape[1:] == (2, 4, 2)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -633,7 +634,7 @@ class TestMeoKernel:
 
     def assert_bounds_hold_on_grid(self, grid_step):
         wide = self.wide_patients(64)
-        kernel = MeoKernel(wide, grid_step, 24.0)
+        kernel = MeoKernel(RecoveryRows(wide), grid_step, 24.0)
         n, units = kernel.times.size, forecast._UNITS
         lower, upper = np.moveaxis(kernel.bounds, -1, 0)
         assert kernel.bounds.dtype == np.uint16 and kernel.bounds.shape == (64, 2, 3 * n + 1, 2)
@@ -669,7 +670,7 @@ class TestMeoKernel:
         # steps, so that rows read the copies of their last entry.
         patients = [*generate_instance(GenSpec(seed=int(grid_step * 1000) % 5)).patients,
                     *wide[:2], *self.long_patients(3)]
-        kernel = MeoKernel(patients, grid_step, 24.0)
+        kernel = MeoKernel(RecoveryRows(patients), grid_step, 24.0)
         rows = kernel.rows.index.size
         n = kernel.times.size
         before = -np.arange(2 * n - 16, 2 * n + 6) * (grid_step / 2)
@@ -689,7 +690,7 @@ class TestMeoKernel:
         # from the same CDFs at the same widened lags; the uint16 pairs lie
         # outside them, by at most one unit, and zero stays zero.
         patients = [*generate_instance(GenSpec(seed=3)).patients, *self.wide_patients(2)]
-        kernel = MeoKernel(patients, grid_step, 24.0)
+        kernel = MeoKernel(RecoveryRows(patients), grid_step, 24.0)
         mu, sd = kernel.rows.mu, kernel.rows.sd
         n, units = kernel.times.size, forecast._UNITS
         nodes = np.arange(2 * n + 2)[None, :] * (grid_step / 2)
@@ -718,7 +719,8 @@ class TestMeoKernel:
         # The bound sums are exact integers, so a column is pruned only when its
         # upper sum falls short of the largest lower sum by more than the
         # margin, ceil(_PRUNE_MARGIN (1 + rows) _UNITS) units: one here.
-        kernel = MeoKernel([make_patient(), make_patient(pid="p2", surgeon="s2")], 0.1, 2.0)
+        kernel = MeoKernel(RecoveryRows([make_patient(), make_patient(pid="p2", surgeon="s2")]),
+                           0.1, 2.0)
         cells = np.zeros((2, kernel.times.size, 2), dtype=np.uint16)
         cells[:, 5] = 1000  # lower and upper sums 2000
         cells[0, 9] = (0, 1999)
@@ -739,9 +741,9 @@ class TestMeoKernel:
         # schedule, and each peak still makes exactly one call for
         # probabilities, over every recovery row.
         instance = generate_instance(GenSpec(seed=0))
-        ws = solver._Workspace(instance)
+        ws = solver._Workspace.of(instance)
         rng = np.random.default_rng(4)
-        kernel = MeoKernel(instance.patients, 0.1, instance.day_hours)
+        kernel = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
         evaluated = []
 
         def counting(*args, **kwargs):

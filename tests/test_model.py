@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pacuplan import (
+    GenSpec,
     Instance,
     LognormalParams,
     Patient,
@@ -9,8 +10,11 @@ from pacuplan import (
     Surgeon,
     check_feasibility,
     compute_overtime,
+    construct_schedule,
+    generate_instance,
     max_expected_occupancy,
     moment_match_sum,
+    occupancy_curve,
 )
 
 from conftest import make_instance, make_patient
@@ -224,6 +228,19 @@ class TestCheckFeasibility:
 
 
 class TestMaxExpectedOccupancy:
+    def test_grid_switch_gives_each_grids_peak(self):
+        # A day keeps one kernel, the last grid's; switching grids rebuilds it,
+        # and each call is the full curve's peak on its own grid.
+        instance = generate_instance(GenSpec(seed=1))
+        schedule = construct_schedule(instance, instance.patient_ids, np.random.default_rng(0))
+        starts = [schedule.starts[p.id] for p in instance.patients]
+        peaks = []
+        for grid_step in (0.05, 0.1, 0.05):
+            peaks.append(max_expected_occupancy(instance, schedule, grid_step))
+            assert peaks[-1] == occupancy_curve(instance.patients, starts, grid_step,
+                                                instance.day_hours).peak()
+        assert peaks[0] == peaks[2] != peaks[1]
+
     def test_no_recovery_patients(self):
         instance = make_instance([make_patient(needs_recovery=False)])
         assert max_expected_occupancy(instance, Schedule({"p1": 0.0})) == 0.0

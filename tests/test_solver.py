@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pacuplan import (
     GenSpec,
+    Instance,
     SAConfig,
     Schedule,
     Surgeon,
@@ -19,6 +21,7 @@ from pacuplan import (
     max_expected_occupancy,
     simulated_annealing,
 )
+from pacuplan import forecast
 from pacuplan.model import FEASIBILITY_EPS
 from pacuplan.solver import _construct_starts, _draw_swap, _Workspace
 
@@ -116,7 +119,7 @@ class TestConstructSchedule:
         # reports constraint 4.
         rng = np.random.default_rng(seed)
         instance = late_shift_instance(rng)
-        ws = _Workspace(instance)
+        ws = _Workspace.of(instance)
         order = rng.permutation(ws.n).tolist()
         for slack in (None, rng):
             starts, excess = _construct_starts(ws, order, slack)
@@ -133,7 +136,7 @@ class TestConstructSchedule:
         # A late-shift surgeon's case waits behind other surgeons' cases in a
         # shared OR past the surgeon's cap; the excess is the violation's size.
         instance = late_shift_instance(np.random.default_rng(195156))
-        ws = _Workspace(instance)
+        ws = _Workspace.of(instance)
         starts, excess = _construct_starts(ws, list(range(ws.n)), None)
         violations = check_feasibility(instance, Schedule(starts=dict(zip(ws.ids, starts))))
         assert [v.constraint for v in violations] == [4] and violations[0].surgeon == "s4"
@@ -198,6 +201,54 @@ def reference_starts(instance, sequence, rng):
         starts[p] = earliest_start[p] + max(0.0, u * slack)
         earliest_start[p] = starts[p]
     return {patients[i].id: float(starts[i]) for i in range(n)}
+
+
+class TestWorkspace:
+    """A day's workspace is kept on its recovery rows, keyed on what it reads."""
+
+    def test_key_covers_the_surgeons_shifts(self, monkeypatch):
+        # Equal patients; on the second day surgeon s5's shift ends at 10 h,
+        # not 8 h, which raises its overtime cap and makes every candidate
+        # feasible.  The first day's workspace must not serve the second.
+        first = late_shift_instance(np.random.default_rng(266912452))
+        surgeons = [dataclasses.replace(s, shift_end=10.0) if s.id == "s5" else s
+                    for s in first.surgeons]
+        second = Instance(surgeons=surgeons, patients=first.patients, or_count=first.or_count,
+                          or_open_hours=first.or_open_hours, day_hours=first.day_hours)
+        config = SAConfig(iterations=200, seed=0)
+        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
+        cold = simulated_annealing(second, config)
+        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
+        caps = []
+        for instance in (first, second):
+            ws = _Workspace.of(instance)
+            assert ws.surgeon_cap == [overtime_cap(instance, s) for s in instance.surgeons]
+            caps.append(ws.surgeon_cap)
+        assert caps[0] != caps[1]
+        _Workspace.of(first)
+        warm = simulated_annealing(second, config)
+        assert (warm.best_meo, warm.meo_trace) == (cold.best_meo, cold.meo_trace)
+        assert warm.infeasible == cold.infeasible == 0
+        assert simulated_annealing(first, config).infeasible > 0
+
+    def test_one_workspace_and_one_kernel_per_day(self, monkeypatch):
+        # Three constructions, an annealing run and an MEO on the same day
+        # build its workspace and its MEO kernel once each.
+        instance = generate_instance(GenSpec(seed=0))
+        built = []
+        for cls in (_Workspace, forecast.MeoKernel):
+            def counting(self, *args, original=cls.__init__, name=cls.__name__):
+                built.append(name)
+                original(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            schedule = construct_schedule(instance, instance.patient_ids, rng)
+        simulated_annealing(instance, SAConfig(iterations=20, seed=1))
+        max_expected_occupancy(instance, schedule)
+        assert sorted(built) == ["MeoKernel", "_Workspace"]
 
 
 class TestChainBuilderMatchesNeighbourLists:
