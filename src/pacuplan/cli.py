@@ -185,8 +185,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.samples < 1:
-        raise ValueError("need at least one sample")
     instance = io.read_instance(args.instance)
     schedule = _read_schedule_of(instance, args.schedule)
     if args.samples == 1:
@@ -198,18 +196,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                                   rng=np.random.default_rng(args.seed))
     sampling_done = time.perf_counter()
     stats = coverage_stats(empirical)
-    io.write_json({
-        "mode": args.mode,
-        "n_samples": stats.n_samples,
-        "n_points": stats.n_points,
-        "fraction_above": stats.fraction_above,
-        "fraction_below": stats.fraction_below,
-        "fraction_inside": stats.fraction_inside,
-        "mean_abs_error": stats.mean_abs_error,
-        "max_abs_bias": stats.max_abs_bias,
-        "max_bias_time": stats.max_bias_time,
-        "fraction_within_3se": stats.fraction_within_3se,
-    }, args.out)
+    io.write_json({"mode": args.mode, **dataclasses.asdict(stats)}, args.out)
     write_done = time.perf_counter()
     print(f"wrote {args.out}")
     print(f"mode={args.mode} samples={stats.n_samples}: "
@@ -309,18 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="occupancy curve CSV for a schedule")
     p.add_argument("instance")
     p.add_argument("schedule")
-    p.add_argument("--grid-step", type=float, default=0.1)
+    p.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
     p.add_argument("--out", default="occupancy.csv")
     p.set_defaults(func=cmd_forecast)
 
+    defaults = SAConfig()
     p = sub.add_parser("optimize", help="anneal a schedule that levels recovery occupancy")
     p.add_argument("instance")
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--cooling-factor", type=float, default=0.95)
-    p.add_argument("--cooling-period", type=int, default=200)
-    p.add_argument("--initial-temperature", type=float, default=1.0)
-    p.add_argument("--grid-step", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int, default=defaults.iterations)
+    p.add_argument("--cooling-factor", type=float, default=defaults.cooling_factor)
+    p.add_argument("--cooling-period", type=int, default=defaults.cooling_period)
+    p.add_argument("--initial-temperature", type=float, default=defaults.initial_temperature)
+    p.add_argument("--grid-step", type=float, default=defaults.grid_step)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--replicas", type=int, default=1,
                    help="independent runs with seeds seed, seed+1, ...; best kept")
     p.add_argument("--out", default="schedule.json")
@@ -334,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="true: independent surgery and recovery draws, checked against the "
                         "exact convolved curve; matched: draws from the moment-matched "
                         "lognormal, checked against the paper's forecast")
-    p.add_argument("--grid-step", type=float, default=0.1)
+    p.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="validation.json")
     p.set_defaults(func=cmd_validate)
@@ -345,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor-grid", type=_float_list, default=[0.85, 0.90, 0.95])
     p.add_argument("--period-grid", type=_int_list, default=[50, 100, 200])
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--grid-step", type=float, default=0.1)
+    p.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +163,12 @@ def poisson_binomial_cdf(probs, k: int) -> float:
     doubling, so the recurrence takes one step per block rather than per
     trial; every coefficient is a sum of products of non-negative numbers,
     so no step cancels.  A probability of exactly 0 is an exact no-op factor
-    and is dropped first.  By convention k < 0 yields 0 and k >= the number
-    of non-zero probabilities yields 1.
+    and is dropped first.  ``k`` must be an integer, not a bool.  By
+    convention k < 0 yields 0 and k >= the number of non-zero probabilities
+    yields 1.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     p = _validate_probs(probs)
     if k < 0:
         return 0.0

@@ -82,13 +82,17 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import SQRT2, _erf, poisson_binomial_cdf
+from .distributions import SQRT2, _erf, _require_finite, poisson_binomial_cdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Patient
 
 # Width of the two-sided 95% normal prediction band.
 Z95 = 1.96
+
+# The default grid step (hours) everywhere, and the most points a grid may have.
+GRID_STEP = 0.1
+MAX_GRID_POINTS = 100_000
 
 # Outward widening of the MEO kernel's bound-table lags: relative, and in
 # grid steps per grid time; covers the rounding of a cell's lag and of its
@@ -129,19 +133,26 @@ class OccupancyCurve:
         return float(self.mean.max()) if self.mean.size else 0.0
 
 
+def _require_grid_step(grid_step: float) -> None:
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid step must be positive and finite, got {grid_step}")
+
+
 def time_grid(grid_step: float, horizon: float) -> np.ndarray:
     """Regular grid 0, step, 2*step, ... covering [0, horizon].
 
     When the step has at most 12 decimals, time i is the double nearest the
     decimal i * step (0.3, not 0.30000000000000004), within an ulp or so of
-    the product i * step.
+    the product i * step.  A grid has at most ``MAX_GRID_POINTS`` points.
     """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError(f"grid step must be positive and finite, got {grid_step}")
+    _require_grid_step(grid_step)
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    n_steps = int(math.floor(horizon / grid_step + 1e-9))
-    times = np.arange(n_steps + 1) * grid_step
+    steps = horizon / grid_step + 1e-9  # may be inf; the grid has floor(steps) + 1 points
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"grid step {grid_step} is too fine for a {horizon} h horizon: "
+                         f"at most {MAX_GRID_POINTS} grid points are allowed")
+    times = np.arange(int(steps) + 1) * grid_step
     decimals = next((d for d in range(13) if round(grid_step, d) == grid_step), None)
     return times if decimals is None else np.round(times, decimals, out=times)
 
@@ -389,7 +400,7 @@ def convolved_sum_cdf(rows: RecoveryRows, starts: np.ndarray, grid_step: float,
 
 
 def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
-                    grid_step: float = 0.1, horizon: float = 24.0,
+                    grid_step: float = GRID_STEP, horizon: float = 24.0,
                     recovery_model: str = "moment") -> OccupancyCurve:
     """Forecast mean, variance, and 95% band on a regular grid over [0, horizon].
 
@@ -422,7 +433,9 @@ def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
 
     The normal band on the curve is an approximation; this is the opt-in
     exact query for tail probabilities where that approximation is too crude.
+    ``t`` must be finite and ``k`` an integer (see ``poisson_binomial_cdf``).
     """
+    _require_finite("exact_occupancy_cdf", t=t)
     rows = RecoveryRows.of(patients)
     probs = recovery_prob_matrix(rows, rows.starts(starts), np.array([t]))
     return poisson_binomial_cdf(probs[:, 0], k)

@@ -260,7 +260,7 @@ def _overlap_hours(instance: Instance, schedule: Schedule, p: Patient, q: Patien
 
 
 def max_expected_occupancy(instance: Instance, schedule: Schedule,
-                           grid_step: float = 0.1) -> float:
+                           grid_step: float = forecast.GRID_STEP) -> float:
     """Peak of the expected recovery occupancy over the day's time grid."""
     _require_complete(instance, schedule)
     kernel = forecast.RecoveryRows.of(instance.patients).kernel(grid_step, instance.day_hours)

@@ -257,7 +257,7 @@ def _occupancy_histogram(times: np.ndarray, grid_step: float,
 
 
 def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
-                      grid_step: float = 0.1, mode: str = "true",
+                      grid_step: float = forecast.GRID_STEP, mode: str = "true",
                       rng: np.random.Generator | None = None) -> EmpiricalCurve:
     """Sampled occupancy curve with exceedance tallies against the analytic band.
 

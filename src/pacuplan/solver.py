@@ -45,7 +45,7 @@ class SAConfig:
     initial_temperature: float = 1.0
     cooling_factor: float = 0.95
     cooling_period: int = 200
-    grid_step: float = 0.1
+    grid_step: float = forecast.GRID_STEP
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -57,8 +57,7 @@ class SAConfig:
             raise ValueError("cooling period must be at least 1")
         if not (math.isfinite(self.initial_temperature) and self.initial_temperature > 0.0):
             raise ValueError(f"initial temperature must be positive and finite, got {self.initial_temperature}")
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
-            raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
+        forecast._require_grid_step(self.grid_step)
 
 
 @dataclass

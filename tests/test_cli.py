@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import io as _io
 import json
 import os
@@ -14,7 +16,7 @@ from pacuplan import (GenSpec, Instance, SAConfig, Schedule, baseline_schedule, 
                       generate_instance, max_expected_occupancy, monte_carlo_curve,
                       simulated_annealing)
 from pacuplan import forecast, io
-from pacuplan.cli import main
+from pacuplan.cli import _sa_config, build_parser, main
 
 from conftest import in_recovery_oracle, late_shift_instance
 
@@ -245,6 +247,33 @@ def test_non_finite_setting_exits_2_naming_it(tmp_path, small_instance_file, sma
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["forecast", "validate", "optimize"])
+def test_grid_too_fine_to_allocate_exits_2_naming_it(tmp_path, small_instance_file,
+                                                     small_schedule_file, capsys, command):
+    inputs = [small_instance_file] + ([] if command == "optimize" else [small_schedule_file])
+    out = tmp_path / "x.out"
+    capsys.readouterr()
+    assert run(command, *inputs, "--grid-step", "1e-9", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "grid step 1e-09 is too fine" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["optimize", "day.json"])
+    assert _sa_config(args, args.seed) == SAConfig()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    grid_steps = {name: p.get_default("grid_step") for name, p in commands.choices.items()}
+    assert grid_steps == {"generate": None, "forecast": forecast.GRID_STEP,
+                          "optimize": forecast.GRID_STEP, "validate": forecast.GRID_STEP,
+                          "sweep": forecast.GRID_STEP}
+    for fn in (forecast.occupancy_curve, max_expected_occupancy, monte_carlo_curve):
+        assert inspect.signature(fn).parameters["grid_step"].default == forecast.GRID_STEP
+    assert SAConfig().grid_step == forecast.GRID_STEP
+
+
 @pytest.mark.parametrize("flag", ["--iteration-grid", "--factor-grid", "--period-grid"])
 def test_empty_sweep_grid_exits_2_naming_it(tmp_path, small_instance_file, capsys, flag):
     sweep_dir = tmp_path / "instances"
@@ -428,9 +457,16 @@ class TestValidate:
         timings = manifest["timings_s"]
         assert manifest["samples_per_s"] == pytest.approx(3000 / timings["sampling"])
 
-    def test_zero_samples_rejected(self, tmp_path, small_instance_file, small_schedule_file):
-        assert run("validate", small_instance_file, small_schedule_file,
-                   "--samples", 0, "--out", tmp_path / "v.json") == 2
+    def test_zero_samples_rejected(self, tmp_path, small_instance_file, small_schedule_file,
+                                   capsys):
+        out = tmp_path / "v.json"
+        for samples in (0, -3):
+            capsys.readouterr()
+            assert run("validate", small_instance_file, small_schedule_file,
+                       "--samples", samples, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert "need at least one sample" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_single_sample_warns(self, tmp_path, small_instance_file, small_schedule_file,
                                  capsys):

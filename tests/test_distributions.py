@@ -320,3 +320,12 @@ class TestPoissonBinomialCdf:
             poisson_binomial_cdf([-0.1], 0)
         with pytest.raises(ValueError):
             poisson_binomial_cdf([[0.1, 0.2]], 0)
+
+    @pytest.mark.parametrize("k", [2.5, 0.5, 1.0, -1.5, math.nan, True, False, "1", None])
+    def test_rejects_a_count_that_is_not_an_integer(self, k):
+        # 2.5 once gave 1.0 and 0.5 a bare TypeError; a bool was taken as 0 or 1.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            poisson_binomial_cdf([0.5, 0.2], k)
+
+    def test_accepts_numpy_integers(self):
+        assert poisson_binomial_cdf([0.5, 0.2], np.int64(1)) == poisson_binomial_cdf([0.5, 0.2], 1)

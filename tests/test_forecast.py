@@ -65,6 +65,14 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 time_grid(0.1, bad)
 
+    def test_rejects_a_grid_too_fine_to_allocate(self):
+        assert time_grid(0.001, 24.0).size == 24001
+        for step in (1e-9, 5e-324, 24.0 / forecast.MAX_GRID_POINTS):
+            with pytest.raises(ValueError, match=f"grid step {step} is too fine"):
+                time_grid(step, 24.0)
+        # The largest grid allowed: MAX_GRID_POINTS - 1 steps.
+        assert time_grid(1.0, forecast.MAX_GRID_POINTS - 1.0).size == forecast.MAX_GRID_POINTS
+
 
 class TestSupportUpperBound:
     """The crossing-lag oracle that the zero-probability tests rest on."""
@@ -774,6 +782,18 @@ class TestExactOccupancyCdf:
         patients = [make_patient(), make_patient(pid="p2")]
         with pytest.raises(ValueError, match="start 1 is not finite"):
             exact_occupancy_cdf(patients, [0.0, math.nan], 2.0, 1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        patients = [make_patient(), make_patient(pid="p2")]
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            exact_occupancy_cdf(patients, [0.0, 1.0], t, 1)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.5, True, "1", None])
+    def test_non_integer_count_rejected(self, k):
+        patients = [make_patient(), make_patient(pid="p2")]
+        with pytest.raises(ValueError, match="k must be an integer"):
+            exact_occupancy_cdf(patients, [0.0, 1.0], 2.0, k)
 
     def test_constructed_three_patient_half(self):
         # Narrow lognormals (surgery ~1 h, recovery ~8 h) give a long flat
