@@ -1,9 +1,9 @@
 """Command-line pipeline: generate | forecast | optimize | validate | sweep.
 
-Exit codes: 0 on success, 2 for input validation problems, 1 for anything
-unexpected.  Every command is deterministic under a fixed --seed and writes
-a .manifest.json next to its primary output recording the resolved
-configuration and timing.
+Exit codes: 0 on success, 2 for input validation problems and for paths
+that cannot be read or written, 1 for anything unexpected.  Every command
+is deterministic under a fixed --seed and writes a .manifest.json next to
+its primary output recording the resolved configuration and timing.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__, io
 from .model import Instance, Schedule, _require_complete, check_feasibility
-from .simulation import (BIAS_FLOOR, GenSpec, coverage_stats, generate_instance,
-                         monte_carlo_curve)
+from .simulation import (BIAS_FLOOR, SAMPLING_MODES, GenSpec, coverage_stats,
+                         generate_instance, monte_carlo_curve)
 from .solver import SAConfig, simulated_annealing
 from . import forecast
 
@@ -47,26 +47,17 @@ def _read_schedule_of(instance: Instance, path: str) -> Schedule:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    overrides = {
-        "or_count": args.ors,
-        "surgeon_count": args.surgeons,
-        "patient_count": args.patients,
-        "recovery_fraction": args.recovery_fraction,
-        "or_open_hours": args.or_hours,
-        "day_hours": args.day_hours,
-        "seed": args.seed,
-    }
-    fields = {k: v for k, v in overrides.items() if v is not None}
+    fields = {}
     if args.spec:
         payload = io.read_json(args.spec)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{args.spec}: expected a JSON object of spec fields, "
-                             f"got {type(payload).__name__}")
-        unknown = sorted(set(payload) - {f.name for f in dataclasses.fields(GenSpec)})
-        if unknown:
-            raise ValueError(f"{args.spec}: unknown spec field(s) {', '.join(unknown)}")
-        ranges = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
-        fields = {**ranges, **fields}
+        try:
+            io.require_known_fields(payload, GenSpec)
+        except ValueError as exc:
+            raise ValueError(f"{args.spec}: {exc}") from None
+        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
+    # Each flag's dest is its GenSpec field; flags that were given win over the spec file.
+    fields.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(GenSpec)
+                  if getattr(args, f.name, None) is not None)
     spec = GenSpec(**fields)
     args.seed = spec.seed  # the manifest records the resolved seed
     spec_done = time.perf_counter()
@@ -78,9 +69,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
           f"{len(instance.surgeons)} surgeons, {instance.or_count} ORs, "
           f"{instance.recovery_count()} needing recovery, "
           f"ORs open {instance.or_open_hours} h of a {instance.day_hours} h day")
-    _manifest(args, {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in spec.__dict__.items()},
-              [args.spec] if args.spec else [], [args.out], started,
+    _manifest(args, dataclasses.asdict(spec), [args.spec] if args.spec else [], [args.out],
+              started,
               timings_s={"spec": spec_done - started, "generate": generate_done - spec_done,
                          "write": write_done - generate_done})
     return 0
@@ -106,22 +96,14 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sa_config(args: argparse.Namespace, seed: int) -> SAConfig:
-    return SAConfig(iterations=args.iterations,
-                    initial_temperature=args.initial_temperature,
-                    cooling_factor=args.cooling_factor,
-                    cooling_period=args.cooling_period,
-                    grid_step=args.grid_step,
-                    seed=seed)
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.replicas < 1:
         raise ValueError("need at least one replica")
+    config = SAConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SAConfig)})
     instance = io.read_instance(args.instance)
     read_done = time.perf_counter()
-    reports = [simulated_annealing(instance, _sa_config(args, args.seed + i))
+    reports = [simulated_annealing(instance, dataclasses.replace(config, seed=config.seed + i))
                for i in range(args.replicas)]
     anneal_done = time.perf_counter()
     # Annealing splits into schedule construction, the MEO kernel and the rest
@@ -146,7 +128,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     # No reduction is measured against a packing that breaks an overtime cap.
     reduction = None if not base_feasible else (
         100.0 * (base_meo - best.best_meo) / base_meo if base_meo > 0 else 0.0)
-    knobs = {k: v for k, v in dataclasses.asdict(reports[0].config).items() if k != "seed"}
+    knobs = {k: v for k, v in dataclasses.asdict(config).items() if k != "seed"}
     io.write_json({
         "baseline_meo": base_meo,
         "baseline_feasible": base_feasible,
@@ -178,13 +160,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               timings_s={"read": read_done - started, "construct": construct_s,
                          "kernel": kernel_s, "search": anneal_s - construct_s - kernel_s,
                          "check": check_done - anneal_done, "write": write_done - check_done},
-              evaluations_per_s=args.iterations * args.replicas / anneal_s,
+              evaluations_per_s=config.iterations * args.replicas / anneal_s,
               best_found_s=best.best_found_seconds)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     instance = io.read_instance(args.instance)
     schedule = _read_schedule_of(instance, args.schedule)
     if args.samples == 1:
@@ -280,60 +264,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Forecast recovery-bed occupancy and optimise surgical case sequences.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
 
     p = sub.add_parser("generate", help="write a synthetic instance file")
     p.add_argument("--spec", help="JSON file of generator fields (ranges etc.)")
-    p.add_argument("--patients", type=int, default=None)
-    p.add_argument("--surgeons", type=int, default=None)
-    p.add_argument("--ors", type=int, default=None)
+    p.add_argument("--patients", dest="patient_count", type=int, default=None)
+    p.add_argument("--surgeons", dest="surgeon_count", type=int, default=None)
+    p.add_argument("--ors", dest="or_count", type=int, default=None)
     p.add_argument("--recovery-fraction", type=float, default=None)
-    p.add_argument("--or-hours", type=float, default=None)
+    p.add_argument("--or-hours", dest="or_open_hours", type=float, default=None)
     p.add_argument("--day-hours", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="default: the spec file's seed, else 0")
     p.add_argument("--out", default="instance.json")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("forecast", help="occupancy curve CSV for a schedule")
+    p = sub.add_parser("forecast", parents=[grid], help="occupancy curve CSV for a schedule")
     p.add_argument("instance")
     p.add_argument("schedule")
-    p.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
     p.add_argument("--out", default="occupancy.csv")
     p.set_defaults(func=cmd_forecast)
 
     defaults = SAConfig()
     p = sub.add_parser("optimize", help="anneal a schedule that levels recovery occupancy")
     p.add_argument("instance")
-    p.add_argument("--iterations", type=int, default=defaults.iterations)
-    p.add_argument("--cooling-factor", type=float, default=defaults.cooling_factor)
-    p.add_argument("--cooling-period", type=int, default=defaults.cooling_period)
-    p.add_argument("--initial-temperature", type=float, default=defaults.initial_temperature)
-    p.add_argument("--grid-step", type=float, default=defaults.grid_step)
-    p.add_argument("--seed", type=int, default=defaults.seed)
+    for f in dataclasses.fields(SAConfig):
+        default = getattr(defaults, f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--replicas", type=int, default=1,
                    help="independent runs with seeds seed, seed+1, ...; best kept")
     p.add_argument("--out", default="schedule.json")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("validate", help="Monte Carlo check of the analytic occupancy model")
+    p = sub.add_parser("validate", parents=[grid],
+                       help="Monte Carlo check of the analytic occupancy model")
     p.add_argument("instance")
     p.add_argument("schedule")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--mode", choices=["true", "matched"], default="true",
+    p.add_argument("--mode", choices=SAMPLING_MODES, default="true",
                    help="true: independent surgery and recovery draws, checked against the "
                         "exact convolved curve; matched: draws from the moment-matched "
                         "lognormal, checked against the paper's forecast")
-    p.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="validation.json")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("sweep", help="grid-sweep annealing parameters over instances")
+    p = sub.add_parser("sweep", parents=[grid],
+                       help="grid-sweep annealing parameters over instances")
     p.add_argument("instances", help="directory of instance JSON files")
     p.add_argument("--iteration-grid", type=_int_list, default=[1000, 2000, 3000])
     p.add_argument("--factor-grid", type=_float_list, default=[0.85, 0.90, 0.95])
     p.add_argument("--period-grid", type=_int_list, default=[50, 100, 200])
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
@@ -345,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive

@@ -7,7 +7,9 @@ run manifest is the one place wall-clock time and timestamps live.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
+import functools
 import json
 from pathlib import Path
 
@@ -24,6 +26,23 @@ def _check_version(payload: dict, path: Path) -> None:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})")
+
+
+@functools.cache
+def _allowed_fields(cls: type, *extra: str) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.init).union(extra)
+
+
+def require_known_fields(record, cls: type, *extra: str) -> None:
+    """Reject a record that is not a JSON object or that has a field ``cls`` does not take.
+
+    The fields allowed are ``cls``'s constructor fields plus ``extra``.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    unknown = record.keys() - _allowed_fields(cls, *extra)
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(sorted(unknown))}")
 
 
 def write_json(payload: dict, path: str | Path) -> None:
@@ -73,13 +92,17 @@ def instance_to_dict(instance: Instance) -> dict:
 def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instance:
     where = "top level"  # the entry being read, for error messages
     try:
+        require_known_fields(payload, Instance, "format_version")
         surgeons = []
         for i, s in enumerate(payload["surgeons"]):
             where = f"surgeons[{i}]"
+            require_known_fields(s, Surgeon)
             surgeons.append(Surgeon(id=s["id"], shift_start=s["shift_start"], shift_end=s["shift_end"],
                                     new_or_setup=s.get("new_or_setup", 0.0)))
         patients = []
         for i, p in enumerate(payload["patients"]):
+            where = f"patients[{i}]"
+            require_known_fields(p, Patient)
             where = f"patients[{i}] surgery"
             surgery = LognormalParams(**p["surgery"])
             where = f"patients[{i}] recovery"
@@ -125,9 +148,12 @@ def read_schedule(path: str | Path) -> Schedule:
     payload = read_json(p)
     _check_version(payload, p)
     try:
+        require_known_fields(payload, Schedule, "format_version")
         starts = payload["starts"]
     except KeyError as exc:
         raise ValueError(f"{p}: missing required field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
     if not isinstance(starts, dict) or not all(
             isinstance(z, (int, float)) and not isinstance(z, bool) for z in starts.values()):
         raise ValueError(f"{p}: starts must map patient ids to numbers")

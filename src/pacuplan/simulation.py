@@ -38,10 +38,9 @@ from . import forecast
 from .distributions import LognormalParams, _require_finite
 from .model import Instance, Patient, Schedule, Surgeon, _require_complete, _require_type
 
-SAMPLING_MODES = ("true", "matched")
-
 # The analytic recovery model that is exact for each sampling mode's process.
 _RECOVERY_MODEL_OF_MODE = {"true": "convolved", "matched": "moment"}
+SAMPLING_MODES = tuple(_RECOVERY_MODEL_OF_MODE)
 
 # Samples per accumulation block.  It bounds peak memory and it also fixes the
 # seeded stream: each block draws its patients in turn, so another block size

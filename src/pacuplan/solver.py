@@ -27,6 +27,7 @@ doubles as n scalar draws and leaves the generator in the same state.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -34,12 +35,15 @@ from typing import Sequence
 import numpy as np
 
 from . import forecast
-from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap
+from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap, _require_type
 
 
 @dataclass(frozen=True)
 class SAConfig:
-    """Annealing knobs; defaults are the tuned values."""
+    """Annealing knobs; defaults are the tuned values.
+
+    Each field is also ``optimize``'s flag of the same name, with dashes.
+    """
 
     iterations: int = 2500
     initial_temperature: float = 1.0
@@ -49,6 +53,12 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("iterations", "cooling_period", "seed"):
+            _require_type(name, getattr(self, name), numbers.Integral, "an integer")
+        for name in ("initial_temperature", "cooling_factor", "grid_step"):
+            _require_type(name, getattr(self, name), numbers.Real, "a number")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not 0.0 < self.cooling_factor < 1.0:

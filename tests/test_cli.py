@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import hashlib
 import inspect
 import io as _io
 import json
@@ -16,7 +18,7 @@ from pacuplan import (GenSpec, Instance, SAConfig, Schedule, baseline_schedule, 
                       generate_instance, max_expected_occupancy, monte_carlo_curve,
                       simulated_annealing)
 from pacuplan import forecast, io
-from pacuplan.cli import _sa_config, build_parser, main
+from pacuplan.cli import build_parser, main
 
 from conftest import in_recovery_oracle, late_shift_instance
 
@@ -216,6 +218,7 @@ def _set(*path_and_value):
     (_set("patients", 0, "expected_duration", float("inf")), "expected_duration"),
     (_set("patients", 0, "id", 5), "patient 5: id must be a string"),
     (_set("surgeons", 0, "id", 7), "surgeon 7: id must be a string"),
+    (_set("surgeons", 0, "shift_ned", 8.0), "surgeons[0]: unknown field(s) shift_ned"),
 ])
 def test_malformed_instance_exits_2_naming_the_field(tmp_path, small_instance_file, capsys,
                                                      edit, field):
@@ -247,6 +250,23 @@ def test_non_finite_setting_exits_2_naming_it(tmp_path, small_instance_file, sma
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "validate", "sweep"])
+def test_negative_seed_exits_2_naming_it(tmp_path, small_instance_file, small_schedule_file,
+                                         capsys, command):
+    sweep_dir = tmp_path / "instances"
+    sweep_dir.mkdir()
+    (sweep_dir / "one.json").write_bytes(small_instance_file.read_bytes())
+    inputs = {"optimize": [small_instance_file], "sweep": [sweep_dir],
+              "validate": [small_instance_file, small_schedule_file]}[command]
+    out = tmp_path / "x.out"
+    capsys.readouterr()
+    assert run(command, *inputs, "--seed", -1, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["forecast", "validate", "optimize"])
 def test_grid_too_fine_to_allocate_exits_2_naming_it(tmp_path, small_instance_file,
                                                      small_schedule_file, capsys, command):
@@ -263,7 +283,8 @@ def test_grid_too_fine_to_allocate_exits_2_naming_it(tmp_path, small_instance_fi
 def test_cli_defaults_are_the_library_defaults():
     parser = build_parser()
     args = parser.parse_args(["optimize", "day.json"])
-    assert _sa_config(args, args.seed) == SAConfig()
+    parsed = {f.name: getattr(args, f.name) for f in dataclasses.fields(SAConfig)}
+    assert parsed == dataclasses.asdict(SAConfig())
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     grid_steps = {name: p.get_default("grid_step") for name, p in commands.choices.items()}
     assert grid_steps == {"generate": None, "forecast": forecast.GRID_STEP,
@@ -272,6 +293,36 @@ def test_cli_defaults_are_the_library_defaults():
     for fn in (forecast.occupancy_curve, max_expected_occupancy, monte_carlo_curve):
         assert inspect.signature(fn).parameters["grid_step"].default == forecast.GRID_STEP
     assert SAConfig().grid_step == forecast.GRID_STEP
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "{day}", "--iterations", 5, "--out", "{dir}"),
+    ("forecast", "{dir}", "{best}"),
+    ("forecast", "{day}", "{dir}"),
+    ("generate", "--patients", 4, "--surgeons", 2, "--ors", 2, "--out", "{dir}"),
+    ("validate", "{day}", "{best}", "--samples", 10, "--out", "{dir}"),
+], ids=["optimize-out", "forecast-instance", "forecast-schedule", "generate-out", "validate-out"])
+def test_directory_in_place_of_a_file_exits_2_naming_it(tmp_path, small_instance_file,
+                                                        small_schedule_file, capsys, argv):
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    paths = {"day": small_instance_file, "best": small_schedule_file, "dir": directory}
+    capsys.readouterr()
+    assert run(*(str(a).format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert str(directory) in err
+    assert "Traceback" not in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    command_lines = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                     if line.startswith("pacuplan ")]
+    assert len(command_lines) == 5
+    parser = build_parser()
+    for argv in command_lines:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("flag", ["--iteration-grid", "--factor-grid", "--period-grid"])
@@ -591,3 +642,56 @@ def test_fresh_import_loads_no_scipy():
     module_file, loaded = proc.stdout.splitlines()
     assert Path(module_file).resolve().parent == src / "pacuplan"
     assert loaded == "[]"
+
+
+class TestGoldenDataFiles:
+    """The SHA-256 of every data file the commands write, pinned on this platform.
+
+    Manifests hold timings and are never pinned.  A change that alters a
+    data file on purpose updates its digest and says why.
+    """
+
+    DIGESTS = {
+        "day.json": "8cafda1e28a31402524a499623d206adc0387a40085969ea2708dfb1eefeb5f3",
+        "big.json": "9d33a9783a3e86b4d0a4d25909688a9513a14794ddd056990a7a57b29282f404",
+        "day-best.json": "f60b4b1a70382f9fdd0829d2e94fda1a63cf8f5e0850098d50544a9fa8bcf24d",
+        "day-best.report.json": "3fa467c9cb2dc5e478963c01ceb7cf2068ba3218da43ecbc1a0c9472f16ca709",
+        "big-best.json": "100d937ba59769fd838b59ce136d79c4048f6cdb45b94ca88ccdd02c4369bfc8",
+        "big-best.report.json": "cf9f22e231cb5f80f7759d852551a2b77ba0d0319211d22ad2bceca8c0fd5e7d",
+        "day.csv": "eb9f0a27c37c4a5548d55c6b1c5657b21112ab6fd4a3dc07b496176bca3781b1",
+        "big.csv": "7a613799cbb2480e3dea563798ed89f42800e1651cccce11ce37c1d67a2f3b65",
+        "check-true.json": "d1f271534fedc202c2ce3516b7af1678aaccc0dc0952f6d69aed0cf95dc47693",
+        "check-matched.json": "ed6dce4bbcc4128dab253750332898737ca069f32daf891b38a1044d366f2835",
+        "sweep/day2.json": "27bdb463575eddf222807ce2a5c1f8fa9c77b591412a0395869c83af855723c1",
+        "sweep/day3.json": "96440c576aee62e2d6d75c3b30413906ec889fd08523571b9ba1b00affce8539",
+        "sweep.csv": "71cd6311c227dc98ea86bd4861bea86a410816351ed7a1221b37928e6221d39a",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("golden")
+        (d / "sweep").mkdir()
+        commands = [
+            ("generate", "--seed", 0, "--out", d / "day.json"),
+            ("generate", "--patients", 1000, "--surgeons", 574, "--ors", 344,
+             "--out", d / "big.json"),
+            ("optimize", d / "day.json", "--seed", 1, "--out", d / "day-best.json"),
+            ("optimize", d / "big.json", "--seed", 1, "--iterations", 100,
+             "--out", d / "big-best.json"),
+            ("forecast", d / "day.json", d / "day-best.json", "--out", d / "day.csv"),
+            ("forecast", d / "big.json", d / "big-best.json", "--out", d / "big.csv"),
+            *(("validate", d / "day.json", d / "day-best.json", "--mode", mode,
+               "--samples", 20_000, "--out", d / f"check-{mode}.json")
+              for mode in ("true", "matched")),
+            *(("generate", "--patients", 12, "--surgeons", 6, "--ors", 4, "--seed", seed,
+               "--out", d / "sweep" / f"day{seed}.json") for seed in (2, 3)),
+            ("sweep", d / "sweep", "--iteration-grid", "30,60", "--factor-grid", "0.9",
+             "--period-grid", "10", "--reps", 2, "--out", d / "sweep.csv"),
+        ]
+        for argv in commands:
+            assert run(*argv) == 0
+        return d
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_bytes(self, outputs, name):
+        assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == self.DIGESTS[name]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,26 @@ class TestInstanceRoundTrip:
         with pytest.raises(ValueError, match="surgery"):
             io.read_instance(path)
 
+    @pytest.mark.parametrize("record, field", [
+        ((), "or_hours"),
+        (("surgeons", 0), "shift_ned"),
+        (("patients", 1), "setpu"),
+        (("patients", 1), "combined"),
+    ])
+    def test_rejects_unknown_field_naming_the_record(self, tmp_path, record, field):
+        path = tmp_path / "typo.json"
+        payload = io.instance_to_dict(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=3)))
+        target = payload
+        for step in record:
+            target = target[step]
+        target[field] = 1.0
+        path.write_text(json.dumps(payload))
+        where = "top level" if not record else f"{record[0]}[{record[1]}]"
+        with pytest.raises(ValueError, match=rf"typo.json: {re.escape(where)}: "
+                                             rf"unknown field\(s\) {field}$"):
+            io.read_instance(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -59,6 +80,12 @@ class TestScheduleRoundTrip:
         path = tmp_path / "schedule.json"
         path.write_text(json.dumps({"format_version": 1}))
         with pytest.raises(ValueError, match="starts"):
+            io.read_schedule(path)
+
+    def test_rejects_unknown_field(self, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"format_version": 1, "starts": {"p1": 0.0}, "start": {}}))
+        with pytest.raises(ValueError, match=r"schedule.json: unknown field\(s\) start$"):
             io.read_schedule(path)
 
 

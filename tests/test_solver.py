@@ -354,6 +354,22 @@ class TestSAConfig:
             with pytest.raises(ValueError, match="grid step must be positive and finite"):
                 SAConfig(grid_step=bad)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("iterations", 2.5, "iterations must be an integer, got 2.5"),
+        ("iterations", True, "iterations must be an integer, got True"),
+        ("cooling_period", 50.0, "cooling_period must be an integer, got 50.0"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("initial_temperature", True, "initial_temperature must be a number, got True"),
+        ("initial_temperature", None, "initial_temperature must be a number, got None"),
+        ("cooling_factor", "0.9", "cooling_factor must be a number, got '0.9'"),
+        ("grid_step", True, "grid_step must be a number, got True"),
+    ])
+    def test_refuses_a_wrong_type_or_a_negative_seed_naming_the_field(self, field, value,
+                                                                      message):
+        with pytest.raises(ValueError, match=message):
+            SAConfig(**{field: value})
+
 
 @pytest.fixture(scope="module")
 def small_instance():
