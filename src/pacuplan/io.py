@@ -29,24 +29,50 @@ def _check_version(payload: dict, path: Path) -> None:
 
 
 @functools.cache
-def _allowed_fields(cls: type, *extra: str) -> frozenset[str]:
-    return frozenset(f.name for f in dataclasses.fields(cls) if f.init).union(extra)
+def _fields(cls: type, *extra: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The fields ``cls``'s constructor takes, plus ``extra``, and those of them it requires."""
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    required = frozenset(f.name for f in init
+                         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+    return frozenset(f.name for f in init).union(extra), required
 
 
 def require_known_fields(record, cls: type, *extra: str) -> None:
-    """Reject a record that is not a JSON object or that has a field ``cls`` does not take.
+    """Reject a record that is not a JSON object, or that lacks or adds to the fields ``cls`` takes.
 
-    The fields allowed are ``cls``'s constructor fields plus ``extra``.
+    The fields allowed are ``cls``'s constructor fields plus ``extra``; those
+    without a default are required.
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    unknown = record.keys() - _allowed_fields(cls, *extra)
-    if unknown:
-        raise ValueError(f"unknown field(s) {', '.join(sorted(unknown))}")
+    allowed, required = _fields(cls, *extra)
+    if not record.keys() <= allowed:
+        raise ValueError(f"unknown field(s) {', '.join(sorted(record.keys() - allowed))}")
+    if not record.keys() >= required:
+        raise ValueError(f"missing required field {min(required - record.keys())!r}")
+
+
+def _plain(value):
+    """A record as a dict of its constructor fields, converting what they hold alike; else ``value``.
+
+    Lists and dicts are copied, so the result shares no container with the record.
+    """
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: _plain(getattr(value, name)) for name in _fields(type(value))[0]}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
+def _numpy_scalar(value):
+    """``json``'s hook for a value it cannot write: a numpy scalar, as the Python number it holds."""
+    return value.item()
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_scalar) + "\n")
 
 
 def read_json(path: str | Path) -> dict:
@@ -58,35 +84,7 @@ def read_json(path: str | Path) -> dict:
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "or_count": instance.or_count,
-        "or_open_hours": float(instance.or_open_hours),
-        "day_hours": float(instance.day_hours),
-        "surgeons": [
-            {
-                "id": s.id,
-                "shift_start": float(s.shift_start),
-                "shift_end": float(s.shift_end),
-                "new_or_setup": float(s.new_or_setup),
-            }
-            for s in instance.surgeons
-        ],
-        "patients": [
-            {
-                "id": p.id,
-                "surgeon_id": p.surgeon_id,
-                "or_id": int(p.or_id),
-                "needs_recovery": bool(p.needs_recovery),
-                "surgery": {"mu": float(p.surgery.mu), "sigma2": float(p.surgery.sigma2)},
-                "recovery": {"mu": float(p.recovery.mu), "sigma2": float(p.recovery.sigma2)},
-                "expected_duration": float(p.expected_duration),
-                "setup": float(p.setup),
-                "cleanup": float(p.cleanup),
-            }
-            for p in instance.patients
-        ],
-    }
+    return {"format_version": FORMAT_VERSION, **_plain(instance)}
 
 
 def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instance:
@@ -97,8 +95,7 @@ def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instan
         for i, s in enumerate(payload["surgeons"]):
             where = f"surgeons[{i}]"
             require_known_fields(s, Surgeon)
-            surgeons.append(Surgeon(id=s["id"], shift_start=s["shift_start"], shift_end=s["shift_end"],
-                                    new_or_setup=s.get("new_or_setup", 0.0)))
+            surgeons.append(Surgeon(**s))
         patients = []
         for i, p in enumerate(payload["patients"]):
             where = f"patients[{i}]"
@@ -108,10 +105,7 @@ def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instan
             where = f"patients[{i}] recovery"
             recovery = LognormalParams(**p["recovery"])
             where = f"patients[{i}]"
-            patients.append(Patient(id=p["id"], surgeon_id=p["surgeon_id"], or_id=p["or_id"],
-                                    needs_recovery=p["needs_recovery"], surgery=surgery,
-                                    recovery=recovery, expected_duration=p.get("expected_duration"),
-                                    setup=p.get("setup", 0.0), cleanup=p.get("cleanup", 0.0)))
+            patients.append(Patient(**{**p, "surgery": surgery, "recovery": recovery}))
         where = "top level"
         return Instance(surgeons=surgeons, patients=patients, or_count=payload["or_count"],
                         or_open_hours=payload["or_open_hours"], day_hours=payload["day_hours"])
@@ -133,10 +127,7 @@ def read_instance(path: str | Path) -> Instance:
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "starts": {pid: float(z) for pid, z in schedule.starts.items()},
-    }
+    return {"format_version": FORMAT_VERSION, **_plain(schedule)}
 
 
 def write_schedule(schedule: Schedule, path: str | Path) -> None:
@@ -149,11 +140,9 @@ def read_schedule(path: str | Path) -> Schedule:
     _check_version(payload, p)
     try:
         require_known_fields(payload, Schedule, "format_version")
-        starts = payload["starts"]
-    except KeyError as exc:
-        raise ValueError(f"{p}: missing required field {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
+    starts = payload["starts"]
     if not isinstance(starts, dict) or not all(
             isinstance(z, (int, float)) and not isinstance(z, bool) for z in starts.values()):
         raise ValueError(f"{p}: starts must map patient ids to numbers")
@@ -167,10 +156,8 @@ def write_occupancy_csv(curve: OccupancyCurve, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mean", "variance", "lower", "upper"])
-        for i in range(curve.times.size):
-            writer.writerow([float(curve.times[i]), float(curve.mean[i]),
-                             float(curve.variance[i]), float(curve.lower[i]),
-                             float(curve.upper[i])])
+        writer.writerows(zip(*(column.tolist() for column in (
+            curve.times, curve.mean, curve.variance, curve.lower, curve.upper))))
 
 
 def manifest_path(out_path: str | Path) -> Path:

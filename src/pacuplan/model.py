@@ -37,8 +37,8 @@ class Surgeon:
     """
 
     id: str
-    shift_start: float = 0.0
-    shift_end: float = 8.0
+    shift_start: float
+    shift_end: float
     new_or_setup: float = 0.0
 
     def __post_init__(self) -> None:
@@ -72,9 +72,14 @@ class Patient:
     combined: LognormalParams = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, kind, noun in (("id", str, "a string"), ("surgeon_id", str, "a string"),
-                                 ("or_id", numbers.Integral, "an integer"), ("needs_recovery", bool, "true or false")):
-            _require_type(f"patient {self.id}: {name}", getattr(self, name), kind, noun)
+        # The patient is named on failure only: a message per field would cost more than the checks.
+        try:
+            for name, kind, noun in (("id", str, "a string"), ("surgeon_id", str, "a string"),
+                                     ("or_id", numbers.Integral, "an integer"),
+                                     ("needs_recovery", bool, "true or false")):
+                _require_type(name, getattr(self, name), kind, noun)
+        except ValueError as exc:
+            raise ValueError(f"patient {self.id}: {exc}") from None
         object.__setattr__(self, "combined", moment_match_sum(self.surgery, self.recovery))
         if self.expected_duration is None:
             object.__setattr__(self, "expected_duration", self.surgery.mean())
@@ -196,7 +201,6 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]
     (10), setup/cleanup gaps between consecutive same-surgeon (12) and
     same-OR (13) cases.
     """
-    _require_complete(instance, schedule)
     violations: list[Violation] = []
     overtime = compute_overtime(instance, schedule)
 

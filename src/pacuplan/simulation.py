@@ -136,14 +136,14 @@ class CoverageStats:
     n_points: int
 
 
-def generate_instance(spec: GenSpec, rng: np.random.Generator | None = None) -> Instance:
+def generate_instance(spec: GenSpec) -> Instance:
     """Deterministic synthetic day: same spec and seed, same instance.
 
     Each surgeon's patients form one contiguous block inside a single OR,
     mimicking block allocation of theatre time; the patient list (the day's
     input order) runs OR by OR, block by block.
     """
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    rng = np.random.default_rng(spec.seed)
     n = spec.patient_count
     block_sizes = np.ones(spec.surgeon_count, dtype=np.int64)
     for _ in range(n - spec.surgeon_count):
@@ -163,7 +163,8 @@ def generate_instance(spec: GenSpec, rng: np.random.Generator | None = None) -> 
 
     sw = len(str(spec.surgeon_count))
     pw = len(str(n))
-    surgeons = [Surgeon(id=f"s{i + 1:0{sw}d}", shift_start=0.0, shift_end=spec.or_open_hours)
+    open_hours, day_hours = float(spec.or_open_hours), float(spec.day_hours)
+    surgeons = [Surgeon(id=f"s{i + 1:0{sw}d}", shift_start=0.0, shift_end=open_hours)
                 for i in range(spec.surgeon_count)]
     patients = []
     k = 0
@@ -181,7 +182,7 @@ def generate_instance(spec: GenSpec, rng: np.random.Generator | None = None) -> 
             ))
             k += 1
     return Instance(surgeons=surgeons, patients=patients, or_count=spec.or_count,
-                    or_open_hours=spec.or_open_hours, day_hours=spec.day_hours)
+                    or_open_hours=open_hours, day_hours=day_hours)
 
 
 def _draw_windows(mu: np.ndarray, sd: np.ndarray, start: float, rng: np.random.Generator,

@@ -92,6 +92,17 @@ class TestGenerate:
         assert len(instance.patients) == 6  # flag wins over the spec file
         assert all(0.1 <= p.surgery.sigma2 <= 0.2 for p in instance.patients)
 
+    def test_integer_hours_write_the_float_hours_bytes(self, tmp_path):
+        outputs = []
+        for hours in ((8, 24), (8.0, 24.0)):
+            spec_path = tmp_path / f"spec-{hours[0]!r}.json"
+            spec_path.write_text(json.dumps(dict(zip(("or_open_hours", "day_hours"), hours))))
+            outputs.append(tmp_path / f"day-{hours[0]!r}.json")
+            assert run("generate", "--spec", spec_path, "--patients", 8, "--surgeons", 4,
+                       "--ors", 2, "--out", outputs[-1]) == 0
+        assert '"day_hours": 24.0' in outputs[0].read_text()
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
     @pytest.mark.parametrize("payload, field", [
         ({"surgery_log_mean": [0, float("inf")]}, "surgery_log_mean"),
         ({"or_count": "21"}, "or_count"),
@@ -206,6 +217,17 @@ def _set(*path_and_value):
     return edit
 
 
+def _drop(*path):
+    """A payload edit that deletes the field at ``path`` (keys and list indices)."""
+    *path, key = path
+
+    def edit(payload):
+        for step in path:
+            payload = payload[step]
+        del payload[key]
+    return edit
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda payload: [payload], "JSON object"),
     (_set("patients", 0, "or_id", "1"), "or_id"),
@@ -219,6 +241,11 @@ def _set(*path_and_value):
     (_set("patients", 0, "id", 5), "patient 5: id must be a string"),
     (_set("surgeons", 0, "id", 7), "surgeon 7: id must be a string"),
     (_set("surgeons", 0, "shift_ned", 8.0), "surgeons[0]: unknown field(s) shift_ned"),
+    (_drop("surgeons", 0, "shift_start"), "surgeons[0]: missing required field 'shift_start'"),
+    (_drop("surgeons", 0, "shift_end"), "surgeons[0]: missing required field 'shift_end'"),
+    (_drop("patients", 3, "id"), "patients[3]: missing required field 'id'"),
+    (_drop("patients", 3, "or_id"), "patients[3]: missing required field 'or_id'"),
+    (_drop("day_hours"), "top level: missing required field 'day_hours'"),
 ])
 def test_malformed_instance_exits_2_naming_the_field(tmp_path, small_instance_file, capsys,
                                                      edit, field):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,41 @@ class TestInstanceRoundTrip:
         with pytest.raises(ValueError, match=rf"typo.json: {re.escape(where)}: "
                                              rf"unknown field\(s\) {field}$"):
             io.read_instance(path)
+
+    def test_omitted_optional_fields_take_their_defaults(self, tmp_path):
+        day = make_instance([make_patient(setup=0.2, cleanup=0.3, duration=2.5)],
+                            surgeons=[Surgeon(id="s1", shift_start=1.0, shift_end=7.0, new_or_setup=0.4)])
+        payload = io.instance_to_dict(day)
+        del payload["surgeons"][0]["new_or_setup"]
+        for name in ("expected_duration", "setup", "cleanup"):
+            del payload["patients"][0][name]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(payload))
+        read = io.read_instance(path)
+        assert read.surgeons == [Surgeon(id="s1", shift_start=1.0, shift_end=7.0, new_or_setup=0.0)]
+        patient = read.patients[0]
+        assert (patient.expected_duration, patient.setup, patient.cleanup) == (
+            patient.surgery.mean(), 0.0, 0.0)
+        io.write_instance(read, path)
+        assert io.read_instance(path) == read
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64])
+    def test_numpy_scalars_write_as_the_python_numbers_they_hold(self, tmp_path, real):
+        def day(integer, number):
+            surgeon = Surgeon(id="s1", shift_start=number(0.5), shift_end=number(7.25),
+                              new_or_setup=number(0.1))
+            patient = Patient(id="p1", surgeon_id="s1", or_id=integer(2), needs_recovery=True,
+                              surgery=LognormalParams(number(0.3), number(0.2)),
+                              recovery=LognormalParams(number(-0.1), number(0.4)),
+                              expected_duration=number(1.7), setup=number(0.2), cleanup=number(0.3))
+            return Instance(surgeons=[surgeon], patients=[patient], or_count=2,
+                            or_open_hours=number(8.0), day_hours=number(24.0))
+
+        with_numpy, with_python = tmp_path / "numpy.json", tmp_path / "python.json"
+        io.write_instance(day(np.int64, real), with_numpy)
+        io.write_instance(day(int, lambda x: float(real(x))), with_python)
+        assert with_numpy.read_bytes() == with_python.read_bytes()
+        assert io.read_instance(with_numpy) == day(int, lambda x: float(real(x)))
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
