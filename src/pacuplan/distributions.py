@@ -11,10 +11,11 @@ step per block, not one per trial.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+import typing
 
 import numpy as np
 
@@ -32,14 +33,47 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _require_finite(owner: str, **fields) -> None:
-    """Reject any field that is not a finite real number (a bool is not one), naming it."""
-    for name, value in fields.items():
-        if not _is_finite(value):
-            raise ValueError(f"{owner}: {name} must be a finite number, got {value!r}")
+# The field annotations a record check knows: the test a value passes, and the kind it names.
+_KINDS = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    float: (_is_finite, "a finite number"),
+    tuple[float, float]: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+                          and all(map(_is_finite, v)), "a (low, high) pair of finite numbers"),
+}
+# X | None takes what X takes, and None.
+_KINDS.update({kind | None: (lambda v, test=test: v is None or test(v), noun)
+               for kind, (test, noun) in _KINDS.items()})
+# A float field's kind when NaN and inf pass too.
+_ANY_REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number")
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _field_table(cls: type) -> tuple[frozenset[str], frozenset[str], tuple[tuple[str, type], ...]]:
+    """The constructor fields of ``cls``, those without a default, and (field, kind) of those in ``_KINDS``."""
+    hints = typing.get_type_hints(cls)
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    required = frozenset(f.name for f in init if f.default is f.default_factory is dataclasses.MISSING)
+    kinds = tuple((f.name, hints[f.name]) for f in init if hints[f.name] in _KINDS)
+    return frozenset(f.name for f in init), required, kinds
+
+
+def _check_fields(record, owner: str | None, any_real: bool = False) -> None:
+    """Reject a field of ``record`` not of its annotated kind, naming ``owner`` and the field.
+
+    ``owner`` is formatted, with ``self`` as the record, only when a check
+    fails.  With ``any_real``, a float field takes any real number.
+    """
+    for name, kind in _field_table(type(record))[2]:
+        value = getattr(record, name)
+        test, noun = _ANY_REAL if any_real and kind is float else _KINDS[kind]
+        if not test(value):
+            where = "" if owner is None else owner.format(self=record) + ": "
+            raise ValueError(f"{where}{name} must be {noun}, got {value!r}")
+
+
+@dataclasses.dataclass(frozen=True)
 class LognormalParams:
     """Lognormal duration: ``mu``/``sigma2`` are the mean/variance of the log."""
 
@@ -47,7 +81,7 @@ class LognormalParams:
     sigma2: float
 
     def __post_init__(self) -> None:
-        _require_finite("lognormal", mu=self.mu, sigma2=self.sigma2)
+        _check_fields(self, "lognormal")
         if self.sigma2 <= 0.0:
             raise ValueError(f"log-variance must be positive, got {self.sigma2}")
         if self.mu + self.sigma2 / 2.0 > _LOG_FLOAT_MAX:
@@ -133,6 +167,8 @@ def moment_match_sum(surgery: LognormalParams, recovery: LognormalParams) -> Log
     v = surgery.variance() + recovery.variance()
     if not (math.isfinite(m) and math.isfinite(v)):
         raise ValueError("moment matching overflowed; duration parameters are too extreme")
+    if m * m == 0.0:
+        raise ValueError("moment matching underflowed; duration parameters are too extreme")
     sigma2 = math.log1p(v / (m * m))
     # Algebraically ln(m^2 / sqrt(v + m^2)); this arrangement keeps the
     # round-trip of the matched mean exact.

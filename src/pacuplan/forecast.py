@@ -82,7 +82,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import SQRT2, _erf, _require_finite, poisson_binomial_cdf
+from .distributions import SQRT2, _erf, _is_finite, poisson_binomial_cdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Patient
@@ -435,7 +435,8 @@ def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
     exact query for tail probabilities where that approximation is too crude.
     ``t`` must be finite and ``k`` an integer (see ``poisson_binomial_cdf``).
     """
-    _require_finite("exact_occupancy_cdf", t=t)
+    if not _is_finite(t):
+        raise ValueError(f"exact_occupancy_cdf: t must be a finite number, got {t!r}")
     rows = RecoveryRows.of(patients)
     probs = recovery_prob_matrix(rows, rows.starts(starts), np.array([t]))
     return poisson_binomial_cdf(probs[:, 0], k)

@@ -7,13 +7,11 @@ run manifest is the one place wall-clock time and timestamps live.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
-import functools
 import json
 from pathlib import Path
 
-from .distributions import LognormalParams, _is_finite
+from .distributions import LognormalParams, _field_table, _is_finite
 from .forecast import OccupancyCurve
 from .model import Instance, Patient, Schedule, Surgeon
 
@@ -28,15 +26,6 @@ def _check_version(payload: dict, path: Path) -> None:
         raise ValueError(f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})")
 
 
-@functools.cache
-def _fields(cls: type, *extra: str) -> tuple[frozenset[str], frozenset[str]]:
-    """The fields ``cls``'s constructor takes, plus ``extra``, and those of them it requires."""
-    init = [f for f in dataclasses.fields(cls) if f.init]
-    required = frozenset(f.name for f in init
-                         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-    return frozenset(f.name for f in init).union(extra), required
-
-
 def require_known_fields(record, cls: type, *extra: str) -> None:
     """Reject a record that is not a JSON object, or that lacks or adds to the fields ``cls`` takes.
 
@@ -45,7 +34,8 @@ def require_known_fields(record, cls: type, *extra: str) -> None:
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    allowed, required = _fields(cls, *extra)
+    names, required, _ = _field_table(cls)
+    allowed = names.union(extra) if extra else names
     if not record.keys() <= allowed:
         raise ValueError(f"unknown field(s) {', '.join(sorted(record.keys() - allowed))}")
     if not record.keys() >= required:
@@ -58,7 +48,7 @@ def _plain(value):
     Lists and dicts are copied, so the result shares no container with the record.
     """
     if hasattr(value, "__dataclass_fields__"):
-        return {name: _plain(getattr(value, name)) for name in _fields(type(value))[0]}
+        return {name: _plain(getattr(value, name)) for name in _field_table(type(value))[0]}
     if isinstance(value, list):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -87,23 +77,31 @@ def instance_to_dict(instance: Instance) -> dict:
     return {"format_version": FORMAT_VERSION, **_plain(instance)}
 
 
+def _record(cls: type, fields):
+    """``cls`` built from a JSON object of exactly its constructor fields."""
+    require_known_fields(fields, cls)
+    return cls(**fields)
+
+
 def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instance:
     where = "top level"  # the entry being read, for error messages
     try:
         require_known_fields(payload, Instance, "format_version")
+        for key in ("surgeons", "patients"):
+            if not isinstance(payload[key], list):
+                raise ValueError(f"{key} must be a list, got {payload[key]!r}")
         surgeons = []
         for i, s in enumerate(payload["surgeons"]):
             where = f"surgeons[{i}]"
-            require_known_fields(s, Surgeon)
-            surgeons.append(Surgeon(**s))
+            surgeons.append(_record(Surgeon, s))
         patients = []
         for i, p in enumerate(payload["patients"]):
             where = f"patients[{i}]"
             require_known_fields(p, Patient)
             where = f"patients[{i}] surgery"
-            surgery = LognormalParams(**p["surgery"])
+            surgery = _record(LognormalParams, p["surgery"])
             where = f"patients[{i}] recovery"
-            recovery = LognormalParams(**p["recovery"])
+            recovery = _record(LognormalParams, p["recovery"])
             where = f"patients[{i}]"
             patients.append(Patient(**{**p, "surgery": surgery, "recovery": recovery}))
         where = "top level"

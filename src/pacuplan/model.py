@@ -11,21 +11,14 @@ Instances, schedules and violations are treated as immutable once built.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import forecast
-from .distributions import LognormalParams, _require_finite, moment_match_sum
+from .distributions import LognormalParams, _check_fields, moment_match_sum
 
 # Tolerance (hours) realising strict inequalities on floating-point schedules.
 FEASIBILITY_EPS = 1e-9
-
-
-def _require_type(what: str, value, kind: type, noun: str) -> None:
-    """Reject a value that is not a ``kind`` (a bool is only a bool), naming the field."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{what} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +35,7 @@ class Surgeon:
     new_or_setup: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_type(f"surgeon {self.id!r}: id", self.id, str, "a string")
-        _require_finite(f"surgeon {self.id}", shift_start=self.shift_start,
-                        shift_end=self.shift_end, new_or_setup=self.new_or_setup)
+        _check_fields(self, "surgeon {self.id}")
         if not 0.0 <= self.shift_start < self.shift_end:
             raise ValueError(f"surgeon {self.id}: shift [{self.shift_start}, {self.shift_end}] is invalid")
         if self.new_or_setup < 0.0:
@@ -72,19 +63,13 @@ class Patient:
     combined: LognormalParams = field(init=False)
 
     def __post_init__(self) -> None:
-        # The patient is named on failure only: a message per field would cost more than the checks.
+        _check_fields(self, "patient {self.id}")
         try:
-            for name, kind, noun in (("id", str, "a string"), ("surgeon_id", str, "a string"),
-                                     ("or_id", numbers.Integral, "an integer"),
-                                     ("needs_recovery", bool, "true or false")):
-                _require_type(name, getattr(self, name), kind, noun)
+            object.__setattr__(self, "combined", moment_match_sum(self.surgery, self.recovery))
         except ValueError as exc:
             raise ValueError(f"patient {self.id}: {exc}") from None
-        object.__setattr__(self, "combined", moment_match_sum(self.surgery, self.recovery))
         if self.expected_duration is None:
             object.__setattr__(self, "expected_duration", self.surgery.mean())
-        _require_finite(f"patient {self.id}", expected_duration=self.expected_duration,
-                        setup=self.setup, cleanup=self.cleanup)
         if not self.expected_duration > 0.0:
             raise ValueError(f"patient {self.id}: expected duration must be positive")
         if self.setup < 0.0 or self.cleanup < 0.0:
@@ -106,8 +91,7 @@ class Instance:
     day_hours: float = 24.0
 
     def __post_init__(self) -> None:
-        _require_type("instance: or_count", self.or_count, numbers.Integral, "an integer")
-        _require_finite("instance", or_open_hours=self.or_open_hours, day_hours=self.day_hours)
+        _check_fields(self, "instance")
         if self.or_count < 0:
             raise ValueError("OR count must be non-negative")
         if not 0.0 < self.or_open_hours <= self.day_hours:

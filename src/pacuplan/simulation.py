@@ -28,15 +28,14 @@ rather than fitted.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forecast
-from .distributions import LognormalParams, _require_finite
-from .model import Instance, Patient, Schedule, Surgeon, _require_complete, _require_type
+from .distributions import LognormalParams, _check_fields
+from .model import Instance, Patient, Schedule, Surgeon, _require_complete
 
 # The analytic recovery model that is exact for each sampling mode's process.
 _RECOVERY_MODEL_OF_MODE = {"true": "convolved", "matched": "moment"}
@@ -72,10 +71,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("or_count", "surgeon_count", "patient_count", "seed"):
-            _require_type(f"spec: {name}", getattr(self, name), numbers.Integral, "an integer")
-        _require_finite("spec", recovery_fraction=self.recovery_fraction,
-                        or_open_hours=self.or_open_hours, day_hours=self.day_hours)
+        _check_fields(self, "spec")
         for name in ("or_count", "surgeon_count", "patient_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"spec: {name} must be at least 1, got {getattr(self, name)}")
@@ -90,11 +86,7 @@ class GenSpec:
             raise ValueError("OR opening hours must lie in (0, day_hours]")
         for name in ("surgery_log_mean", "surgery_log_var", "recovery_log_mean",
                      "recovery_log_var", "setup_hours", "cleanup_hours"):
-            pair = getattr(self, name)
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ValueError(f"spec: {name} must be a (low, high) pair, got {pair!r}")
-            low, high = pair
-            _require_finite(f"spec: {name}", low=low, high=high)
+            low, high = getattr(self, name)
             if not low <= high:
                 raise ValueError(f"{name} range is empty: ({low}, {high})")
         if self.surgery_log_var[0] <= 0.0 or self.recovery_log_var[0] <= 0.0:

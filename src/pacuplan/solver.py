@@ -27,7 +27,6 @@ doubles as n scalar draws and leaves the generator in the same state.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -35,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from . import forecast
-from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap, _require_type
+from .distributions import _check_fields
+from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ class SAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("iterations", "cooling_period", "seed"):
-            _require_type(name, getattr(self, name), numbers.Integral, "an integer")
-        for name in ("initial_temperature", "cooling_factor", "grid_step"):
-            _require_type(name, getattr(self, name), numbers.Real, "a number")
+        _check_fields(self, None, any_real=True)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.iterations < 1:

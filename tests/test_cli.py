@@ -246,6 +246,10 @@ def _drop(*path):
     (_drop("patients", 3, "id"), "patients[3]: missing required field 'id'"),
     (_drop("patients", 3, "or_id"), "patients[3]: missing required field 'or_id'"),
     (_drop("day_hours"), "top level: missing required field 'day_hours'"),
+    (_drop("patients", 3, "surgery", "mu"), "patients[3] surgery: missing required field 'mu'"),
+    (_set("patients", 3, "recovery", "bogus", 1.0), "patients[3] recovery: unknown field(s) bogus"),
+    (_set("surgeons", None), "top level: surgeons must be a list, got None"),
+    (_set("patients", None), "top level: patients must be a list, got None"),
 ])
 def test_malformed_instance_exits_2_naming_the_field(tmp_path, small_instance_file, capsys,
                                                      edit, field):
@@ -258,6 +262,22 @@ def test_malformed_instance_exits_2_naming_the_field(tmp_path, small_instance_fi
     err = capsys.readouterr().err
     assert field in err and str(bad) in err
     assert "Traceback" not in err
+
+
+def test_underflowing_durations_exit_2_naming_the_patient(tmp_path, small_instance_file, capsys):
+    payload = json.loads(small_instance_file.read_text())
+    payload["patients"][0]["surgery"] = payload["patients"][0]["recovery"] = {"mu": -1000, "sigma2": 0.1}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"surgery_log_mean": [-1000, -1000], "recovery_log_mean": [-1000, -1000]}))
+    for argv, patient in ([("optimize", bad, "--iterations", 5), "patients[0]"],
+                          [("generate", "--spec", spec), "patient p01"]):
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "x.json") == 2
+        err = capsys.readouterr().err
+        assert patient in err and "moment matching underflowed" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -192,6 +192,12 @@ class TestMomentMatching:
             # Mean is representable but the variance moment overflows.
             moment_match_sum(LognormalParams(500.0, 1.0), LognormalParams(0.0, 0.1))
 
+    @pytest.mark.parametrize("mu", [-380.0, -1000.0])
+    def test_rejects_underflowing_parameters(self, mu):
+        # Both means square to 0.0, below the least subnormal double.
+        with pytest.raises(ValueError, match="moment matching underflowed"):
+            moment_match_sum(LognormalParams(mu, 0.1), LognormalParams(mu, 0.1))
+
 
 class TestPoissonBinomialCdf:
     def test_all_zero_probs(self):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,30 @@ class TestTypes:
             make_instance([patient], or_open_hours=25.0)
         with pytest.raises(ValueError):  # shift past the end of the day
             make_instance([patient], surgeons=[Surgeon(id="s1", shift_start=0.0, shift_end=25.0)])
+
+
+# Each record names itself, the field and the kind it wants when a field is of
+# the wrong kind; these are cases no CLI or io test reaches.
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_patient(or_id=True), "patient p1: or_id must be an integer, got True"),
+    (lambda: make_patient(surgeon=3), "patient p1: surgeon_id must be a string, got 3"),
+    (lambda: make_patient(needs_recovery=1), "patient p1: needs_recovery must be true or false, got 1"),
+    (lambda: make_patient(setup=math.nan), "patient p1: setup must be a finite number, got nan"),
+    (lambda: make_instance([make_patient()], or_count=2.0),
+     "instance: or_count must be an integer, got 2.0"),
+    (lambda: make_instance([make_patient()], day_hours="24"),
+     "instance: day_hours must be a finite number, got '24'"),
+    (lambda: LognormalParams(0.0, True), "lognormal: sigma2 must be a finite number, got True"),
+    (lambda: GenSpec(recovery_fraction=math.nan),
+     "spec: recovery_fraction must be a finite number, got nan"),
+    (lambda: Surgeon(id="s1", shift_start="0", shift_end=8.0),
+     "surgeon s1: shift_start must be a finite number, got '0'"),
+    (lambda: Surgeon(id=None, shift_start=0.0, shift_end=8.0),
+     "surgeon None: id must be a string, got None"),
+])
+def test_record_refuses_a_wrong_kind_naming_itself_the_field_and_the_kind(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestPairwiseChecks:
