@@ -47,18 +47,10 @@ def _read_schedule_of(instance: Instance, path: str) -> Schedule:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    fields = {}
-    if args.spec:
-        payload = io.read_json(args.spec)
-        try:
-            io.require_known_fields(payload, GenSpec)
-        except ValueError as exc:
-            raise ValueError(f"{args.spec}: {exc}") from None
-        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     # Each flag's dest is its GenSpec field; flags that were given win over the spec file.
-    fields.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(GenSpec)
-                  if getattr(args, f.name, None) is not None)
-    spec = GenSpec(**fields)
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)
+             if getattr(args, f.name, None) is not None}
+    spec = io.read_record(args.spec, GenSpec, **flags) if args.spec else GenSpec(**flags)
     args.seed = spec.seed  # the manifest records the resolved seed
     spec_done = time.perf_counter()
     instance = generate_instance(spec)

@@ -33,6 +33,11 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, NaN and inf included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # The field annotations a record check knows: the test a value passes, and the kind it names.
 _KINDS = {
     str: (lambda v: isinstance(v, str), "a string"),
@@ -46,17 +51,28 @@ _KINDS = {
 _KINDS.update({kind | None: (lambda v, test=test: v is None or test(v), noun)
                for kind, (test, noun) in _KINDS.items()})
 # A float field's kind when NaN and inf pass too.
-_ANY_REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number")
+_ANY_REAL = (_is_real, "a number")
 
 
 @functools.cache
-def _field_table(cls: type) -> tuple[frozenset[str], frozenset[str], tuple[tuple[str, type], ...]]:
-    """The constructor fields of ``cls``, those without a default, and (field, kind) of those in ``_KINDS``."""
+def _field_table(cls: type):
+    """What reading and checking ``cls`` need of its constructor fields, worked out once.
+
+    The fields, those without a default, (field, kind) of those in
+    ``_KINDS``, and (field, container, record) of those a reader builds: a
+    record (container None), a ``list`` of records, or a ``tuple``.
+    """
     hints = typing.get_type_hints(cls)
     init = [f for f in dataclasses.fields(cls) if f.init]
     required = frozenset(f.name for f in init if f.default is f.default_factory is dataclasses.MISSING)
     kinds = tuple((f.name, hints[f.name]) for f in init if hints[f.name] in _KINDS)
-    return frozenset(f.name for f in init), required, kinds
+    built = []
+    for f in init:
+        container = typing.get_origin(hints[f.name])
+        inner = typing.get_args(hints[f.name])[0] if container is list else hints[f.name]
+        if container is tuple or dataclasses.is_dataclass(inner):
+            built.append((f.name, container, inner))
+    return frozenset(f.name for f in init), required, kinds, tuple(built)
 
 
 def _check_fields(record, owner: str | None, any_real: bool = False) -> None:
@@ -100,6 +116,9 @@ class LognormalParams:
         if exponent > _LOG_FLOAT_MAX:
             raise ValueError(f"parameters ({self.mu}, {self.sigma2}) overflow the distribution variance")
         return math.expm1(self.sigma2) * math.exp(exponent)
+
+
+_KINDS[LognormalParams] = (lambda v: isinstance(v, LognormalParams), "a LognormalParams")
 
 
 # erf(y) = 1 - exp(-y^2) P(y) / Q(y) on [0, _ERF_CUT], ascending coefficients.  Fitted

@@ -134,7 +134,7 @@ class OccupancyCurve:
 
 
 def _require_grid_step(grid_step: float) -> None:
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
+    if not (_is_finite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {grid_step}")
 
 
@@ -146,7 +146,7 @@ def time_grid(grid_step: float, horizon: float) -> np.ndarray:
     the product i * step.  A grid has at most ``MAX_GRID_POINTS`` points.
     """
     _require_grid_step(grid_step)
-    if not (math.isfinite(horizon) and horizon > 0.0):
+    if not (_is_finite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     steps = horizon / grid_step + 1e-9  # may be inf; the grid has floor(steps) + 1 points
     if steps >= MAX_GRID_POINTS:

@@ -1,4 +1,4 @@
-"""File formats: instance and schedule JSON, occupancy CSV, run manifests.
+"""File formats: instance, schedule and spec JSON, occupancy CSV, run manifests.
 
 All writers are deterministic: keys are sorted, floats use their shortest
 round-tripping representation, and no timestamps enter the data files.  The
@@ -11,35 +11,52 @@ import datetime
 import json
 from pathlib import Path
 
-from .distributions import LognormalParams, _field_table, _is_finite
+from .distributions import _field_table
 from .forecast import OccupancyCurve
-from .model import Instance, Patient, Schedule, Surgeon
+from .model import Instance, Schedule
 
 FORMAT_VERSION = 1
 
 
-def _check_version(payload: dict, path: Path) -> None:
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(payload).__name__}")
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})")
+def _named(where: str | None, problem) -> ValueError:
+    """The error ``<where>: <problem>``, or ``problem`` alone when ``where`` is None."""
+    return ValueError(f"{where}: {problem}" if where else str(problem))
 
 
-def require_known_fields(record, cls: type, *extra: str) -> None:
-    """Reject a record that is not a JSON object, or that lacks or adds to the fields ``cls`` takes.
+def record(cls: type, fields, where: str | None = None):
+    """``cls`` built from the JSON object ``fields``.
 
-    The fields allowed are ``cls``'s constructor fields plus ``extra``; those
-    without a default are required.
+    The object must hold every constructor field of ``cls`` without a
+    default, and no other.  A field annotated as a record, or as a list of
+    records, is read by recursion, a list entry named ``<field>[<i>]`` and a
+    record ``<where> <field>``; a list for a ``tuple`` field becomes a tuple.
+    An error reads ``<where>: <problem>``, naming the innermost entry.
     """
-    if not isinstance(record, dict):
-        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    names, required, _ = _field_table(cls)
-    allowed = names.union(extra) if extra else names
-    if not record.keys() <= allowed:
-        raise ValueError(f"unknown field(s) {', '.join(sorted(record.keys() - allowed))}")
-    if not record.keys() >= required:
-        raise ValueError(f"missing required field {min(required - record.keys())!r}")
+    names, required, _, built = _field_table(cls)
+    if not isinstance(fields, dict):
+        raise _named(where, f"expected a JSON object, got {type(fields).__name__}")
+    if not fields.keys() <= names:
+        raise _named(where, f"unknown field(s) {', '.join(sorted(fields.keys() - names))}")
+    if not fields.keys() >= required:
+        raise _named(where, f"missing required field {min(required - fields.keys())!r}")
+    if built:
+        fields = dict(fields)  # a copy, so the caller's object stays as it was
+    for name, container, inner in built:
+        if name not in fields:
+            continue
+        value = fields[name]
+        if container is None:
+            fields[name] = record(inner, value, f"{where} {name}" if where else name)
+        elif container is list:
+            if not isinstance(value, list):
+                raise _named(where, f"{name} must be a list, got {value!r}")
+            fields[name] = [record(inner, v, f"{name}[{i}]") for i, v in enumerate(value)]
+        elif isinstance(value, list):
+            fields[name] = tuple(value)
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _named(where, exc) from None
 
 
 def _plain(value):
@@ -77,51 +94,32 @@ def instance_to_dict(instance: Instance) -> dict:
     return {"format_version": FORMAT_VERSION, **_plain(instance)}
 
 
-def _record(cls: type, fields):
-    """``cls`` built from a JSON object of exactly its constructor fields."""
-    require_known_fields(fields, cls)
-    return cls(**fields)
-
-
-def instance_from_dict(payload: dict, source: Path = Path("<memory>")) -> Instance:
-    where = "top level"  # the entry being read, for error messages
-    try:
-        require_known_fields(payload, Instance, "format_version")
-        for key in ("surgeons", "patients"):
-            if not isinstance(payload[key], list):
-                raise ValueError(f"{key} must be a list, got {payload[key]!r}")
-        surgeons = []
-        for i, s in enumerate(payload["surgeons"]):
-            where = f"surgeons[{i}]"
-            surgeons.append(_record(Surgeon, s))
-        patients = []
-        for i, p in enumerate(payload["patients"]):
-            where = f"patients[{i}]"
-            require_known_fields(p, Patient)
-            where = f"patients[{i}] surgery"
-            surgery = _record(LognormalParams, p["surgery"])
-            where = f"patients[{i}] recovery"
-            recovery = _record(LognormalParams, p["recovery"])
-            where = f"patients[{i}]"
-            patients.append(Patient(**{**p, "surgery": surgery, "recovery": recovery}))
-        where = "top level"
-        return Instance(surgeons=surgeons, patients=patients, or_count=payload["or_count"],
-                        or_open_hours=payload["or_open_hours"], day_hours=payload["day_hours"])
-    except KeyError as exc:
-        raise ValueError(f"{source}: {where}: missing required field {exc}") from exc
-    except (TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"{source}: {where}: {exc}") from None
-
-
 def write_instance(instance: Instance, path: str | Path) -> None:
     write_json(instance_to_dict(instance), path)
 
 
-def read_instance(path: str | Path) -> Instance:
+def read_record(path: str | Path, cls: type, where: str | None = None, /, **given):
+    """``cls`` read by ``record`` from the JSON file at ``path``, ``given`` fields over the file's.
+
+    Errors name the file.  An instance or schedule file also holds
+    ``format_version``, which must be ``FORMAT_VERSION``.
+    """
     p = Path(path)
-    payload = read_json(p)
-    _check_version(payload, p)
-    return instance_from_dict(payload, source=p)
+    fields = read_json(p)
+    try:
+        if isinstance(fields, dict):
+            if cls in (Instance, Schedule):
+                version = fields.pop("format_version", None)
+                if version != FORMAT_VERSION:
+                    raise ValueError(f"unsupported format version {version!r} (expected {FORMAT_VERSION})")
+            fields.update(given)
+        return record(cls, fields, where)
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+
+
+def read_instance(path: str | Path) -> Instance:
+    return read_record(path, Instance, "top level")
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:
@@ -133,21 +131,7 @@ def write_schedule(schedule: Schedule, path: str | Path) -> None:
 
 
 def read_schedule(path: str | Path) -> Schedule:
-    p = Path(path)
-    payload = read_json(p)
-    _check_version(payload, p)
-    try:
-        require_known_fields(payload, Schedule, "format_version")
-    except ValueError as exc:
-        raise ValueError(f"{p}: {exc}") from None
-    starts = payload["starts"]
-    if not isinstance(starts, dict) or not all(
-            isinstance(z, (int, float)) and not isinstance(z, bool) for z in starts.values()):
-        raise ValueError(f"{p}: starts must map patient ids to numbers")
-    non_finite = [pid for pid, z in starts.items() if not _is_finite(z)]
-    if non_finite:
-        raise ValueError(f"{p}: starts: non-finite start times for patients: {', '.join(non_finite)}")
-    return Schedule(starts={pid: float(z) for pid, z in starts.items()})
+    return read_record(path, Schedule)
 
 
 def write_occupancy_csv(curve: OccupancyCurve, path: str | Path) -> None:

@@ -10,12 +10,11 @@ Instances, schedules and violations are treated as immutable once built.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import forecast
-from .distributions import LognormalParams, _check_fields, moment_match_sum
+from .distributions import LognormalParams, _check_fields, _is_finite, _is_real, moment_match_sum
 
 # Tolerance (hours) realising strict inequalities on floating-point schedules.
 FEASIBILITY_EPS = 1e-9
@@ -87,8 +86,8 @@ class Instance:
     surgeons: list[Surgeon]
     patients: list[Patient]
     or_count: int
-    or_open_hours: float = 8.0
-    day_hours: float = 24.0
+    or_open_hours: float
+    day_hours: float
 
     def __post_init__(self) -> None:
         _check_fields(self, "instance")
@@ -125,9 +124,19 @@ class Instance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Start times per patient id; everything else about timing is derived."""
+    """Start times per patient id, each a finite number; everything else about timing is derived."""
 
     starts: dict[str, float]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.starts, dict):
+            raise ValueError(f"starts must map patient ids to numbers, got {type(self.starts).__name__}")
+        bad = [pid for pid, z in self.starts.items() if not _is_finite(z)]
+        if bad:
+            names = ", ".join(map(str, bad))
+            if all(_is_real(self.starts[pid]) for pid in bad):
+                raise ValueError(f"starts: non-finite start times for patients: {names}")
+            raise ValueError(f"starts must map patient ids to numbers; not a number for patients: {names}")
 
     def end_of(self, patient: Patient) -> float:
         return self.starts[patient.id] + patient.expected_duration
@@ -146,7 +155,7 @@ class Violation:
 
 
 def _require_complete(instance: Instance, schedule: Schedule) -> None:
-    """Reject a schedule unless it gives exactly the instance's patients finite starts."""
+    """Reject a schedule unless it times exactly the instance's patients."""
     missing = [p.id for p in instance.patients if p.id not in schedule.starts]
     if missing:
         raise ValueError(f"schedule is missing start times for patients: {', '.join(missing)}")
@@ -154,9 +163,6 @@ def _require_complete(instance: Instance, schedule: Schedule) -> None:
     if unknown:
         raise ValueError(f"schedule has start times for patients not in the instance: "
                          f"{', '.join(map(str, unknown))}")
-    non_finite = [pid for pid, z in schedule.starts.items() if not math.isfinite(z)]
-    if non_finite:
-        raise ValueError(f"schedule has non-finite start times for patients: {', '.join(non_finite)}")
 
 
 def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]:

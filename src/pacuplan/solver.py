@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forecast
-from .distributions import _check_fields
+from .distributions import _check_fields, _is_finite
 from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap
 
 
@@ -62,7 +62,7 @@ class SAConfig:
             raise ValueError("cooling factor must lie in (0, 1)")
         if self.cooling_period < 1:
             raise ValueError("cooling period must be at least 1")
-        if not (math.isfinite(self.initial_temperature) and self.initial_temperature > 0.0):
+        if not (_is_finite(self.initial_temperature) and self.initial_temperature > 0.0):
             raise ValueError(f"initial temperature must be positive and finite, got {self.initial_temperature}")
         forecast._require_grid_step(self.grid_step)
 

@@ -199,7 +199,7 @@ def make_instance(patients, surgeons=None, or_count=None, or_open_hours=8.0, day
 
 @pytest.fixture
 def empty_instance():
-    return Instance(surgeons=[], patients=[], or_count=0)
+    return Instance(surgeons=[], patients=[], or_count=0, or_open_hours=8.0, day_hours=24.0)
 
 
 @pytest.fixture(scope="session")

@@ -260,7 +260,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path, default_day):
 
 
 def test_criterion_9_trivial_floor():
-    empty = Instance(surgeons=[], patients=[], or_count=0)
+    empty = Instance(surgeons=[], patients=[], or_count=0, or_open_hours=8.0, day_hours=24.0)
     schedule = Schedule({})
     meo = max_expected_occupancy(empty, schedule)
     violations = check_feasibility(empty, schedule)

@@ -92,6 +92,28 @@ class TestGenerate:
         assert len(instance.patients) == 6  # flag wins over the spec file
         assert all(0.1 <= p.surgery.sigma2 <= 0.2 for p in instance.patients)
 
+    def test_spec_of_every_field_writes_the_flag_run_bytes(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dataclasses.asdict(GenSpec(seed=3))))
+        from_spec, from_flags = tmp_path / "from_spec.json", tmp_path / "from_flags.json"
+        assert run("generate", "--spec", spec_path, "--out", from_spec) == 0
+        assert run("generate", "--seed", 3, "--out", from_flags) == 0
+        assert from_spec.read_bytes() == from_flags.read_bytes()
+
+    def test_flag_overrides_an_invalid_spec_value_before_validation(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"patient_count": 0}))
+        out = tmp_path / "day.json"
+        assert run("generate", "--spec", spec_path, "--patients", 6, "--surgeons", 3, "--ors", 2,
+                   "--out", out) == 0
+        assert len(io.read_instance(out).patients) == 6
+
+    def test_spec_value_error_names_the_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"or_count": "21"}))
+        assert run("generate", "--spec", spec_path, "--out", tmp_path / "x.json") == 2
+        assert f"{spec_path}: spec: or_count must be an integer, got '21'" in capsys.readouterr().err
+
     def test_integer_hours_write_the_float_hours_bytes(self, tmp_path):
         outputs = []
         for hours in ((8, 24), (8.0, 24.0)):
@@ -158,7 +180,8 @@ class TestForecast:
 
     def test_empty_instance_gives_zero_rows(self, tmp_path):
         instance_path = tmp_path / "empty.json"
-        io.write_instance(Instance(surgeons=[], patients=[], or_count=0), instance_path)
+        io.write_instance(Instance(surgeons=[], patients=[], or_count=0, or_open_hours=8.0,
+                                   day_hours=24.0), instance_path)
         schedule_path = tmp_path / "empty_schedule.json"
         io.write_schedule(Schedule({}), schedule_path)
         out = tmp_path / "occ.csv"
@@ -183,8 +206,8 @@ class TestForecast:
 @pytest.mark.parametrize("command", ["forecast", "validate"])
 class TestScheduleEntries:
     def run_with(self, command, tmp_path, instance_file, starts):
-        schedule_path = tmp_path / "edited.json"
-        io.write_schedule(Schedule(starts), schedule_path)
+        schedule_path = tmp_path / "edited.json"  # raw JSON: a Schedule refuses a NaN start
+        schedule_path.write_text(json.dumps({"format_version": io.FORMAT_VERSION, "starts": starts}))
         return run(command, instance_file, schedule_path, "--out", tmp_path / "x.out")
 
     def test_unknown_patient_id_exits_2(self, command, tmp_path, small_instance_file,

@@ -65,6 +65,12 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 time_grid(0.1, bad)
 
+    def test_rejects_an_integer_beyond_float_range_by_name(self):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            time_grid(0.1, 10 ** 400)
+        with pytest.raises(ValueError, match="grid step must be positive and finite"):
+            time_grid(10 ** 400, 24.0)
+
     def test_rejects_a_grid_too_fine_to_allocate(self):
         assert time_grid(0.001, 24.0).size == 24001
         for step in (1e-9, 5e-324, 24.0 / forecast.MAX_GRID_POINTS):

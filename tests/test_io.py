@@ -63,6 +63,24 @@ class TestInstanceRoundTrip:
                                              rf"unknown field\(s\) {field}$"):
             io.read_instance(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["patients"][2]["surgery"].update(sigma2=math.nan),
+         "patients[2] surgery: lognormal: sigma2 must be a finite number, got nan"),
+        (lambda d: d["patients"][2]["recovery"].pop("mu"),
+         "patients[2] recovery: missing required field 'mu'"),
+        (lambda d: d["surgeons"][1].update(shift_start=9.0),
+         "surgeons[1]: surgeon s2: shift [9.0, 8.0] is invalid"),
+        (lambda d: d.update(or_count=1), "top level: patient p2 references OR 2 outside 1..1"),
+    ])
+    def test_an_error_names_only_the_innermost_entry(self, tmp_path, edit, message):
+        payload = io.instance_to_dict(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=4)))
+        edit(payload)
+        path = tmp_path / "day.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.read_instance(path)
+
     def test_omitted_optional_fields_take_their_defaults(self, tmp_path):
         day = make_instance([make_patient(setup=0.2, cleanup=0.3, duration=2.5)],
                             surgeons=[Surgeon(id="s1", shift_start=1.0, shift_end=7.0, new_or_setup=0.4)])

@@ -49,7 +49,7 @@ class TestTypes:
     def test_instance_validation(self):
         patient = make_patient()
         with pytest.raises(ValueError):  # unknown surgeon
-            Instance(surgeons=[], patients=[patient], or_count=1)
+            Instance(surgeons=[], patients=[patient], or_count=1, or_open_hours=8.0, day_hours=24.0)
         with pytest.raises(ValueError):  # OR out of range
             make_instance([make_patient(or_id=3)], or_count=2)
         with pytest.raises(ValueError):  # duplicate patients
@@ -78,10 +78,27 @@ class TestTypes:
      "surgeon s1: shift_start must be a finite number, got '0'"),
     (lambda: Surgeon(id=None, shift_start=0.0, shift_end=8.0),
      "surgeon None: id must be a string, got None"),
+    (lambda: Patient(id="p1", surgeon_id="s1", or_id=1, needs_recovery=True, surgery=None,
+                     recovery=LognormalParams(0.0, 0.1)),
+     "patient p1: surgery must be a LognormalParams, got None"),
 ])
 def test_record_refuses_a_wrong_kind_naming_itself_the_field_and_the_kind(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("starts, message", [
+    (None, "starts must map patient ids to numbers"),
+    ([0.0, 1.0], "starts must map patient ids to numbers"),
+    ({"p1": 0.0, "p2": True}, "starts must map patient ids to numbers; not a number for patients: p2"),
+    ({"p1": "0.5", "p2": 1.0}, "starts must map patient ids to numbers; not a number for patients: p1"),
+    ({"p1": math.nan, "p2": 1.0, "p3": -math.inf},
+     "starts: non-finite start times for patients: p1, p3"),
+    ({"p1": 10 ** 400}, "starts: non-finite start times for patients: p1"),
+])
+def test_schedule_refuses_a_start_that_is_not_a_finite_number(starts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        Schedule(starts)
 
 
 class TestPairwiseChecks:

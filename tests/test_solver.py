@@ -354,6 +354,12 @@ class TestSAConfig:
             with pytest.raises(ValueError, match="grid step must be positive and finite"):
                 SAConfig(grid_step=bad)
 
+    @pytest.mark.parametrize("field, setting", [("initial_temperature", "initial temperature"),
+                                                ("grid_step", "grid step")])
+    def test_an_integer_beyond_float_range_is_refused_by_name(self, field, setting):
+        with pytest.raises(ValueError, match=f"{setting} must be positive and finite"):
+            SAConfig(**{field: 10 ** 400})
+
     @pytest.mark.parametrize("field, value, message", [
         ("iterations", 2.5, "iterations must be an integer, got 2.5"),
         ("iterations", True, "iterations must be an integer, got True"),
