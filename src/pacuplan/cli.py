@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .model import Instance, Schedule, _require_complete, check_feasibility
+from .model import Instance, Schedule, check_feasibility
 from .simulation import (BIAS_FLOOR, SAMPLING_MODES, GenSpec, coverage_stats,
                          generate_instance, monte_carlo_curve)
 from .solver import SAConfig, simulated_annealing
@@ -35,14 +35,13 @@ def _manifest(args: argparse.Namespace, config: dict, inputs: list[str],
                       **measured)
 
 
-def _read_schedule_of(instance: Instance, path: str) -> Schedule:
-    """Read a schedule file, rejecting it unless it times exactly the instance's patients."""
+def _read_schedule_of(instance: Instance, path: str) -> tuple[Schedule, list[float]]:
+    """A schedule file and its starts in patient order; it must time exactly the instance's patients."""
     schedule = io.read_schedule(path)
     try:
-        _require_complete(instance, schedule)
+        return schedule, instance.starts_of(schedule)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return schedule
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -71,8 +70,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     instance = io.read_instance(args.instance)
-    schedule = _read_schedule_of(instance, args.schedule)
-    starts = [schedule.starts[p.id] for p in instance.patients]
+    _, starts = _read_schedule_of(instance, args.schedule)
     read_done = time.perf_counter()
     curve = forecast.occupancy_curve(instance.patients, starts,
                                      grid_step=args.grid_step, horizon=instance.day_hours)
@@ -162,7 +160,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     instance = io.read_instance(args.instance)
-    schedule = _read_schedule_of(instance, args.schedule)
+    schedule, _ = _read_schedule_of(instance, args.schedule)  # an error here names the file
     if args.samples == 1:
         print("warning: a single sample gives degenerate statistics (zero variance)",
               file=sys.stderr)

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import reprlib
 import typing
 
 import numpy as np
@@ -78,15 +79,28 @@ def _field_table(cls: type):
 def _check_fields(record, owner: str | None, any_real: bool = False) -> None:
     """Reject a field of ``record`` not of its annotated kind, naming ``owner`` and the field.
 
-    ``owner`` is formatted, with ``self`` as the record, only when a check
-    fails.  With ``any_real``, a float field takes any real number.
+    A list-of-records field must be a list, and an error names its first
+    entry that is not such a record.  ``owner`` is formatted, with ``self``
+    as the record, only when a check fails.  With ``any_real``, a float
+    field takes any real number.
     """
-    for name, kind in _field_table(type(record))[2]:
+    def error(problem: str) -> ValueError:
+        return ValueError(problem if owner is None else f"{owner.format(self=record)}: {problem}")
+
+    _, _, kinds, built = _field_table(type(record))
+    for name, kind in kinds:
         value = getattr(record, name)
         test, noun = _ANY_REAL if any_real and kind is float else _KINDS[kind]
         if not test(value):
-            where = "" if owner is None else owner.format(self=record) + ": "
-            raise ValueError(f"{where}{name} must be {noun}, got {value!r}")
+            raise error(f"{name} must be {noun}, got {value!r}")
+    for name, container, inner in built:
+        if container is list:
+            value = getattr(record, name)
+            if not isinstance(value, list):
+                raise error(f"{name} must be a list, got {reprlib.repr(value)}")
+            for i, entry in enumerate(value):
+                if not isinstance(entry, inner):
+                    raise error(f"{name}[{i}] must be a {inner.__name__}, got {entry!r}")
 
 
 @dataclasses.dataclass(frozen=True)

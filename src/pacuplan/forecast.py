@@ -14,11 +14,13 @@ on a regular time grid.
 Every path, the Monte Carlo sampler's included, reads the recovery patients
 in one array form, ``RecoveryRows``: their positions among the day's
 patients and the lognormal (mu, sigma) of surgery, surgery + recovery and
-recovery, one row each.  Its ``starts`` is the one check of a schedule's
-starts (one finite start per patient) and picks out the rows'.  Callers
-take the rows from ``RecoveryRows.of``, a day's one cache: it builds them
-once for a run of calls on the same day, such as an annealing run, and they
-keep the day's MEO kernel (``kernel``) and the schedule builder's workspace.
+recovery, one row each.  Its ``starts`` checks a raw list of starts (one
+real, finite start per patient) and picks out the rows'; a ``Schedule``
+checks its own starts, and ``Instance.starts_of`` that it times exactly the
+day's patients.  Callers take the rows from ``RecoveryRows.of``, a day's
+one cache: it builds them once for a run of calls on the same day, such as
+an annealing run, and they keep the day's MEO kernel (``kernel``) and the
+schedule builder's workspace.
 
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
@@ -82,7 +84,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import SQRT2, _erf, _is_finite, poisson_binomial_cdf
+from .distributions import SQRT2, _erf, _is_finite, _is_real, poisson_binomial_cdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Patient
@@ -207,10 +209,20 @@ class RecoveryRows:
         return self._kernel[1]
 
     def starts(self, starts: Sequence[float]) -> np.ndarray:
-        """The rows' starts, out of one finite start per patient."""
+        """The rows' starts, out of one finite start per patient.
+
+        A start must be a real number, and a bool is not one.  A float or
+        integer array passes by its dtype, and a sequence of floats and
+        ints by its element types, before any entry is tested alone.
+        """
         if len(starts) != self.n_patients:
             raise ValueError(f"expected one start per patient, got {len(starts)} starts "
                              f"for {self.n_patients} patients")
+        if not (starts.dtype.kind in "fiu" if isinstance(starts, np.ndarray)
+                else {*map(type, starts)} <= {float, int}):
+            for i, z in enumerate(starts):
+                if not _is_real(z):
+                    raise ValueError(f"start {i} is not a number: {z!r}")
         starts = np.asarray(starts, dtype=float)
         if not np.isfinite(starts).all():
             bad = int(np.flatnonzero(~np.isfinite(starts))[0])

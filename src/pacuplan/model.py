@@ -121,19 +121,34 @@ class Instance:
     def recovery_count(self) -> int:
         return sum(1 for p in self.patients if p.needs_recovery)
 
+    def starts_of(self, schedule: Schedule) -> list[float]:
+        """The schedule's starts in patient order; it must time exactly this day's patients."""
+        starts = schedule.starts
+        missing = [p.id for p in self.patients if p.id not in starts]
+        if missing:
+            raise ValueError(f"schedule is missing start times for patients: {', '.join(missing)}")
+        unknown = [pid for pid in starts if pid not in self.patient_by_id]
+        if unknown:
+            raise ValueError(f"schedule has start times for patients not in the instance: "
+                             f"{', '.join(unknown)}")
+        return [starts[p.id] for p in self.patients]
+
 
 @dataclass(frozen=True)
 class Schedule:
-    """Start times per patient id, each a finite number; everything else about timing is derived."""
+    """Start times by string patient id, each a finite number; everything else about timing is derived."""
 
     starts: dict[str, float]
 
     def __post_init__(self) -> None:
         if not isinstance(self.starts, dict):
             raise ValueError(f"starts must map patient ids to numbers, got {type(self.starts).__name__}")
-        bad = [pid for pid, z in self.starts.items() if not _is_finite(z)]
+        bad = [pid for pid, z in self.starts.items() if not (_is_finite(z) and isinstance(pid, str))]
         if bad:
-            names = ", ".join(map(str, bad))
+            ids = [pid for pid in bad if not isinstance(pid, str)]
+            if ids:
+                raise ValueError(f"starts: patient ids must be strings, got {', '.join(map(repr, ids))}")
+            names = ", ".join(bad)
             if all(_is_real(self.starts[pid]) for pid in bad):
                 raise ValueError(f"starts: non-finite start times for patients: {names}")
             raise ValueError(f"starts must map patient ids to numbers; not a number for patients: {names}")
@@ -154,20 +169,9 @@ class Violation:
     magnitude: float = 0.0
 
 
-def _require_complete(instance: Instance, schedule: Schedule) -> None:
-    """Reject a schedule unless it times exactly the instance's patients."""
-    missing = [p.id for p in instance.patients if p.id not in schedule.starts]
-    if missing:
-        raise ValueError(f"schedule is missing start times for patients: {', '.join(missing)}")
-    unknown = [pid for pid in schedule.starts if pid not in instance.patient_by_id]
-    if unknown:
-        raise ValueError(f"schedule has start times for patients not in the instance: "
-                         f"{', '.join(map(str, unknown))}")
-
-
 def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]:
     """Minimal non-negative overtime per surgeon implied by the schedule."""
-    _require_complete(instance, schedule)
+    instance.starts_of(schedule)  # the schedule must time exactly the day's patients
     overtime = {}
     for surgeon in instance.surgeons:
         latest = max((schedule.end_of(p) - surgeon.shift_end
@@ -186,33 +190,28 @@ def _overtime_cap(instance: Instance, surgeon: Surgeon) -> float:
 def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]:
     """All sequencing-rule violations beyond tolerance; empty means feasible.
 
-    Checks, by constraint number: shift starts (2), shift ends net of
-    overtime (3), the overtime cap (4), no double-booked surgeon (9) or OR
-    (10), setup/cleanup gaps between consecutive same-surgeon (12) and
-    same-OR (13) cases.
+    Checks, by constraint number: shift starts (2), the overtime cap (4),
+    no double-booked surgeon (9) or OR (10), setup/cleanup gaps between
+    consecutive same-surgeon (12) and same-OR (13) cases.  Shift ends net
+    of overtime (3) hold by construction: ``compute_overtime`` makes a
+    surgeon's overtime the largest end past the shift end among their
+    cases, so no case ends later than the shift end plus that overtime.
     """
     violations: list[Violation] = []
     overtime = compute_overtime(instance, schedule)
 
     for surgeon in instance.surgeons:
-        own = instance.patients_by_surgeon[surgeon.id]
-        for p in own:
+        for p in instance.patients_by_surgeon[surgeon.id]:
             z = schedule.starts[p.id]
             if z < surgeon.shift_start - FEASIBILITY_EPS:
                 violations.append(Violation(
                     2, f"patient {p.id} starts {surgeon.shift_start - z:.4g} h before surgeon {surgeon.id}'s shift",
                     patients=(p.id,), surgeon=surgeon.id, magnitude=surgeon.shift_start - z))
-            past_shift = schedule.end_of(p) - (surgeon.shift_end + overtime[surgeon.id])
-            if past_shift > FEASIBILITY_EPS:
-                violations.append(Violation(
-                    3, f"patient {p.id} ends {past_shift:.4g} h past surgeon {surgeon.id}'s shift plus overtime",
-                    patients=(p.id,), surgeon=surgeon.id, magnitude=past_shift))
-        if overtime[surgeon.id] > 0.0:
-            excess = overtime[surgeon.id] - _overtime_cap(instance, surgeon)
-            if excess > FEASIBILITY_EPS:
-                violations.append(Violation(
-                    4, f"surgeon {surgeon.id} overtime exceeds its cap by {excess:.4g} h",
-                    surgeon=surgeon.id, magnitude=excess))
+        excess = overtime[surgeon.id] - _overtime_cap(instance, surgeon)
+        if excess > FEASIBILITY_EPS:
+            violations.append(Violation(
+                4, f"surgeon {surgeon.id} overtime exceeds its cap by {excess:.4g} h",
+                surgeon=surgeon.id, magnitude=excess))
 
     def ends_after_start(p: Patient, q: Patient) -> bool:
         """q's surgery ends strictly (beyond FEASIBILITY_EPS) after p's starts."""
@@ -256,6 +255,5 @@ def _overlap_hours(instance: Instance, schedule: Schedule, p: Patient, q: Patien
 def max_expected_occupancy(instance: Instance, schedule: Schedule,
                            grid_step: float = forecast.GRID_STEP) -> float:
     """Peak of the expected recovery occupancy over the day's time grid."""
-    _require_complete(instance, schedule)
-    kernel = forecast.RecoveryRows.of(instance.patients).kernel(grid_step, instance.day_hours)
-    return kernel.peak([schedule.starts[p.id] for p in instance.patients])
+    starts = instance.starts_of(schedule)
+    return forecast.RecoveryRows.of(instance.patients).kernel(grid_step, instance.day_hours).peak(starts)

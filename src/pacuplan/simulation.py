@@ -35,7 +35,7 @@ import numpy as np
 
 from . import forecast
 from .distributions import LognormalParams, _check_fields
-from .model import Instance, Patient, Schedule, Surgeon, _require_complete
+from .model import Instance, Patient, Schedule, Surgeon
 
 # The analytic recovery model that is exact for each sampling mode's process.
 _RECOVERY_MODEL_OF_MODE = {"true": "convolved", "matched": "moment"}
@@ -264,10 +264,8 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
         raise ValueError("need at least one sample")
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}; expected one of {SAMPLING_MODES}")
-    _require_complete(instance, schedule)
+    starts = instance.starts_of(schedule)
     rng = np.random.default_rng(0) if rng is None else rng
-
-    starts = [schedule.starts[p.id] for p in instance.patients]
     analytic = forecast.occupancy_curve(instance.patients, starts,
                                         grid_step=grid_step, horizon=instance.day_hours,
                                         recovery_model=_RECOVERY_MODEL_OF_MODE[mode])

@@ -266,7 +266,6 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     meo_trace: list[float | None] = []
     best_trace: list[float | None] = []
     accepted_trace: list[bool] = []
-    accepted = rejected = infeasible = 0
     temperature = config.initial_temperature
 
     for iteration in range(1, config.iterations + 1):
@@ -281,7 +280,6 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         construct_seconds += built - tick
         if excess > FEASIBILITY_EPS:
             candidate, take = None, False
-            infeasible += 1
         else:
             candidate = kernel.peak(candidate_starts)
             done = clock()
@@ -290,9 +288,6 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             take = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
             if take:
                 order, current = candidate_order, candidate
-                accepted += 1
-            else:
-                rejected += 1
             if candidate < best:
                 best, best_starts, best_order = candidate, candidate_starts, candidate_order
                 best_iteration, best_found = iteration, done - started
@@ -307,6 +302,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     schedule = Schedule(starts=dict(zip(ws.ids, best_starts)))
     period = config.cooling_period
     epochs = [accepted_trace[k:k + period] for k in range(0, len(accepted_trace), period)]
+    accepted, infeasible = sum(accepted_trace), meo_trace.count(None)
     return SolveReport(
         best_schedule=schedule,
         best_sequence=[ws.ids[i] for i in best_order],
@@ -317,7 +313,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
         best_trace=best_trace,
         accepted_trace=accepted_trace,
         accepted=accepted,
-        rejected=rejected,
+        rejected=config.iterations - accepted - infeasible,
         infeasible=infeasible,
         best_iteration=best_iteration,
         acceptance_by_epoch=[sum(epoch) / len(epoch) for epoch in epochs],

@@ -218,6 +218,14 @@ class TestScheduleEntries:
         assert "not in the instance: ghost" in err
         assert "Traceback" not in err
 
+    def test_missing_patient_error_names_the_schedule_file(self, command, tmp_path, small_instance_file,
+                                                           small_schedule_file, capsys):
+        starts = io.read_schedule(small_schedule_file).starts
+        del starts["p02"]
+        assert self.run_with(command, tmp_path, small_instance_file, starts) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'edited.json'}: schedule is missing start times for patients: p02" in err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_start_exits_2(self, command, tmp_path, small_instance_file,
                                       small_schedule_file, capsys, bad):
@@ -393,6 +401,14 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in command_lines:
         parser.parse_args(argv)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "instance.starts_of(" in block
+    exec(compile(block, "README.md", "exec"), {})
+    assert "->" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--iteration-grid", "--factor-grid", "--period-grid"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -170,6 +171,34 @@ class TestRecoveryRows:
         rows = forecast.RecoveryRows([make_patient(), make_patient(needs_recovery=False)])
         with pytest.raises(ValueError, match="start 1 is not finite"):
             rows.starts([0.0, bad])
+
+    @pytest.mark.parametrize("bad", [True, "1", None, 1j, np.bool_(False)],
+                             ids=["bool", "string", "none", "complex", "numpy-bool"])
+    def test_a_start_that_is_not_a_real_number_is_named_by_position(self, bad):
+        rows = forecast.RecoveryRows([make_patient(), make_patient(pid="p2", needs_recovery=False)])
+        with pytest.raises(ValueError, match=f"^start 1 is not a number: {re.escape(repr(bad))}$"):
+            rows.starts([0.0, bad])
+
+    def test_a_bool_array_is_not_starts(self):
+        rows = forecast.RecoveryRows([make_patient(), make_patient(pid="p2")])
+        with pytest.raises(ValueError, match="^start 0 is not a number"):
+            rows.starts(np.array([False, True]))
+
+    @pytest.mark.parametrize("starts", [
+        [0, 1.5], (0.0, 2), np.array([0, 1]), np.array([0.0, 1.5], dtype=np.float32),
+        np.array([0, 1], dtype=np.uint8), [np.float64(0.5), np.int64(1)], np.array([0.5, 1], dtype=object),
+    ], ids=["ints-and-floats", "tuple", "int-array", "float32-array", "uint8-array",
+            "numpy-scalars", "object-array"])
+    def test_real_starts_of_any_numeric_type_pass(self, starts):
+        rows = forecast.RecoveryRows([make_patient(), make_patient(pid="p2")])
+        assert rows.starts(starts).tolist() == [float(z) for z in starts]
+
+    @pytest.mark.parametrize("starts", [[True, False, 1.0, 2.0], ["1", 0.0, 1.0, 2.0]],
+                             ids=["bools", "string"])
+    def test_occupancy_curve_refuses_starts_that_are_not_numbers(self, starts):
+        patients = [make_patient(pid=f"p{i}") for i in range(4)]
+        with pytest.raises(ValueError, match="^start 0 is not a number"):
+            occupancy_curve(patients, starts)
 
 
 class TestRecoveryProbMatrix:

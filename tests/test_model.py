@@ -20,7 +20,7 @@ from pacuplan import (
     occupancy_curve,
 )
 
-from conftest import make_instance, make_patient
+from conftest import late_shift_instance, make_instance, make_patient, random_genspec
 
 
 class TestTypes:
@@ -101,6 +101,42 @@ def test_schedule_refuses_a_start_that_is_not_a_finite_number(starts, message):
         Schedule(starts)
 
 
+@pytest.mark.parametrize("field, kind", [("surgeons", "Surgeon"), ("patients", "Patient")])
+def test_instance_refuses_a_record_list_naming_the_first_bad_entry(field, kind):
+    day = {"surgeons": [Surgeon(id="s1", shift_start=0.0, shift_end=8.0)], "patients": [make_patient()],
+           "or_count": 1, "or_open_hours": 8.0, "day_hours": 24.0}
+    with pytest.raises(ValueError, match=f"^instance: {field} must be a list, got None$"):
+        Instance(**{**day, field: None})
+    message = f"instance: {field}[1] must be a {kind}, got None"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Instance(**{**day, field: [*day[field], None, None]})
+
+
+@pytest.mark.parametrize("starts, message", [
+    ({1: 0.0}, "starts: patient ids must be strings, got 1"),
+    ({"p1": 0.0, 2: math.nan, None: 1.0}, "starts: patient ids must be strings, got 2, None"),
+])
+def test_schedule_refuses_a_patient_id_that_is_not_a_string(starts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Schedule(starts)
+
+
+class TestStartsOf:
+    def test_gives_the_starts_in_patient_order(self):
+        instance = make_instance([make_patient(pid="b"), make_patient(pid="a")])
+        assert instance.starts_of(Schedule({"a": 1.0, "b": 2.5})) == [2.5, 1.0]
+
+    @pytest.mark.parametrize("starts, message", [
+        ({"a": 1.0}, "schedule is missing start times for patients: b"),
+        ({"a": 1.0, "b": 2.0, "ghost": 3.0, "x": 4.0},
+         "schedule has start times for patients not in the instance: ghost, x"),
+    ], ids=["missing", "unknown"])
+    def test_refuses_a_schedule_that_does_not_time_exactly_the_days_patients(self, starts, message):
+        instance = make_instance([make_patient(pid="b"), make_patient(pid="a")])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance.starts_of(Schedule(starts))
+
+
 class TestPairwiseChecks:
     """Overlap and "ends after start" between two cases, as ``check_feasibility`` sees them.
 
@@ -166,6 +202,23 @@ class TestComputeOvertime:
         instance = make_instance(patients)
         overtime = compute_overtime(instance, Schedule({"a": 0.0, "b": 7.5, "c": 3.0}))
         assert overtime["s1"] == pytest.approx(1.5)  # b ends at 9.5
+
+    def test_no_case_ends_past_its_surgeons_shift_end_plus_overtime(self):
+        # Constraint 3, which check_feasibility therefore does not check.
+        rng = np.random.default_rng(23)
+        days = ([generate_instance(random_genspec(rng)) for _ in range(4)]
+                + [late_shift_instance(rng) for _ in range(4)]
+                + [make_instance([make_patient(duration=float(d))]) for d in 10.0 ** rng.uniform(-3, 9, 8)])
+        for instance in days:
+            ids = instance.patient_ids
+            schedules = [construct_schedule(instance, ids),
+                         *(construct_schedule(instance, list(rng.permutation(ids)), rng) for _ in range(3)),
+                         Schedule({pid: float(rng.uniform(0.0, instance.day_hours)) for pid in ids})]
+            for schedule in schedules:
+                overtime = compute_overtime(instance, schedule)
+                for p in instance.patients:
+                    surgeon = instance.surgeon_by_id[p.surgeon_id]
+                    assert schedule.end_of(p) - surgeon.shift_end <= overtime[surgeon.id]
 
 
 class TestCheckFeasibility:
