@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -213,7 +214,8 @@ class RecoveryRows:
 
         A start must be a real number, and a bool is not one.  A float or
         integer array passes by its dtype, and a sequence of floats and
-        ints by its element types, before any entry is tested alone.
+        ints by its element types, before any entry is tested alone.  An
+        integer that no float holds is not finite.
         """
         if len(starts) != self.n_patients:
             raise ValueError(f"expected one start per patient, got {len(starts)} starts "
@@ -223,7 +225,11 @@ class RecoveryRows:
             for i, z in enumerate(starts):
                 if not _is_real(z):
                     raise ValueError(f"start {i} is not a number: {z!r}")
-        starts = np.asarray(starts, dtype=float)
+        try:
+            starts = np.asarray(starts, dtype=float)
+        except OverflowError:
+            bad = next(i for i, z in enumerate(starts) if not _is_finite(z))
+            raise ValueError(f"start {bad} is not finite: {reprlib.repr(starts[bad])}") from None
         if not np.isfinite(starts).all():
             bad = int(np.flatnonzero(~np.isfinite(starts))[0])
             raise ValueError(f"start {bad} is not finite: {starts[bad]}")
@@ -363,7 +369,7 @@ def _column_sums(probs: np.ndarray) -> np.ndarray:
 
     ``sum(axis=0)`` would pair up the terms of a lone column.
     """
-    return np.cumsum(probs, axis=0, out=probs)[-1]
+    return np.add.accumulate(probs, axis=0, out=probs)[-1]
 
 
 def _lognormal_cdf_matrix(log_mean: np.ndarray, log_sd: np.ndarray, x: np.ndarray) -> np.ndarray:

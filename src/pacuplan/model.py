@@ -22,23 +22,16 @@ FEASIBILITY_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Surgeon:
-    """A surgeon's day: shift window plus the setup they need in a fresh OR.
-
-    ``new_or_setup`` is carried for completeness; no sequencing rule
-    currently consumes it.
-    """
+    """A surgeon's shift window: their cases start no earlier than its start; overtime runs past its end."""
 
     id: str
     shift_start: float
     shift_end: float
-    new_or_setup: float = 0.0
 
     def __post_init__(self) -> None:
         _check_fields(self, "surgeon {self.id}")
         if not 0.0 <= self.shift_start < self.shift_end:
             raise ValueError(f"surgeon {self.id}: shift [{self.shift_start}, {self.shift_end}] is invalid")
-        if self.new_or_setup < 0.0:
-            raise ValueError(f"surgeon {self.id}: negative new-OR setup")
 
 
 @dataclass(frozen=True)

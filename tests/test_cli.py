@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -266,12 +267,13 @@ def _drop(*path):
     (_set("day_hours", float("inf")), "day_hours"),
     (_set("patients", 2, "setup", float("nan")), "setup"),
     (_set("patients", 2, "cleanup", float("nan")), "cleanup"),
-    (_set("surgeons", 0, "new_or_setup", float("nan")), "new_or_setup"),
+    (_set("surgeons", 0, "shift_end", float("nan")), "shift_end"),
     (_set("patients", 3, "needs_recovery", "false"), "needs_recovery"),
     (_set("patients", 0, "expected_duration", float("inf")), "expected_duration"),
     (_set("patients", 0, "id", 5), "patient 5: id must be a string"),
     (_set("surgeons", 0, "id", 7), "surgeon 7: id must be a string"),
     (_set("surgeons", 0, "shift_ned", 8.0), "surgeons[0]: unknown field(s) shift_ned"),
+    (_set("surgeons", 0, "new_or_setup", 0.0), "surgeons[0]: unknown field(s) new_or_setup"),
     (_drop("surgeons", 0, "shift_start"), "surgeons[0]: missing required field 'shift_start'"),
     (_drop("surgeons", 0, "shift_end"), "surgeons[0]: missing required field 'shift_end'"),
     (_drop("patients", 3, "id"), "patients[3]: missing required field 'id'"),
@@ -730,6 +732,17 @@ def test_fresh_import_loads_no_scipy():
     assert loaded == "[]"
 
 
+def test_sources_parse_as_python_3_10():
+    """Every module parses under Python 3.10's grammar, ``requires-python``'s floor.
+
+    This catches syntax only: a library call that 3.11 added still passes.
+    """
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "pacuplan").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 class TestGoldenDataFiles:
     """The SHA-256 of every data file the commands write, pinned on this platform.
 
@@ -738,8 +751,8 @@ class TestGoldenDataFiles:
     """
 
     DIGESTS = {
-        "day.json": "8cafda1e28a31402524a499623d206adc0387a40085969ea2708dfb1eefeb5f3",
-        "big.json": "9d33a9783a3e86b4d0a4d25909688a9513a14794ddd056990a7a57b29282f404",
+        "day.json": "9a022c2c61058030f566f2dc86832e3d20e6326c1aea9189c589bccb084eb086",
+        "big.json": "7157e93ebfea852453705f4e89d4f65243d8f101eca2a16b069788ea08953c9e",
         "day-best.json": "f60b4b1a70382f9fdd0829d2e94fda1a63cf8f5e0850098d50544a9fa8bcf24d",
         "day-best.report.json": "3fa467c9cb2dc5e478963c01ceb7cf2068ba3218da43ecbc1a0c9472f16ca709",
         "big-best.json": "100d937ba59769fd838b59ce136d79c4048f6cdb45b94ca88ccdd02c4369bfc8",
@@ -748,8 +761,8 @@ class TestGoldenDataFiles:
         "big.csv": "7a613799cbb2480e3dea563798ed89f42800e1651cccce11ce37c1d67a2f3b65",
         "check-true.json": "d1f271534fedc202c2ce3516b7af1678aaccc0dc0952f6d69aed0cf95dc47693",
         "check-matched.json": "ed6dce4bbcc4128dab253750332898737ca069f32daf891b38a1044d366f2835",
-        "sweep/day2.json": "27bdb463575eddf222807ce2a5c1f8fa9c77b591412a0395869c83af855723c1",
-        "sweep/day3.json": "96440c576aee62e2d6d75c3b30413906ec889fd08523571b9ba1b00affce8539",
+        "sweep/day2.json": "652dace525234da53a666e8addc2a2b5a6277f5cb6e38aa37493391707874ab6",
+        "sweep/day3.json": "88087f5c47ea759a42923912812fa4c4900ddc782de65e7f7176158b2b9012d2",
         "sweep.csv": "71cd6311c227dc98ea86bd4861bea86a410816351ed7a1221b37928e6221d39a",
     }
 

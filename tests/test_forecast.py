@@ -172,6 +172,17 @@ class TestRecoveryRows:
         with pytest.raises(ValueError, match="start 1 is not finite"):
             rows.starts([0.0, bad])
 
+    @pytest.mark.parametrize("entry", [
+        lambda patients, starts: occupancy_curve(patients, starts),
+        lambda patients, starts: exact_occupancy_cdf(patients, starts, 2.0, 1),
+        lambda patients, starts: RecoveryRows.of(patients).kernel(0.1, 24.0).peak(starts),
+    ], ids=["occupancy_curve", "exact_occupancy_cdf", "kernel-peak"])
+    def test_an_integer_beyond_float_range_is_named_by_position(self, entry):
+        patients = [make_patient(pid=f"p{i}") for i in range(3)]
+        with pytest.raises(ValueError, match=r"^start 1 is not finite: 1000+\.\.\.0+$") as caught:
+            entry(patients, [0.0, 10**400, 1.0])
+        assert len(str(caught.value)) < 80
+
     @pytest.mark.parametrize("bad", [True, "1", None, 1j, np.bool_(False)],
                              ids=["bool", "string", "none", "complex", "numpy-bool"])
     def test_a_start_that_is_not_a_real_number_is_named_by_position(self, bad):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Schedule, Surgeon,
                       generate_instance, occupancy_curve)
-from pacuplan import io
+from pacuplan import distributions, io
 
 from conftest import make_instance, make_patient
 
@@ -83,15 +84,14 @@ class TestInstanceRoundTrip:
 
     def test_omitted_optional_fields_take_their_defaults(self, tmp_path):
         day = make_instance([make_patient(setup=0.2, cleanup=0.3, duration=2.5)],
-                            surgeons=[Surgeon(id="s1", shift_start=1.0, shift_end=7.0, new_or_setup=0.4)])
+                            surgeons=[Surgeon(id="s1", shift_start=1.0, shift_end=7.0)])
         payload = io.instance_to_dict(day)
-        del payload["surgeons"][0]["new_or_setup"]
         for name in ("expected_duration", "setup", "cleanup"):
             del payload["patients"][0][name]
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(payload))
         read = io.read_instance(path)
-        assert read.surgeons == [Surgeon(id="s1", shift_start=1.0, shift_end=7.0, new_or_setup=0.0)]
+        assert read.surgeons == [Surgeon(id="s1", shift_start=1.0, shift_end=7.0)]
         patient = read.patients[0]
         assert (patient.expected_duration, patient.setup, patient.cleanup) == (
             patient.surgery.mean(), 0.0, 0.0)
@@ -101,8 +101,7 @@ class TestInstanceRoundTrip:
     @pytest.mark.parametrize("real", [np.float32, np.float64])
     def test_numpy_scalars_write_as_the_python_numbers_they_hold(self, tmp_path, real):
         def day(integer, number):
-            surgeon = Surgeon(id="s1", shift_start=number(0.5), shift_end=number(7.25),
-                              new_or_setup=number(0.1))
+            surgeon = Surgeon(id="s1", shift_start=number(0.5), shift_end=number(7.25))
             patient = Patient(id="p1", surgeon_id="s1", or_id=integer(2), needs_recovery=True,
                               surgery=LognormalParams(number(0.3), number(0.2)),
                               recovery=LognormalParams(number(-0.1), number(0.4)),
@@ -143,6 +142,22 @@ class TestScheduleRoundTrip:
             io.read_schedule(path)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("cls", [Instance, Surgeon, Patient, LognormalParams, Schedule],
+                         ids=lambda cls: cls.__name__)
+def test_readme_names_each_file_records_fields(cls):
+    # One line per record: - `Record`: `field`, ...; optional: `field`, ...
+    lines = [line for line in README.read_text().splitlines()
+             if line.lstrip().startswith(f"- `{cls.__name__}`: ")]
+    assert len(lines) == 1
+    required, _, optional = lines[0].split(": ", 1)[1].partition("; optional: ")
+    names, without_default, _, _ = distributions._field_table(cls)
+    assert set(re.findall(r"`(\w+)`", required)) == without_default
+    assert set(re.findall(r"`(\w+)`", optional)) == names - without_default
+
+
 def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -161,8 +176,7 @@ def instances(draw):
         shift_start = draw(_finite(0.0, day_hours / 2))
         surgeons.append(Surgeon(id=sid, shift_start=shift_start,
                                 shift_end=draw(_finite(shift_start, day_hours).filter(
-                                    lambda end: end > shift_start)),
-                                new_or_setup=draw(_finite(0.0, 2.0))))
+                                    lambda end: end > shift_start))))
     patients = [Patient(id=pid, surgeon_id=draw(st.sampled_from(surgeons)).id,
                         or_id=draw(st.integers(1, or_count)),
                         needs_recovery=draw(st.booleans()),
@@ -194,7 +208,7 @@ class TestRoundTripProperties:
 # Every numeric field of an instance file, as the path of keys and list indices to it.
 NUMERIC_FIELDS = [
     ("or_count",), ("or_open_hours",), ("day_hours",),
-    ("surgeons", 1, "shift_start"), ("surgeons", 1, "shift_end"), ("surgeons", 1, "new_or_setup"),
+    ("surgeons", 1, "shift_start"), ("surgeons", 1, "shift_end"),
     ("patients", 2, "or_id"), ("patients", 2, "expected_duration"), ("patients", 2, "setup"),
     ("patients", 2, "cleanup"), ("patients", 2, "surgery", "mu"), ("patients", 2, "surgery", "sigma2"),
     ("patients", 2, "recovery", "mu"), ("patients", 2, "recovery", "sigma2"),
