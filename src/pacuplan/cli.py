@@ -89,7 +89,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.replicas < 1:
-        raise ValueError("need at least one replica")
+        raise ValueError(f"--replicas must be at least 1, got {args.replicas}")
     config = SAConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SAConfig)})
     instance = io.read_instance(args.instance)
     read_done = time.perf_counter()
@@ -199,7 +199,7 @@ def _float_list(text: str) -> list[float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.reps < 1:
-        raise ValueError("need at least one repetition per cell")
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     for flag, grid in (("--iteration-grid", args.iteration_grid),
                        ("--factor-grid", args.factor_grid), ("--period-grid", args.period_grid)):
         if not grid:

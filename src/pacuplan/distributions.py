@@ -45,28 +45,47 @@ _KINDS = {
     int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     float: (_is_finite, "a finite number"),
-    tuple[float, float]: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
-                          and all(map(_is_finite, v)), "a (low, high) pair of finite numbers"),
+    tuple[float, float]: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_finite, v))
+                          and v[0] <= v[1], "a (low, high) pair of finite numbers, low <= high"),
 }
 # X | None takes what X takes, and None.
 _KINDS.update({kind | None: (lambda v, test=test: v is None or test(v), noun)
                for kind, (test, noun) in _KINDS.items()})
-# A float field's kind when NaN and inf pass too.
-_ANY_REAL = (_is_real, "a number")
+# The ranges a field can declare as Annotated[kind, "<range>"], by the words a refusal prints.
+_RANGES = {
+    "at least 1": lambda v: v >= 1,
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def _range(bounds: str, kind) -> tuple:
+    """(``bounds``, its test) for a field of ``kind``; a pair's range holds for both its ends."""
+    test = _RANGES[bounds]
+    return bounds, (lambda v: test(v[0]) and test(v[1])) if kind == tuple[float, float] else test
 
 
 @functools.cache
 def _field_table(cls: type):
     """What reading and checking ``cls`` need of its constructor fields, worked out once.
 
-    The fields, those without a default, (field, kind) of those in
-    ``_KINDS``, and (field, container, record) of those a reader builds: a
-    record (container None), a ``list`` of records, or a ``tuple``.
+    The fields, those without a default, (field, kind test, kind, range,
+    range test) of those in ``_KINDS`` (None, None with no range), and
+    (field, container, record) of those a reader builds: a record
+    (container None), a ``list`` of records, or a ``tuple``.
     """
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
+    ranges = {}
+    for name, hint in hints.items():
+        if typing.get_origin(hint) is typing.Annotated:
+            hints[name], bounds = typing.get_args(hint)
+            ranges[name] = _range(bounds, hints[name])
     init = [f for f in dataclasses.fields(cls) if f.init]
     required = frozenset(f.name for f in init if f.default is f.default_factory is dataclasses.MISSING)
-    kinds = tuple((f.name, hints[f.name]) for f in init if hints[f.name] in _KINDS)
+    kinds = tuple((f.name, *_KINDS[hints[f.name]], *ranges.get(f.name, (None, None)))
+                  for f in init if hints[f.name] in _KINDS)
     built = []
     for f in init:
         container = typing.get_origin(hints[f.name])
@@ -76,31 +95,32 @@ def _field_table(cls: type):
     return frozenset(f.name for f in init), required, kinds, tuple(built)
 
 
-def _check_fields(record, owner: str | None, any_real: bool = False) -> None:
-    """Reject a field of ``record`` not of its annotated kind, naming ``owner`` and the field.
+def _check_fields(record, owner: str | None) -> None:
+    """Reject a field of ``record`` not of its annotated kind and range, naming ``owner`` and the field.
 
     A list-of-records field must be a list, and an error names its first
     entry that is not such a record.  ``owner`` is formatted, with ``self``
-    as the record, only when a check fails.  With ``any_real``, a float
-    field takes any real number.
+    as the record, only when a check fails.
     """
-    def error(problem: str) -> ValueError:
+    def error(name: str, wanted: str, value) -> ValueError:
+        problem = f"{name} must be {wanted}, got {reprlib.repr(value)}"
         return ValueError(problem if owner is None else f"{owner.format(self=record)}: {problem}")
 
     _, _, kinds, built = _field_table(type(record))
-    for name, kind in kinds:
+    for name, test, noun, bounds, in_range in kinds:
         value = getattr(record, name)
-        test, noun = _ANY_REAL if any_real and kind is float else _KINDS[kind]
         if not test(value):
-            raise error(f"{name} must be {noun}, got {value!r}")
+            raise error(name, noun, value)
+        if bounds is not None and not in_range(value):
+            raise error(name, bounds, value)
     for name, container, inner in built:
         if container is list:
             value = getattr(record, name)
             if not isinstance(value, list):
-                raise error(f"{name} must be a list, got {reprlib.repr(value)}")
+                raise error(name, "a list", value)
             for i, entry in enumerate(value):
                 if not isinstance(entry, inner):
-                    raise error(f"{name}[{i}] must be a {inner.__name__}, got {entry!r}")
+                    raise error(f"{name}[{i}]", f"a {inner.__name__}", entry)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,14 +128,12 @@ class LognormalParams:
     """Lognormal duration: ``mu``/``sigma2`` are the mean/variance of the log."""
 
     mu: float
-    sigma2: float
+    sigma2: typing.Annotated[float, "positive"]
 
     def __post_init__(self) -> None:
         _check_fields(self, "lognormal")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"log-variance must be positive, got {self.sigma2}")
         if self.mu + self.sigma2 / 2.0 > _LOG_FLOAT_MAX:
-            raise ValueError(f"parameters ({self.mu}, {self.sigma2}) overflow the distribution mean")
+            raise ValueError(f"lognormal: mu {self.mu} and sigma2 {self.sigma2} overflow the distribution mean")
 
     @functools.cached_property
     def sigma(self) -> float:
@@ -128,7 +146,7 @@ class LognormalParams:
     def variance(self) -> float:
         exponent = 2.0 * self.mu + self.sigma2
         if exponent > _LOG_FLOAT_MAX:
-            raise ValueError(f"parameters ({self.mu}, {self.sigma2}) overflow the distribution variance")
+            raise ValueError(f"lognormal: mu {self.mu} and sigma2 {self.sigma2} overflow the distribution variance")
         return math.expm1(self.sigma2) * math.exp(exponent)
 
 

@@ -11,7 +11,7 @@ Instances, schedules and violations are treated as immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Annotated, Sequence
 
 from . import forecast
 from .distributions import LognormalParams, _check_fields, _is_finite, _is_real, moment_match_sum
@@ -25,12 +25,12 @@ class Surgeon:
     """A surgeon's shift window: their cases start no earlier than its start; overtime runs past its end."""
 
     id: str
-    shift_start: float
+    shift_start: Annotated[float, "non-negative"]
     shift_end: float
 
     def __post_init__(self) -> None:
         _check_fields(self, "surgeon {self.id}")
-        if not 0.0 <= self.shift_start < self.shift_end:
+        if not self.shift_start < self.shift_end:
             raise ValueError(f"surgeon {self.id}: shift [{self.shift_start}, {self.shift_end}] is invalid")
 
 
@@ -50,8 +50,8 @@ class Patient:
     surgery: LognormalParams
     recovery: LognormalParams
     expected_duration: float | None = None
-    setup: float = 0.0
-    cleanup: float = 0.0
+    setup: Annotated[float, "non-negative"] = 0.0
+    cleanup: Annotated[float, "non-negative"] = 0.0
     combined: LognormalParams = field(init=False)
 
     def __post_init__(self) -> None:
@@ -63,9 +63,18 @@ class Patient:
         if self.expected_duration is None:
             object.__setattr__(self, "expected_duration", self.surgery.mean())
         if not self.expected_duration > 0.0:
-            raise ValueError(f"patient {self.id}: expected duration must be positive")
-        if self.setup < 0.0 or self.cleanup < 0.0:
-            raise ValueError(f"patient {self.id}: setup and cleanup must be non-negative")
+            raise ValueError(f"patient {self.id}: expected_duration must be positive, "
+                             f"got {self.expected_duration}")
+
+
+def _by_id(name: str, records: list) -> dict:
+    """``records`` keyed by id; an instance refuses a list with a repeated id, naming the first."""
+    by_id = {}
+    for r in records:
+        if r.id in by_id:
+            raise ValueError(f"instance: {name} has duplicate id {r.id}")
+        by_id[r.id] = r
+    return by_id
 
 
 @dataclass
@@ -78,22 +87,17 @@ class Instance:
 
     surgeons: list[Surgeon]
     patients: list[Patient]
-    or_count: int
-    or_open_hours: float
+    or_count: Annotated[int, "non-negative"]
+    or_open_hours: Annotated[float, "positive"]
     day_hours: float
 
     def __post_init__(self) -> None:
         _check_fields(self, "instance")
-        if self.or_count < 0:
-            raise ValueError("OR count must be non-negative")
-        if not 0.0 < self.or_open_hours <= self.day_hours:
-            raise ValueError(f"OR opening hours must lie in (0, {self.day_hours}]")
-        self.surgeon_by_id = {s.id: s for s in self.surgeons}
-        if len(self.surgeon_by_id) != len(self.surgeons):
-            raise ValueError("duplicate surgeon ids")
-        self.patient_by_id = {p.id: p for p in self.patients}
-        if len(self.patient_by_id) != len(self.patients):
-            raise ValueError("duplicate patient ids")
+        if not self.or_open_hours <= self.day_hours:
+            raise ValueError(f"instance: or_open_hours must be at most day_hours {self.day_hours}, "
+                             f"got {self.or_open_hours}")
+        self.surgeon_by_id = _by_id("surgeons", self.surgeons)
+        self.patient_by_id = _by_id("patients", self.patients)
         self.patients_by_surgeon: dict[str, list[Patient]] = {s.id: [] for s in self.surgeons}
         self.patients_by_or: dict[int, list[Patient]] = {}
         for p in self.patients:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -56,43 +57,28 @@ BIAS_FLOOR = 1e-4
 class GenSpec:
     """Knobs for the synthetic day generator; ranges are (low, high) uniforms."""
 
-    or_count: int = 21
-    surgeon_count: int = 35
-    patient_count: int = 61
-    recovery_fraction: float = 45 / 61
-    or_open_hours: float = 8.0
+    or_count: Annotated[int, "at least 1"] = 21
+    surgeon_count: Annotated[int, "at least 1"] = 35
+    patient_count: Annotated[int, "at least 1"] = 61
+    recovery_fraction: Annotated[float, "in [0, 1]"] = 45 / 61
+    or_open_hours: Annotated[float, "positive"] = 8.0
     day_hours: float = 24.0
     surgery_log_mean: tuple[float, float] = (math.log(0.5), math.log(3.0))
-    surgery_log_var: tuple[float, float] = (0.05, 0.5)
+    surgery_log_var: Annotated[tuple[float, float], "positive"] = (0.05, 0.5)
     recovery_log_mean: tuple[float, float] = (math.log(0.25), math.log(2.0))
-    recovery_log_var: tuple[float, float] = (0.05, 0.5)
-    setup_hours: tuple[float, float] = (0.1, 0.5)
-    cleanup_hours: tuple[float, float] = (0.1, 0.5)
-    seed: int = 0
+    recovery_log_var: Annotated[tuple[float, float], "positive"] = (0.05, 0.5)
+    setup_hours: Annotated[tuple[float, float], "non-negative"] = (0.1, 0.5)
+    cleanup_hours: Annotated[tuple[float, float], "non-negative"] = (0.1, 0.5)
+    seed: Annotated[int, "non-negative"] = 0
 
     def __post_init__(self) -> None:
         _check_fields(self, "spec")
-        for name in ("or_count", "surgeon_count", "patient_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"spec: {name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"spec: seed must be non-negative, got {self.seed}")
         if self.surgeon_count > self.patient_count:
-            raise ValueError(
-                f"{self.surgeon_count} surgeons cannot all have patients among {self.patient_count}")
-        if not 0.0 <= self.recovery_fraction <= 1.0:
-            raise ValueError("recovery fraction must lie in [0, 1]")
-        if not 0.0 < self.or_open_hours <= self.day_hours:
-            raise ValueError("OR opening hours must lie in (0, day_hours]")
-        for name in ("surgery_log_mean", "surgery_log_var", "recovery_log_mean",
-                     "recovery_log_var", "setup_hours", "cleanup_hours"):
-            low, high = getattr(self, name)
-            if not low <= high:
-                raise ValueError(f"{name} range is empty: ({low}, {high})")
-        if self.surgery_log_var[0] <= 0.0 or self.recovery_log_var[0] <= 0.0:
-            raise ValueError("log-variance ranges must be strictly positive")
-        if self.setup_hours[0] < 0.0 or self.cleanup_hours[0] < 0.0:
-            raise ValueError("setup and cleanup ranges must be non-negative")
+            raise ValueError("spec: surgeon_count must be at most patient_count, "
+                             f"got {self.surgeon_count} surgeons for {self.patient_count} patients")
+        if not self.or_open_hours <= self.day_hours:
+            raise ValueError(f"spec: or_open_hours must be at most day_hours {self.day_hours}, "
+                             f"got {self.or_open_hours}")
 
 
 @dataclass

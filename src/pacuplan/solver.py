@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
 from . import forecast
-from .distributions import _check_fields, _is_finite
+from .distributions import _check_fields
 from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap
 
 
@@ -45,26 +45,15 @@ class SAConfig:
     Each field is also ``optimize``'s flag of the same name, with dashes.
     """
 
-    iterations: int = 2500
-    initial_temperature: float = 1.0
-    cooling_factor: float = 0.95
-    cooling_period: int = 200
-    grid_step: float = forecast.GRID_STEP
-    seed: int = 0
+    iterations: Annotated[int, "at least 1"] = 2500
+    initial_temperature: Annotated[float, "positive"] = 1.0
+    cooling_factor: Annotated[float, "in (0, 1)"] = 0.95
+    cooling_period: Annotated[int, "at least 1"] = 200
+    grid_step: Annotated[float, "positive"] = forecast.GRID_STEP
+    seed: Annotated[int, "non-negative"] = 0
 
     def __post_init__(self) -> None:
-        _check_fields(self, None, any_real=True)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling factor must lie in (0, 1)")
-        if self.cooling_period < 1:
-            raise ValueError("cooling period must be at least 1")
-        if not (_is_finite(self.initial_temperature) and self.initial_temperature > 0.0):
-            raise ValueError(f"initial temperature must be positive and finite, got {self.initial_temperature}")
-        forecast._require_grid_step(self.grid_step)
+        _check_fields(self, None)
 
 
 @dataclass

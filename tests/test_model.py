@@ -9,6 +9,7 @@ from pacuplan import (
     Instance,
     LognormalParams,
     Patient,
+    SAConfig,
     Schedule,
     Surgeon,
     check_feasibility,
@@ -60,8 +61,9 @@ class TestTypes:
             make_instance([patient], surgeons=[Surgeon(id="s1", shift_start=0.0, shift_end=25.0)])
 
 
-# Each record names itself, the field and the kind it wants when a field is of
-# the wrong kind; these are cases no CLI or io test reaches.
+# Each record names itself, the field and the kind or range it wants when a
+# field is of the wrong kind or out of range; these are cases no CLI or io test
+# reaches.
 @pytest.mark.parametrize("build, message", [
     (lambda: make_patient(or_id=True), "patient p1: or_id must be an integer, got True"),
     (lambda: make_patient(surgeon=3), "patient p1: surgeon_id must be a string, got 3"),
@@ -81,6 +83,52 @@ class TestTypes:
     (lambda: Patient(id="p1", surgeon_id="s1", or_id=1, needs_recovery=True, surgery=None,
                      recovery=LognormalParams(0.0, 0.1)),
      "patient p1: surgery must be a LognormalParams, got None"),
+    (lambda: Surgeon("s1", 10 ** 400, 8.0),
+     "surgeon s1: shift_start must be a finite number, got 100000000000000000...0000000000000000000"),
+    # One row per field whose annotation declares a range.
+    (lambda: Surgeon(id="s1", shift_start=-1.0, shift_end=8.0),
+     "surgeon s1: shift_start must be non-negative, got -1.0"),
+    (lambda: make_patient(setup=-0.1), "patient p1: setup must be non-negative, got -0.1"),
+    (lambda: make_patient(cleanup=-0.1), "patient p1: cleanup must be non-negative, got -0.1"),
+    (lambda: make_instance([], or_count=-1), "instance: or_count must be non-negative, got -1"),
+    (lambda: make_instance([], or_open_hours=0.0), "instance: or_open_hours must be positive, got 0.0"),
+    (lambda: LognormalParams(0.0, 0.0), "lognormal: sigma2 must be positive, got 0.0"),
+    (lambda: GenSpec(or_count=0), "spec: or_count must be at least 1, got 0"),
+    (lambda: GenSpec(surgeon_count=0), "spec: surgeon_count must be at least 1, got 0"),
+    (lambda: GenSpec(patient_count=0), "spec: patient_count must be at least 1, got 0"),
+    (lambda: GenSpec(seed=-1), "spec: seed must be non-negative, got -1"),
+    (lambda: GenSpec(recovery_fraction=1.5), "spec: recovery_fraction must be in [0, 1], got 1.5"),
+    (lambda: GenSpec(or_open_hours=-8.0), "spec: or_open_hours must be positive, got -8.0"),
+    (lambda: GenSpec(surgery_log_var=(0.0, 0.5)), "spec: surgery_log_var must be positive, got (0.0, 0.5)"),
+    (lambda: GenSpec(recovery_log_var=(-0.5, 0.5)),
+     "spec: recovery_log_var must be positive, got (-0.5, 0.5)"),
+    (lambda: GenSpec(setup_hours=(-0.1, 0.5)), "spec: setup_hours must be non-negative, got (-0.1, 0.5)"),
+    (lambda: GenSpec(cleanup_hours=(-0.1, 0.5)),
+     "spec: cleanup_hours must be non-negative, got (-0.1, 0.5)"),
+    (lambda: SAConfig(iterations=0), "iterations must be at least 1, got 0"),
+    (lambda: SAConfig(initial_temperature=0.0), "initial_temperature must be positive, got 0.0"),
+    (lambda: SAConfig(cooling_factor=1.0), "cooling_factor must be in (0, 1), got 1.0"),
+    (lambda: SAConfig(cooling_period=0), "cooling_period must be at least 1, got 0"),
+    (lambda: SAConfig(grid_step=-0.1), "grid_step must be positive, got -0.1"),
+    (lambda: SAConfig(seed=-1), "seed must be non-negative, got -1"),
+    # A pair's kind requires low <= high.
+    (lambda: GenSpec(setup_hours=(0.5, 0.1)),
+     "spec: setup_hours must be a (low, high) pair of finite numbers, low <= high, got (0.5, 0.1)"),
+    # Checks that compare two fields, check ids or test a filled-in default name the field too.
+    (lambda: GenSpec(surgeon_count=70),
+     "spec: surgeon_count must be at most patient_count, got 70 surgeons for 61 patients"),
+    (lambda: GenSpec(or_open_hours=25.0), "spec: or_open_hours must be at most day_hours 24.0, got 25.0"),
+    (lambda: make_instance([], or_open_hours=25.0),
+     "instance: or_open_hours must be at most day_hours 24.0, got 25.0"),
+    (lambda: make_instance([], surgeons=[Surgeon("s1", 0.0, 8.0), Surgeon("s2", 0.0, 8.0),
+                                         Surgeon("s2", 1.0, 8.0), Surgeon("s1", 1.0, 8.0)]),
+     "instance: surgeons has duplicate id s2"),
+    (lambda: make_instance([make_patient(), make_patient(pid="p2"), make_patient(pid="p2")]),
+     "instance: patients has duplicate id p2"),
+    (lambda: LognormalParams(800.0, 1.0), "lognormal: mu 800.0 and sigma2 1.0 overflow the distribution mean"),
+    (lambda: LognormalParams(500.0, 1.0).variance(),
+     "lognormal: mu 500.0 and sigma2 1.0 overflow the distribution variance"),
+    (lambda: make_patient(duration=-1.0), "patient p1: expected_duration must be positive, got -1.0"),
 ])
 def test_record_refuses_a_wrong_kind_naming_itself_the_field_and_the_kind(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -349,15 +349,15 @@ class TestSAConfig:
         with pytest.raises(ValueError):
             SAConfig(initial_temperature=0.0)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="initial temperature must be positive and finite"):
+            with pytest.raises(ValueError, match="initial_temperature must be a finite number"):
                 SAConfig(initial_temperature=bad)
-            with pytest.raises(ValueError, match="grid step must be positive and finite"):
+            with pytest.raises(ValueError, match="grid_step must be a finite number"):
                 SAConfig(grid_step=bad)
 
-    @pytest.mark.parametrize("field, setting", [("initial_temperature", "initial temperature"),
-                                                ("grid_step", "grid step")])
+    @pytest.mark.parametrize("field, setting", [("initial_temperature", "initial_temperature"),
+                                                ("grid_step", "grid_step")])
     def test_an_integer_beyond_float_range_is_refused_by_name(self, field, setting):
-        with pytest.raises(ValueError, match=f"{setting} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"{setting} must be a finite number"):
             SAConfig(**{field: 10 ** 400})
 
     @pytest.mark.parametrize("field, value, message", [
@@ -366,10 +366,10 @@ class TestSAConfig:
         ("cooling_period", 50.0, "cooling_period must be an integer, got 50.0"),
         ("seed", 1.0, "seed must be an integer, got 1.0"),
         ("seed", -1, "seed must be non-negative, got -1"),
-        ("initial_temperature", True, "initial_temperature must be a number, got True"),
-        ("initial_temperature", None, "initial_temperature must be a number, got None"),
-        ("cooling_factor", "0.9", "cooling_factor must be a number, got '0.9'"),
-        ("grid_step", True, "grid_step must be a number, got True"),
+        ("initial_temperature", True, "initial_temperature must be a finite number, got True"),
+        ("initial_temperature", None, "initial_temperature must be a finite number, got None"),
+        ("cooling_factor", "0.9", "cooling_factor must be a finite number, got '0.9'"),
+        ("grid_step", True, "grid_step must be a finite number, got True"),
     ])
     def test_refuses_a_wrong_type_or_a_negative_seed_naming_the_field(self, field, value,
                                                                       message):
