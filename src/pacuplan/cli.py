@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import math
 import sys
 import time
 import traceback
@@ -159,6 +160,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     instance = io.read_instance(args.instance)
     schedule, _ = _read_schedule_of(instance, args.schedule)  # an error here names the file
     if args.samples == 1:
@@ -316,6 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # One refusal for a bad --grid-step, whichever command takes it.
+        step = getattr(args, "grid_step", forecast.GRID_STEP)
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"--grid-step must be positive and finite, got {step}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

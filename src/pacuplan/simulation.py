@@ -15,10 +15,15 @@ comparing every grid time with every window.  Since the grid is regular,
 each entry and exit maps to its grid index by arithmetic (the count of grid
 times below it); a window adds +1 at its entry index and -1 at its exit
 index, and a cumulative sum over time gives the occupancy of every sampled
-day at every grid time.  Those counts go into a (time, count) histogram, from
-which the mean, variance and band tallies are exact integer aggregates.  The
-work per block is O(patients x samples + grid x samples) instead of
-O(patients x grid x samples), with the same draws in the same order.
+day at every grid time.  The counts are int8 on days of at most 127
+recovery patients, and int16 (int32 past 32 767) beyond.  They go into a
+(time, count) histogram, from which the mean, variance and band tallies are
+exact integer aggregates.  While the joint table of two grid times' counts
+is small next to a block, one np.bincount over the keys c[g] + B c[g + 1]
+(B counts) gives both grid times' rows, as the table's two marginals;
+larger days bin one grid time per bincount.  The work per block is
+O(patients x samples + grid x samples) instead of O(patients x grid x
+samples), with the same draws in the same order.
 
 The generator produces synthetic days at the scale of a large surgical
 department (default: 61 patients, 35 surgeons, 21 ORs, 45 needing recovery).
@@ -51,6 +56,16 @@ _CHUNK = 20_000
 # points carry analytic means ~1e-7 that 1e5 samples cannot resolve, and their
 # standard error can be zero.
 BIAS_FLOOR = 1e-4
+
+# A quotient x / step this close to an integer, in steps, is checked by a search.
+_NEAR_STEP = 1e-9
+
+# A block's occupancy is binned two grid times per np.bincount, over the cells
+# of their joint (count, count) table, while cells + _PAIR_COST <= samples.
+# Per pair this saves about a nanosecond per sample, and costs about as much
+# per cell plus a fixed ~6 us of extra numpy calls: ~5000 samples' worth.
+# Measured on a 2-core x86 host; at 20 000 samples it pairs up to 122 counts.
+_PAIR_COST = 5_000
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,15 @@ def generate_instance(spec: GenSpec) -> Instance:
                     or_open_hours=open_hours, day_hours=day_hours)
 
 
+def _shifted_lognormal(w: np.ndarray, mu: float, sd: float, shift) -> np.ndarray:
+    """shift + exp(mu + sd * w), computed in ``w``: in place, and in that order, so the same doubles."""
+    w *= sd
+    w += mu
+    np.exp(w, out=w)
+    w += shift
+    return w
+
+
 def _draw_windows(mu: np.ndarray, sd: np.ndarray, start: float, rng: np.random.Generator,
                   size: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Recovery entry/exit times across ``size`` sampled days for one ``RecoveryRows`` row.
@@ -170,36 +194,43 @@ def _draw_windows(mu: np.ndarray, sd: np.ndarray, start: float, rng: np.random.G
     ``mu`` and ``sd`` are the row's column: surgery, combined, recovery.
     """
     if mode == "true":
-        surgery = np.exp(mu[0] + sd[0] * rng.standard_normal(size))
-        recovery = np.exp(mu[2] + sd[2] * rng.standard_normal(size))
-        entry = start + surgery
-        return entry, entry + recovery
+        entry = _shifted_lognormal(rng.standard_normal(size), mu[0], sd[0], start)
+        return entry, _shifted_lognormal(rng.standard_normal(size), mu[2], sd[2], entry)
     # One percentile draw drives both durations, so entry <= t < exit has
     # probability max(0, F_surgery(t) - F_combined(t)): the analytic model.
     w = rng.standard_normal(size)
-    return start + np.exp(mu[0] + sd[0] * w), start + np.exp(mu[1] + sd[1] * w)
+    return (_shifted_lognormal(w.copy(), mu[0], sd[0], start),
+            _shifted_lognormal(w, mu[1], sd[1], start))
 
 
 def _grid_index(times: np.ndarray, grid_step: float, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(times, x, "left")`` for ``times = forecast.time_grid(grid_step, ...)``.
 
     The number of grid times below each x, from arithmetic rather than a
-    binary search: ceil(x / step) clipped to [0, G], then moved by one step
-    where rounding of the quotient, or time i's ulp-level distance from
-    i * step, puts it on the wrong side of x.
+    binary search: q = x * (1 / step), clipped to [-1/2, G - 1/2], rounded
+    up.  Time i lies within an ulp or so of i * step, and q within an ulp of
+    x / step; with at most ``forecast.MAX_GRID_POINTS`` steps, both errors
+    are below 1e-10 steps.  So ceil(q) is exact unless q lies within
+    ``_NEAR_STEP`` of an integer, and only those entries, almost never any,
+    are searched.  An infinite or huge x clips to an end without a warning.
     """
     n = times.size
-    k = np.ceil(x / grid_step)
-    np.clip(k, 0, n, out=k)
+    with np.errstate(over="ignore"):
+        q = x * (1.0 / grid_step)
+    np.clip(q, -0.5, n - 0.5, out=q)
+    k = np.ceil(q)
+    off = np.subtract(k, q, out=q)  # in [0, 1); near 0 or 1 is near an integer
+    off -= 0.5
+    near = np.abs(off, out=off) > 0.5 - _NEAR_STEP
     k = k.astype(np.intp)
-    k -= (k > 0) & (times[k - 1] >= x)
-    k += (k < n) & (times[np.minimum(k, n - 1)] < x)
+    if near.any():
+        k[near] = np.searchsorted(times, x[near], "left")
     return k
 
 
 def _count_dtype(n_recovery: int) -> type:
     """The narrowest integer type that holds occupancy counts up to ``n_recovery``."""
-    return np.int16 if n_recovery <= np.iinfo(np.int16).max else np.int32
+    return next((t for t in (np.int8, np.int16) if n_recovery <= np.iinfo(t).max), np.int32)
 
 
 def _occupancy_histogram(times: np.ndarray, grid_step: float,
@@ -212,24 +243,44 @@ def _occupancy_histogram(times: np.ndarray, grid_step: float,
     of grid times below entry and exit, so each window adds +1 at (a, sample)
     and -1 at (b, sample) of a difference array whose cumulative sum over
     time is the occupancy.  A spare last row takes windows that end past the
-    horizon and is never summed.
+    horizon and is never summed.  While the joint (count, count) table of two
+    grid times is small next to the block, one bincount of the keys
+    c[g] + n_counts * c[g + 1] bins grid times g and g + 1, as the table's
+    two marginals: half the bincount passes over the block.
     """
     n_times = times.size
     steps = np.zeros((n_times + 1) * block, dtype=_count_dtype(n_counts - 1))
     column = np.arange(block)
     for entry, exit_ in windows:
         a = _grid_index(times, grid_step, entry)
-        b = np.maximum(a, _grid_index(times, grid_step, exit_))  # matched mode: exit < entry
+        b = _grid_index(times, grid_step, exit_)
+        np.maximum(b, a, out=b)  # matched mode: exit < entry
         # One index per sample, so no index repeats within an update.
-        steps[a * block + column] += 1
-        steps[b * block + column] -= 1
+        a *= block
+        a += column
+        steps[a] += 1
+        b *= block
+        b += column
+        steps[b] -= 1
     occupancy = steps.reshape(n_times + 1, block)
-    histogram = np.empty((n_times, n_counts), dtype=np.int64)
-    # Row by row, because np.cumsum along axis 0 of this layout is ~8x slower
-    # and one bincount over (row, count) keys ~2x slower, at 8 bytes per cell.
-    histogram[0] = np.bincount(occupancy[0], minlength=n_counts)
+    # Row by row, because np.cumsum along axis 0 of this layout is ~8x slower.
+    # A cumulative sum stays within 0 .. n_counts - 1, so the count type holds it.
     for g in range(1, n_times):
         np.add(occupancy[g], occupancy[g - 1], out=occupancy[g])
+    histogram = np.empty((n_times, n_counts), dtype=np.int64)
+    cells = n_counts * n_counts
+    # Rows 0 .. paired - 1 are binned in pairs, the rest one bincount each;
+    # one bincount over (row, count) keys of the whole block is ~2x slower.
+    paired = n_times - n_times % 2 if cells + _PAIR_COST <= block else 0
+    key_dtype = _count_dtype(cells - 1)
+    for g in range(0, paired, 2):
+        key = occupancy[g + 1].astype(key_dtype)
+        key *= n_counts
+        key += occupancy[g]
+        table = np.bincount(key, minlength=cells).reshape(n_counts, n_counts)
+        table.sum(axis=0, out=histogram[g])
+        table.sum(axis=1, out=histogram[g + 1])
+    for g in range(paired, n_times):
         histogram[g] = np.bincount(occupancy[g], minlength=n_counts)
     return histogram
 

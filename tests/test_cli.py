@@ -315,9 +315,9 @@ def test_underflowing_durations_exit_2_naming_the_patient(tmp_path, small_instan
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag, setting", [
-    ("forecast", "--grid-step", "grid step must be positive and finite"),
-    ("validate", "--grid-step", "grid step must be positive and finite"),
-    ("optimize", "--grid-step", "grid_step must be a finite number"),
+    ("forecast", "--grid-step", "--grid-step must be positive and finite"),
+    ("validate", "--grid-step", "--grid-step must be positive and finite"),
+    ("optimize", "--grid-step", "--grid-step must be positive and finite"),
     ("optimize", "--initial-temperature", "initial_temperature must be a finite number"),
 ])
 def test_non_finite_setting_exits_2_naming_it(tmp_path, small_instance_file, small_schedule_file,
@@ -328,6 +328,22 @@ def test_non_finite_setting_exits_2_naming_it(tmp_path, small_instance_file, sma
     err = capsys.readouterr().err
     assert setting in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-0.1"])
+def test_bad_grid_step_is_refused_in_one_wording(tmp_path, small_instance_file,
+                                                 small_schedule_file, capsys, bad):
+    sweep_dir = tmp_path / "instances"
+    sweep_dir.mkdir()
+    (sweep_dir / "one.json").write_bytes(small_instance_file.read_bytes())
+    errors = set()
+    for command, inputs in (("forecast", [small_instance_file, small_schedule_file]),
+                            ("validate", [small_instance_file, small_schedule_file]),
+                            ("optimize", [small_instance_file]), ("sweep", [sweep_dir])):
+        capsys.readouterr()
+        assert run(command, *inputs, "--grid-step", bad, "--out", tmp_path / "x.out") == 2
+        errors.add(capsys.readouterr().err)
+    assert errors == {f"error: --grid-step must be positive and finite, got {float(bad)}\n"}
 
 
 @pytest.mark.parametrize("command", ["optimize", "validate", "sweep"])
@@ -606,7 +622,8 @@ class TestValidate:
             assert run("validate", small_instance_file, small_schedule_file,
                        "--samples", samples, "--out", out) == 2
             err = capsys.readouterr().err
-            assert "need at least one sample" in err and "Traceback" not in err
+            assert f"--samples must be at least 1, got {samples}" in err
+            assert "Traceback" not in err
             assert not out.exists()
 
     def test_single_sample_warns(self, tmp_path, small_instance_file, small_schedule_file,

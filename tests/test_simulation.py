@@ -15,7 +15,7 @@ from pacuplan import (
     monte_carlo_curve,
     simulated_annealing,
 )
-from pacuplan.simulation import _CHUNK, _count_dtype, _grid_index
+from pacuplan.simulation import _CHUNK, _PAIR_COST, _count_dtype, _grid_index
 
 from conftest import broadcast_mc_oracle, draw_windows, make_instance, make_patient
 
@@ -239,6 +239,7 @@ class TestBroadcastOracle:
                                      mode=mode, rng=np.random.default_rng(seed))
         for name in MC_FIELDS:
             assert np.array_equal(getattr(curve, name), oracle[name]), name
+        return curve
 
     @pytest.mark.parametrize("mode", ["true", "matched"])
     @pytest.mark.parametrize("n_samples", [1, 7, 20_000, 25_000])
@@ -274,19 +275,46 @@ class TestBroadcastOracle:
         self.assert_same(instance, schedule, 25_000, grid_step, "matched")
 
 
+def crowded_day(n_recovery):
+    """``n_recovery`` recovery patients who all start at 0, so nearly all recover at once."""
+    patients = [make_patient(f"p{i}", surgery=(0.0, 0.1), recovery=(1.0, 0.1))
+                for i in range(n_recovery)]
+    return make_instance(patients), Schedule({p.id: 0.0 for p in patients})
+
+
+class TestHistogramPaths:
+    """The oracle on days that bin one grid time per bincount, with int8 and int16 counts."""
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    @pytest.mark.parametrize("n_recovery", [125, 130])
+    def test_above_the_pairing_limit(self, n_recovery, mode):
+        # The default day's 46 counts are binned in pairs; these are not.
+        assert 46 ** 2 + _PAIR_COST <= _CHUNK < (n_recovery + 1) ** 2 + _PAIR_COST
+        instance, schedule = crowded_day(n_recovery)
+        curve = TestBroadcastOracle.assert_same(instance, schedule, _CHUNK, 0.1, mode)
+        # A mean within 3 of the patients means counts near them: past int8's 127 at 130.
+        assert curve.sample_mean.max() > n_recovery - 3
+
+
 class TestGridIndex:
-    @pytest.mark.parametrize("grid_step", [0.1, 0.037, 0.25])
+    # 1/3 has more than 12 decimals, so its grid times are the bare products.
+    @pytest.mark.parametrize("grid_step", [0.1, 0.037, 0.25, 1 / 3])
     def test_equals_searchsorted(self, grid_step):
         times = forecast.time_grid(grid_step, 24.0)
+        products = np.arange(times.size) * grid_step  # i * step, not rounded to its decimals
         rng = np.random.default_rng(12)
         with np.errstate(over="ignore"):
             overflow = np.exp(np.array([800.0]))
+        huge = np.finfo(float).max
         x = np.concatenate([
             rng.uniform(-3.0, 30.0, 5000),
             times,
             np.nextafter(times, -np.inf),
             np.nextafter(times, np.inf),
-            [-1e300, -5.0, -0.0, 0.0, 24.0, 24.0 + grid_step, 1e300, np.inf],
+            products,
+            np.nextafter(products, -np.inf),
+            np.nextafter(products, np.inf),
+            [-huge, -1e300, -5.0, -0.0, 0.0, 24.0, 24.0 + grid_step, 1e17, 1e300, huge, np.inf],
             overflow,
         ])
         assert np.isinf(overflow).all()
@@ -296,7 +324,9 @@ class TestGridIndex:
 
 def test_count_dtype_widens_past_int16():
     # Occupancy counts wrap silently if the dtype cannot hold every recovery patient.
-    assert _count_dtype(0) is np.int16
+    assert _count_dtype(0) is np.int8
+    assert _count_dtype(127) is np.int8
+    assert _count_dtype(128) is np.int16
     assert _count_dtype(32_767) is np.int16
     assert _count_dtype(32_768) is np.int32
 
