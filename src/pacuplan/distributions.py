@@ -144,10 +144,14 @@ class LognormalParams:
         return math.exp(self.mu + self.sigma2 / 2.0)
 
     def variance(self) -> float:
+        """Refused where exp(2 mu + sigma2) overflows; inf where expm1(sigma2) or the product does."""
         exponent = 2.0 * self.mu + self.sigma2
         if exponent > _LOG_FLOAT_MAX:
             raise ValueError(f"lognormal: mu {self.mu} and sigma2 {self.sigma2} overflow the distribution variance")
-        return math.expm1(self.sigma2) * math.exp(exponent)
+        try:
+            return math.expm1(self.sigma2) * math.exp(exponent)
+        except OverflowError:
+            return math.inf
 
 
 _KINDS[LognormalParams] = (lambda v: isinstance(v, LognormalParams), "a LognormalParams")
@@ -216,7 +220,7 @@ def moment_match_sum(surgery: LognormalParams, recovery: LognormalParams) -> Log
     """
     m = surgery.mean() + recovery.mean()
     v = surgery.variance() + recovery.variance()
-    if not (math.isfinite(m) and math.isfinite(v)):
+    if not (math.isfinite(m * m) and math.isfinite(v)):
         raise ValueError("moment matching overflowed; duration parameters are too extreme")
     if m * m == 0.0:
         raise ValueError("moment matching underflowed; duration parameters are too extreme")

@@ -17,10 +17,9 @@ patients and the lognormal (mu, sigma) of surgery, surgery + recovery and
 recovery, one row each.  Its ``starts`` checks a raw list of starts (one
 real, finite start per patient) and picks out the rows'; a ``Schedule``
 checks its own starts, and ``Instance.starts_of`` that it times exactly the
-day's patients.  Callers take the rows from ``RecoveryRows.of``, a day's
-one cache: it builds them once for a run of calls on the same day, such as
-an annealing run, and they keep the day's MEO kernel (``kernel``) and the
-schedule builder's workspace.
+day's patients.  Callers take the rows from ``RecoveryRows.of``, which
+builds them once for a run of calls on the same day, such as an annealing
+run; they keep the day's MEO kernel (``kernel``).
 
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
@@ -166,8 +165,7 @@ class RecoveryRows:
     ``index`` holds their positions among the day's patients; ``mu`` and
     ``sd`` are (3, rows) arrays of their lognormal parameters for surgery,
     surgery + recovery (moment-matched) and recovery, in that order.  All
-    three are read-only, so one object can serve every caller.  The schedule
-    builder keeps its own parts of the day in the opaque slot ``workspace``.
+    three are read-only, so one object can serve every caller.
     """
 
     # The last day's patients and their rows: ``of`` builds a day's rows once.
@@ -175,7 +173,6 @@ class RecoveryRows:
 
     def __init__(self, patients: Sequence["Patient"]):
         self._kernel: tuple[tuple[float, float], MeoKernel] | None = None
-        self.workspace = None
         self.n_patients = len(patients)
         rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
                  p.recovery.mu, p.recovery.sigma) for i, p in enumerate(patients) if p.needs_recovery]

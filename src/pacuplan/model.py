@@ -10,6 +10,7 @@ Instances, schedules and violations are treated as immutable once built.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Annotated, Sequence
 
@@ -130,6 +131,42 @@ class Instance:
                              f"{', '.join(unknown)}")
         return [starts[p.id] for p in self.patients]
 
+    @functools.cached_property
+    def _chains(self) -> _Chains:
+        """The schedule builder's tables of the day, built on first use."""
+        return _Chains(self)
+
+
+class _Chains:
+    """A day's schedule-builder lists: per patient, then per surgeon chain.
+
+    ``room[p]`` and ``surgeon[p]`` number the OR and surgeon chains patient
+    p belongs to; sequence order alone then decides each chain's order.
+    Surgeon chain k is ``instance.surgeons[k]``, and ``surgeon_cap[k]`` is
+    constraint 4's cap on its overtime: its cases' summed expected
+    durations, setups and cleanups, plus its shift's length.
+    """
+
+    def __init__(self, instance: Instance):
+        patients = instance.patients
+        self.n = len(patients)
+        self.ids = [p.id for p in patients]
+        self.index = {pid: i for i, pid in enumerate(self.ids)}
+        self.duration = [float(p.expected_duration) for p in patients]
+        self.setup = [float(p.setup) for p in patients]
+        self.cleanup = [float(p.cleanup) for p in patients]
+        self.shift_start = [float(instance.surgeon_by_id[p.surgeon_id].shift_start) for p in patients]
+        self.or_close = float(instance.or_open_hours)
+        rooms = {or_id: k for k, or_id in enumerate(instance.patients_by_or)}
+        surgeons = {s.id: k for k, s in enumerate(instance.surgeons)}
+        self.room = [rooms[p.or_id] for p in patients]
+        self.surgeon = [surgeons[p.surgeon_id] for p in patients]
+        self.room_count, self.surgeon_count = len(rooms), len(surgeons)
+        self.surgeon_shift_end = [s.shift_end for s in instance.surgeons]
+        self.surgeon_cap = [sum(p.expected_duration + p.setup + p.cleanup
+                                for p in instance.patients_by_surgeon[s.id])
+                            - s.shift_start + s.shift_end for s in instance.surgeons]
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -177,13 +214,6 @@ def compute_overtime(instance: Instance, schedule: Schedule) -> dict[str, float]
     return overtime
 
 
-def _overtime_cap(instance: Instance, surgeon: Surgeon) -> float:
-    """Constraint 4's cap on a surgeon's overtime; the schedule builder uses the same float."""
-    return (sum(p.expected_duration + p.setup + p.cleanup
-                for p in instance.patients_by_surgeon[surgeon.id])
-            - surgeon.shift_start + surgeon.shift_end)
-
-
 def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]:
     """All sequencing-rule violations beyond tolerance; empty means feasible.
 
@@ -197,14 +227,14 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> list[Violation]
     violations: list[Violation] = []
     overtime = compute_overtime(instance, schedule)
 
-    for surgeon in instance.surgeons:
+    for surgeon, cap in zip(instance.surgeons, instance._chains.surgeon_cap):
         for p in instance.patients_by_surgeon[surgeon.id]:
             z = schedule.starts[p.id]
             if z < surgeon.shift_start - FEASIBILITY_EPS:
                 violations.append(Violation(
                     2, f"patient {p.id} starts {surgeon.shift_start - z:.4g} h before surgeon {surgeon.id}'s shift",
                     patients=(p.id,), surgeon=surgeon.id, magnitude=surgeon.shift_start - z))
-        excess = overtime[surgeon.id] - _overtime_cap(instance, surgeon)
+        excess = overtime[surgeon.id] - cap
         if excess > FEASIBILITY_EPS:
             violations.append(Violation(
                 4, f"surgeon {surgeon.id} overtime exceeds its cap by {excess:.4g} h",

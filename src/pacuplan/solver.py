@@ -20,9 +20,7 @@ inequalities hold for the computed values too: start + duration + cleanup
 never decreases along a chain, and the immediate predecessor's value is
 the chain's largest, the very same float.  In the reverse pass, latest
 completion - duration - setup never decreases along a chain for the same
-reason, so the immediate successor's value is the chain's smallest.  The
-slack fractions come from one ``rng.random(n)`` call, which yields the same
-doubles as n scalar draws and leaves the generator in the same state.
+reason, so the immediate successor's value is the chain's smallest.
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ import numpy as np
 
 from . import forecast
 from .distributions import _check_fields
-from .model import FEASIBILITY_EPS, Instance, Schedule, _overtime_cap
+from .model import FEASIBILITY_EPS, Instance, Schedule, _Chains
 
 
 @dataclass(frozen=True)
@@ -95,53 +93,9 @@ class SolveReport:
     config: SAConfig | None = None
 
 
-class _Workspace:
-    """Per-instance lists for the schedule builder.
-
-    ``room[p]`` and ``surgeon[p]`` number the OR and surgeon chains patient
-    p belongs to; sequence order alone then decides each chain's order.
-    ``surgeon_shift_end[s]`` and ``surgeon_cap[s]`` are surgeon chain s's
-    shift end and overtime cap (constraint 4), as ``check_feasibility`` has
-    them.  Take a day's workspace from ``of``.
-    """
-
-    def __init__(self, instance: Instance):
-        patients = instance.patients
-        self.n = len(patients)
-        self.ids = [p.id for p in patients]
-        self.index = {pid: i for i, pid in enumerate(self.ids)}
-        self.duration = [float(p.expected_duration) for p in patients]
-        self.setup = [float(p.setup) for p in patients]
-        self.cleanup = [float(p.cleanup) for p in patients]
-        self.shift_start = [float(max(0.0, instance.surgeon_by_id[p.surgeon_id].shift_start))
-                         for p in patients]
-        self.or_close = float(instance.or_open_hours)
-        rooms = {or_id: k for k, or_id in enumerate(instance.patients_by_or)}
-        surgeons = {sid: k for k, sid in enumerate(instance.patients_by_surgeon)}
-        self.room = [rooms[p.or_id] for p in patients]
-        self.surgeon = [surgeons[p.surgeon_id] for p in patients]
-        self.room_count, self.surgeon_count = len(rooms), len(surgeons)
-        shifts = [instance.surgeon_by_id[sid] for sid in surgeons]
-        self.surgeon_shift_end = [s.shift_end for s in shifts]
-        self.surgeon_cap = [_overtime_cap(instance, s) for s in shifts]
-
-    @classmethod
-    def of(cls, instance: Instance) -> "_Workspace":
-        """The day's workspace, built once and kept on its recovery rows.
-
-        The rows are keyed on the patients; the workspace also on the
-        surgeons, which number the chains, and the OR hours.
-        """
-        rows = forecast.RecoveryRows.of(instance.patients)
-        key = (tuple(instance.surgeons), instance.or_open_hours)
-        if rows.workspace is None or rows.workspace[0] != key:
-            rows.workspace = (key, cls(instance))
-        return rows.workspace[1]
-
-
-def _construct_starts(ws: _Workspace, order: Sequence[int],
-                      rng: np.random.Generator | None) -> tuple[list[float], float]:
-    """Two-pass chain propagation; one uniform draw per patient when rng is given.
+def _construct_starts(chains: _Chains, order: Sequence[int],
+                      draws: Sequence[float]) -> tuple[list[float], float]:
+    """Two-pass chain propagation; ``draws[k]`` in [0, 1) places ``order[k]`` in its slack.
 
     ``cap_*`` hold, per chain, the latest start (less setup) of the chain's
     next patient, ``floor_*`` the realised finish (plus cleanup) of its last.
@@ -151,12 +105,12 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
     docstring), so ``finish`` ends with the surgeon's latest end, the very
     float ``compute_overtime`` takes the max of.
     """
-    duration, setup, cleanup, room, surgeon = ws.duration, ws.setup, ws.cleanup, ws.room, ws.surgeon
-    shift_start, inf = ws.shift_start, math.inf
+    duration, setup, cleanup = chains.duration, chains.setup, chains.cleanup
+    room, surgeon, shift_start, inf = chains.room, chains.surgeon, chains.shift_start, math.inf
     # Comparisons of locals stand in for min and max, which cost a builtin
     # call each; like them, they keep the first argument on a tie.
-    latest = [ws.or_close] * ws.n
-    cap_room, cap_surgeon = [inf] * ws.room_count, [inf] * ws.surgeon_count
+    latest = [chains.or_close] * chains.n
+    cap_room, cap_surgeon = [inf] * chains.room_count, [inf] * chains.surgeon_count
     for p in reversed(order):
         r, s = room[p], surgeon[p]
         cap, other = cap_room[r], cap_surgeon[s]
@@ -165,10 +119,9 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
         if cap < inf:
             latest[p] = cap - cleanup[p]
         cap_room[r] = cap_surgeon[s] = latest[p] - duration[p] - setup[p]
-    draws = rng.random(ws.n).tolist() if rng is not None else [0.0] * ws.n
-    floor_room, floor_surgeon = [-inf] * ws.room_count, [-inf] * ws.surgeon_count
-    finish = [-inf] * ws.surgeon_count
-    starts = [0.0] * ws.n
+    floor_room, floor_surgeon = [-inf] * chains.room_count, [-inf] * chains.surgeon_count
+    finish = [-inf] * chains.surgeon_count
+    starts = [0.0] * chains.n
     for p, u in zip(order, draws):
         r, s = room[p], surgeon[p]
         floor, other = floor_room[r], floor_surgeon[s]
@@ -186,7 +139,7 @@ def _construct_starts(ws: _Workspace, order: Sequence[int],
         floor_room[r] = floor_surgeon[s] = end + cleanup[p]
     # An overtime of at most zero falls short of its cap, which is positive.
     excess = 0.0
-    for last, shift_end, cap in zip(finish, ws.surgeon_shift_end, ws.surgeon_cap):
+    for last, shift_end, cap in zip(finish, chains.surgeon_shift_end, chains.surgeon_cap):
         if last - shift_end - cap > excess:
             excess = last - shift_end - cap
     return starts, excess
@@ -197,15 +150,19 @@ def construct_schedule(instance: Instance, sequence: Sequence[str],
     """Build a schedule for the given patient sequence.
 
     With ``rng`` omitted every patient is packed at its earliest start.
+    With it given, the slack fractions come from one ``rng.random(n)`` call,
+    which yields the same doubles as n scalar draws and leaves the generator
+    in the same state.
     Every rule but the overtime cap holds by construction: insufficient
     slack turns into overtime, and a surgeon whose cases wait behind other
     surgeons' cases in a shared OR can exceed the cap (constraint 4).
     """
-    ws = _Workspace.of(instance)
-    if len(sequence) != ws.n or {*sequence} != {*ws.ids}:
+    chains = instance._chains
+    if len(sequence) != chains.n or {*sequence} != {*chains.ids}:
         raise ValueError("sequence must be a permutation of the instance's patient ids")
-    starts, _ = _construct_starts(ws, [ws.index[pid] for pid in sequence], rng)
-    return Schedule(starts=dict(zip(ws.ids, starts)))
+    draws = rng.random(chains.n).tolist() if rng is not None else [0.0] * chains.n
+    starts, _ = _construct_starts(chains, [chains.index[pid] for pid in sequence], draws)
+    return Schedule(starts=dict(zip(chains.ids, starts)))
 
 
 def baseline_schedule(instance: Instance) -> Schedule:
@@ -224,24 +181,27 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     The incumbent starts as the input-order earliest-start packing.  Each
     iteration swaps two random patients, rebuilds the schedule with random
     slack placement, and applies the Metropolis rule: accept improvements
-    always, worsenings with probability exp(-delta / temperature).  A
+    always, worsenings with probability exp(-delta / temperature), and none
+    once cooling has taken the temperature down to 0.0.  A
     candidate that exceeds a surgeon's overtime cap is rejected before the
     MEO kernel and draws no acceptance number; while the incumbent is such a
     schedule (an infeasible input-order packing), the first feasible
     candidate is accepted.  The best is the best feasible candidate, or the
     input-order packing when no schedule tried was feasible.  Fully
     deterministic for a given seed: one generator drives swap choices,
-    slack draws, and acceptance draws.
+    slack draws (one ``rng.random(n)`` call per candidate, as in
+    ``construct_schedule``), and acceptance draws.
     """
     config = config or SAConfig()
     clock = time.perf_counter
     started = clock()
-    ws = _Workspace.of(instance)
+    chains = instance._chains
+    n = chains.n
     rng = np.random.default_rng(config.seed)
 
-    order = list(range(ws.n))
+    order = list(range(n))
     tick = clock()
-    current_starts, excess = _construct_starts(ws, order, None)
+    current_starts, excess = _construct_starts(chains, order, [0.0] * n)
     built = clock()
     kernel = forecast.RecoveryRows.of(instance.patients).kernel(config.grid_step, instance.day_hours)
     initial = kernel.peak(current_starts)
@@ -259,12 +219,13 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
 
     for iteration in range(1, config.iterations + 1):
         candidate_order = order
-        if ws.n >= 2:
-            i, j = _draw_swap(ws.n, rng)
+        if n >= 2:
+            i, j = _draw_swap(n, rng)
             candidate_order = order.copy()
             candidate_order[i], candidate_order[j] = candidate_order[j], candidate_order[i]
         tick = clock()
-        candidate_starts, excess = _construct_starts(ws, candidate_order, rng)
+        candidate_starts, excess = _construct_starts(chains, candidate_order,
+                                                     rng.random(n).tolist())
         built = clock()
         construct_seconds += built - tick
         if excess > FEASIBILITY_EPS:
@@ -274,7 +235,9 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
             done = clock()
             kernel_seconds += done - built
             delta = candidate - current
-            take = delta <= 0.0 or rng.random() < math.exp(-delta / temperature)
+            # At 0.0 the acceptance number is drawn all the same and loses.
+            take = delta <= 0.0 or rng.random() < (math.exp(-delta / temperature)
+                                                   if temperature > 0.0 else 0.0)
             if take:
                 order, current = candidate_order, candidate
             if candidate < best:
@@ -288,13 +251,13 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
 
     if best == math.inf:
         best = initial
-    schedule = Schedule(starts=dict(zip(ws.ids, best_starts)))
+    schedule = Schedule(starts=dict(zip(chains.ids, best_starts)))
     period = config.cooling_period
     epochs = [accepted_trace[k:k + period] for k in range(0, len(accepted_trace), period)]
     accepted, infeasible = sum(accepted_trace), meo_trace.count(None)
     return SolveReport(
         best_schedule=schedule,
-        best_sequence=[ws.ids[i] for i in best_order],
+        best_sequence=[chains.ids[i] for i in best_order],
         best_meo=best,
         initial_meo=initial,
         initial_feasible=initial_feasible,

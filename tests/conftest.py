@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -234,4 +235,13 @@ def late_shift_instance(rng: np.random.Generator) -> Instance:
     surgeons = [Surgeon(id=s.id, shift_start=float(rng.choice([0.0, rng.uniform(0.0, 6.0)])),
                         shift_end=s.shift_end) for s in day.surgeons]
     return Instance(surgeons=surgeons, patients=day.patients, or_count=day.or_count,
+                    or_open_hours=day.or_open_hours, day_hours=day.day_hours)
+
+
+def spanning_instance(rng: np.random.Generator) -> Instance:
+    """A ``late_shift_instance`` day whose patients are moved to random ORs, so surgeons span ORs."""
+    day = late_shift_instance(rng)
+    patients = [dataclasses.replace(p, or_id=int(rng.integers(1, day.or_count + 1)))
+                for p in day.patients]
+    return Instance(surgeons=day.surgeons, patients=patients, or_count=day.or_count,
                     or_open_hours=day.or_open_hours, day_hours=day.day_hours)

@@ -97,22 +97,24 @@ def test_kernel_tables_keep_their_size(default_instance):
     assert kernel.bounds.nbytes == rows * 2 * (3 * n + 1) * 2 * 2
 
 
-def test_a_second_construction_builds_no_workspace(default_instance, monkeypatch):
+def test_a_second_construction_builds_no_workspace(monkeypatch):
     # solver.construct_us times construct_schedule calls on one day: after the
-    # first, a call reuses the day's workspace and times the two passes alone.
+    # first, a call reuses the day's chains and times the two passes alone.
+    # A fresh day, as the session's default day may already hold its chains.
+    instance = pacuplan.generate_instance(pacuplan.GenSpec())
     built = []
-    original = solver._Workspace.__init__
+    original = model._Chains.__init__
 
     def counting(self, instance):
         built.append(instance)
         original(self, instance)
 
-    monkeypatch.setattr(solver._Workspace, "__init__", counting)
+    monkeypatch.setattr(model._Chains, "__init__", counting)
     monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
     rng = np.random.default_rng(1)
     for _ in range(2):
-        ids = list(rng.permutation(default_instance.patient_ids))
-        solver.construct_schedule(default_instance, ids, rng)
+        ids = list(rng.permutation(instance.patient_ids))
+        solver.construct_schedule(instance, ids, rng)
     assert len(built) == 1
 
 

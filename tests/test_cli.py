@@ -313,6 +313,28 @@ def test_underflowing_durations_exit_2_naming_the_patient(tmp_path, small_instan
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("surgery, recovery", [
+    ({"mu": -700, "sigma2": 1400}, None),
+    ({"mu": 354.8, "sigma2": 0.1}, {"mu": 354.8, "sigma2": 0.1}),
+])
+def test_overflowing_durations_exit_2_naming_the_patient(tmp_path, small_instance_file,
+                                                         small_schedule_file, capsys,
+                                                         surgery, recovery):
+    payload = json.loads(small_instance_file.read_text())
+    patient = payload["patients"][0]
+    patient["surgery"] = surgery
+    patient["recovery"] = recovery or patient["recovery"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for argv in [("optimize", bad, "--iterations", 5), ("forecast", bad, small_schedule_file),
+                 ("validate", bad, small_schedule_file, "--samples", 10)]:
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "x.out") == 2
+        err = capsys.readouterr().err
+        assert f"patient {patient['id']}: moment matching overflowed;" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag, setting", [
     ("forecast", "--grid-step", "--grid-step must be positive and finite"),
@@ -675,6 +697,17 @@ class TestSweep:
         assert sum(marks) == 1
         best_value = min(float(r["mean_total_best_meo"]) for r in rows)
         assert float(rows[marks.index(1)]["mean_total_best_meo"]) == best_value
+
+    def test_temperature_cooled_to_zero_exits_0(self, tmp_path, small_instance_file):
+        # Halving the temperature every iteration takes it to 0.0 after 1075
+        # products; optimize and sweep anneal on past it.
+        cooling = ("--cooling-factor", 0.5, "--cooling-period", 1, "--iterations", 1200)
+        assert run("optimize", small_instance_file, *cooling, "--out", tmp_path / "o.json") == 0
+        sweep_dir = tmp_path / "instances"
+        sweep_dir.mkdir()
+        (sweep_dir / "one.json").write_bytes(small_instance_file.read_bytes())
+        assert run("sweep", sweep_dir, "--iteration-grid", "1200", "--factor-grid", "0.5",
+                   "--period-grid", "1", "--reps", 1, "--out", tmp_path / "s.csv") == 0
 
     def test_manifest_timings(self, tmp_path, small_instance_file):
         sweep_dir = tmp_path / "instances"

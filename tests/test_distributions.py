@@ -192,6 +192,17 @@ class TestMomentMatching:
             # Mean is representable but the variance moment overflows.
             moment_match_sum(LognormalParams(500.0, 1.0), LognormalParams(0.0, 0.1))
 
+    @pytest.mark.parametrize("surgery, recovery", [
+        ((-700.0, 1400.0), (0.0, 0.1)),  # expm1(sigma2) overflows; the mean is 1
+        ((354.8, 0.1), (354.8, 0.1)),  # the summed mean is finite, its square is not
+    ])
+    def test_rejects_a_moment_past_the_largest_double(self, surgery, recovery):
+        with pytest.raises(ValueError, match="^moment matching overflowed"):
+            moment_match_sum(LognormalParams(*surgery), LognormalParams(*recovery))
+
+    def test_variance_past_the_largest_double_is_inf(self):
+        assert LognormalParams(-700.0, 1400.0).variance() == math.inf
+
     @pytest.mark.parametrize("mu", [-380.0, -1000.0])
     def test_rejects_underflowing_parameters(self, mu):
         # Both means square to 0.0, below the least subnormal double.

@@ -557,15 +557,16 @@ class TestMeoKernel:
         # One kernel alternates between packed constructed schedules and starts
         # spread over the day, so each call evaluates a different number of cells.
         instance = generate_instance(spec)
-        ws = solver._Workspace.of(instance)
+        chains = instance._chains
         rng = np.random.default_rng(31)
         kernel = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
         seen = []
         for i in range(50):
             if i % 2:
-                starts = rng.uniform(-2.0, 26.0, ws.n).tolist()
+                starts = rng.uniform(-2.0, 26.0, chains.n).tolist()
             else:
-                starts, _ = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+                order = rng.permutation(chains.n).tolist()
+                starts, _ = solver._construct_starts(chains, order, rng.random(chains.n).tolist())
             peak = kernel.peak(starts)
             assert type(peak) is float
             fresh = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
@@ -795,7 +796,7 @@ class TestMeoKernel:
         # schedule, and each peak still makes exactly one call for
         # probabilities, over every recovery row.
         instance = generate_instance(GenSpec(seed=0))
-        ws = solver._Workspace.of(instance)
+        chains = instance._chains
         rng = np.random.default_rng(4)
         kernel = MeoKernel(RecoveryRows(instance.patients), 0.1, instance.day_hours)
         evaluated = []
@@ -807,7 +808,8 @@ class TestMeoKernel:
 
         monkeypatch.setattr(forecast, "recovery_prob_matrix", counting)
         for calls in range(1, 21):
-            starts, _ = solver._construct_starts(ws, rng.permutation(ws.n).tolist(), rng)
+            order = rng.permutation(chains.n).tolist()
+            starts, _ = solver._construct_starts(chains, order, rng.random(chains.n).tolist())
             kernel.peak(starts)
             assert len(evaluated) == calls
             rows, columns = evaluated[-1]

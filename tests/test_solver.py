@@ -22,10 +22,11 @@ from pacuplan import (
     simulated_annealing,
 )
 from pacuplan import forecast
-from pacuplan.model import FEASIBILITY_EPS
-from pacuplan.solver import _construct_starts, _draw_swap, _Workspace
+from pacuplan.model import FEASIBILITY_EPS, _Chains
+from pacuplan.solver import _construct_starts, _draw_swap
 
-from conftest import late_shift_instance, make_instance, make_patient, random_genspec
+from conftest import (late_shift_instance, make_instance, make_patient, random_genspec,
+                      spanning_instance)
 
 
 def temperature_trace(report):
@@ -119,11 +120,11 @@ class TestConstructSchedule:
         # reports constraint 4.
         rng = np.random.default_rng(seed)
         instance = late_shift_instance(rng)
-        ws = _Workspace.of(instance)
-        order = rng.permutation(ws.n).tolist()
-        for slack in (None, rng):
-            starts, excess = _construct_starts(ws, order, slack)
-            schedule = Schedule(starts=dict(zip(ws.ids, starts)))
+        chains = instance._chains
+        order = rng.permutation(chains.n).tolist()
+        for draws in ([0.0] * chains.n, rng.random(chains.n).tolist()):
+            starts, excess = _construct_starts(chains, order, draws)
+            schedule = Schedule(starts=dict(zip(chains.ids, starts)))
             overtime = compute_overtime(instance, schedule)
             beyond = [overtime[s.id] - overtime_cap(instance, s)
                       for s in instance.surgeons if overtime[s.id] > 0.0]
@@ -136,9 +137,9 @@ class TestConstructSchedule:
         # A late-shift surgeon's case waits behind other surgeons' cases in a
         # shared OR past the surgeon's cap; the excess is the violation's size.
         instance = late_shift_instance(np.random.default_rng(195156))
-        ws = _Workspace.of(instance)
-        starts, excess = _construct_starts(ws, list(range(ws.n)), None)
-        violations = check_feasibility(instance, Schedule(starts=dict(zip(ws.ids, starts))))
+        chains = instance._chains
+        starts, excess = _construct_starts(chains, list(range(chains.n)), [0.0] * chains.n)
+        violations = check_feasibility(instance, Schedule(starts=dict(zip(chains.ids, starts))))
         assert [v.constraint for v in violations] == [4] and violations[0].surgeon == "s4"
         assert excess == violations[0].magnitude > FEASIBILITY_EPS
 
@@ -204,12 +205,12 @@ def reference_starts(instance, sequence, rng):
 
 
 class TestWorkspace:
-    """A day's workspace is kept on its recovery rows, keyed on what it reads."""
+    """A day's schedule-builder tables, its chains, are built once per day, from all it reads."""
 
     def test_key_covers_the_surgeons_shifts(self, monkeypatch):
         # Equal patients; on the second day surgeon s5's shift ends at 10 h,
         # not 8 h, which raises its overtime cap and makes every candidate
-        # feasible.  The first day's workspace must not serve the second.
+        # feasible.  The first day's chains must not serve the second.
         first = late_shift_instance(np.random.default_rng(266912452))
         surgeons = [dataclasses.replace(s, shift_end=10.0) if s.id == "s5" else s
                     for s in first.surgeons]
@@ -221,11 +222,11 @@ class TestWorkspace:
         monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
         caps = []
         for instance in (first, second):
-            ws = _Workspace.of(instance)
-            assert ws.surgeon_cap == [overtime_cap(instance, s) for s in instance.surgeons]
-            caps.append(ws.surgeon_cap)
+            chains = instance._chains
+            assert chains.surgeon_cap == [overtime_cap(instance, s) for s in instance.surgeons]
+            caps.append(chains.surgeon_cap)
         assert caps[0] != caps[1]
-        _Workspace.of(first)
+        first._chains
         warm = simulated_annealing(second, config)
         assert (warm.best_meo, warm.meo_trace) == (cold.best_meo, cold.meo_trace)
         assert warm.infeasible == cold.infeasible == 0
@@ -233,10 +234,10 @@ class TestWorkspace:
 
     def test_one_workspace_and_one_kernel_per_day(self, monkeypatch):
         # Three constructions, an annealing run and an MEO on the same day
-        # build its workspace and its MEO kernel once each.
+        # build its chains and its MEO kernel once each.
         instance = generate_instance(GenSpec(seed=0))
         built = []
-        for cls in (_Workspace, forecast.MeoKernel):
+        for cls in (_Chains, forecast.MeoKernel):
             def counting(self, *args, original=cls.__init__, name=cls.__name__):
                 built.append(name)
                 original(self, *args)
@@ -248,7 +249,7 @@ class TestWorkspace:
             schedule = construct_schedule(instance, instance.patient_ids, rng)
         simulated_annealing(instance, SAConfig(iterations=20, seed=1))
         max_expected_occupancy(instance, schedule)
-        assert sorted(built) == ["MeoKernel", "_Workspace"]
+        assert sorted(built) == ["MeoKernel", "_Chains"]
 
 
 class TestChainBuilderMatchesNeighbourLists:
@@ -282,6 +283,24 @@ class TestChainBuilderMatchesNeighbourLists:
             expected = reference_starts(instance, sequence, oracle)
             assert {k: v.hex() for k, v in starts.items()} == \
                 {k: v.hex() for k, v in expected.items()}
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bit_for_bit_on_days_whose_surgeons_span_ors(self, seed):
+        # A surgeon's chain then crosses OR chains, and either chain may bind
+        # the other's patients.  Every rule but the overtime cap still holds.
+        rng = np.random.default_rng(seed)
+        instance = spanning_instance(rng)
+        sequence = [instance.patient_ids[i] for i in rng.permutation(len(instance.patients))]
+        draw = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(draw), np.random.default_rng(draw)
+        for mine, oracle in ((None, None), (ours, theirs)):
+            schedule = construct_schedule(instance, sequence, mine)
+            expected = reference_starts(instance, sequence, oracle)
+            assert {k: v.hex() for k, v in schedule.starts.items()} == \
+                {k: v.hex() for k, v in expected.items()}
+            assert {v.constraint for v in check_feasibility(instance, schedule)} <= {4}
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_random_day_shapes(self):
@@ -433,6 +452,24 @@ class TestSimulatedAnnealing:
         sd = math.sqrt(sum(p * (1 - p) for p in expected))
         # 99% binomial bound (plus one for continuity) on the acceptance count.
         assert abs(observed - mean) <= 2.576 * sd + 1.0
+
+    def test_temperature_cooled_to_zero_rejects_every_uphill_move(self, small_instance):
+        # Cooled from the least subnormal, the temperature is 0.0 from the
+        # second iteration on.  That run rejects every uphill candidate and
+        # still draws each one's acceptance number: it matches, draw for draw,
+        # a run held at the least subnormal, where exp(-delta / temperature)
+        # is 0.0 for any delta above 1e-300.
+        cooled = simulated_annealing(small_instance, SAConfig(
+            iterations=300, initial_temperature=5e-324, cooling_factor=0.5, cooling_period=1))
+        held = simulated_annealing(small_instance, SAConfig(
+            iterations=300, initial_temperature=5e-324, cooling_factor=0.9, cooling_period=1))
+        assert temperature_trace(cooled)[1:] == [0.0] * 299
+        assert set(temperature_trace(held)) == {5e-324}
+        deltas = delta_trace(cooled)
+        assert sum(d > 0.0 for d in deltas) > 50 and not any(0.0 < d < 1e-300 for d in deltas)
+        assert cooled.accepted_trace == [d <= 0.0 for d in deltas]
+        assert (cooled.meo_trace, cooled.accepted_trace, cooled.best_sequence) == \
+            (held.meo_trace, held.accepted_trace, held.best_sequence)
 
     def test_single_patient_instance(self):
         instance = make_instance([make_patient()])
