@@ -186,7 +186,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _manifest(args, {"samples": args.samples, "mode": args.mode, "grid_step": args.grid_step},
               [args.instance, args.schedule], [args.out], started,
               timings_s={"read": read_done - started, "sampling": sampling_s,
-                         "write": write_done - sampling_done},
+                         "write": write_done - sampling_done,
+                         "draw_wait": empirical.draw_wait_seconds},
               samples_per_s=args.samples / sampling_s)
     return 0
 

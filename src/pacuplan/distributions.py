@@ -144,12 +144,14 @@ class LognormalParams:
         return math.exp(self.mu + self.sigma2 / 2.0)
 
     def variance(self) -> float:
-        """Refused where exp(2 mu + sigma2) overflows; inf where expm1(sigma2) or the product does."""
+        """expm1(sigma2) exp(2 mu + sigma2), inf where that product overflows."""
         exponent = 2.0 * self.mu + self.sigma2
-        if exponent > _LOG_FLOAT_MAX:
-            raise ValueError(f"lognormal: mu {self.mu} and sigma2 {self.sigma2} overflow the distribution variance")
         try:
-            return math.expm1(self.sigma2) * math.exp(exponent)
+            if exponent <= _LOG_FLOAT_MAX:
+                return math.expm1(self.sigma2) * math.exp(exponent)
+            # The mean's check keeps exponent / 2 within range.
+            half = math.exp(exponent / 2.0)
+            return math.expm1(self.sigma2) * half * half
         except OverflowError:
             return math.inf
 

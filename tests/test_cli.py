@@ -32,17 +32,20 @@ def run(*argv):
 RATES = {"samples_per_s", "evaluations_per_s", "best_found_s"}
 
 
-def assert_stage_timings(output, stages, rates=()):
+def assert_stage_timings(output, stages, rates=(), parts=None):
     """The manifest next to ``output`` times exactly ``stages``, within its wall clock.
 
-    Of the measured rates it carries ``rates`` and no other.
+    Of the measured rates it carries ``rates`` and no other.  ``parts`` maps
+    each further timing to the stage it is a part of.
     """
     manifest = json.loads(io.manifest_path(output).read_text())
     assert RATES & set(manifest) == set(rates)
     timings = manifest["timings_s"]
-    assert sorted(timings) == sorted(stages)
+    parts = parts or {}
+    assert sorted(timings) == sorted([*stages, *parts])
     assert all(value >= 0.0 for value in timings.values())
-    assert sum(timings.values()) <= manifest["wall_clock_seconds"]
+    assert sum(timings[stage] for stage in stages) <= manifest["wall_clock_seconds"]
+    assert all(timings[part] <= timings[stage] for part, stage in parts.items())
 
 
 @pytest.fixture
@@ -316,6 +319,7 @@ def test_underflowing_durations_exit_2_naming_the_patient(tmp_path, small_instan
 @pytest.mark.parametrize("surgery, recovery", [
     ({"mu": -700, "sigma2": 1400}, None),
     ({"mu": 354.8, "sigma2": 0.1}, {"mu": 354.8, "sigma2": 0.1}),
+    ({"mu": 500, "sigma2": 1}, None),  # exp(2 mu + sigma2) overflows, as expm1(sigma2) does above
 ])
 def test_overflowing_durations_exit_2_naming_the_patient(tmp_path, small_instance_file,
                                                          small_schedule_file, capsys,
@@ -631,7 +635,9 @@ class TestValidate:
         assert 0.0 < report["fraction_within_3se"] <= 1.0
         assert not any("time" in key and key != "max_bias_time" for key in report)
 
-        assert_stage_timings(out, ["read", "sampling", "write"], ["samples_per_s"])
+        # draw_wait is the part of sampling the binning thread spent waiting for draws.
+        assert_stage_timings(out, ["read", "sampling", "write"], ["samples_per_s"],
+                             parts={"draw_wait": "sampling"})
         manifest = json.loads(io.manifest_path(out).read_text())
         timings = manifest["timings_s"]
         assert manifest["samples_per_s"] == pytest.approx(3000 / timings["sampling"])

@@ -201,7 +201,13 @@ class TestMomentMatching:
             moment_match_sum(LognormalParams(*surgery), LognormalParams(*recovery))
 
     def test_variance_past_the_largest_double_is_inf(self):
-        assert LognormalParams(-700.0, 1400.0).variance() == math.inf
+        assert LognormalParams(-700.0, 1400.0).variance() == math.inf  # expm1(sigma2) overflows
+        assert LognormalParams(500.0, 1.0).variance() == math.inf  # exp(2 mu + sigma2) overflows
+
+    def test_variance_past_a_huge_factor_is_the_finite_product(self):
+        # exp(2 mu + sigma2) overflows, but expm1(sigma2) ~ 0.01 brings the product back in range.
+        exact = mpmath.expm1(0.01) * mpmath.exp(mpmath.mpf(710.01))
+        assert LognormalParams(355.0, 0.01).variance() == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("mu", [-380.0, -1000.0])
     def test_rejects_underflowing_parameters(self, mu):

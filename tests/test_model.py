@@ -126,8 +126,8 @@ class TestTypes:
     (lambda: make_instance([make_patient(), make_patient(pid="p2"), make_patient(pid="p2")]),
      "instance: patients has duplicate id p2"),
     (lambda: LognormalParams(800.0, 1.0), "lognormal: mu 800.0 and sigma2 1.0 overflow the distribution mean"),
-    (lambda: LognormalParams(500.0, 1.0).variance(),
-     "lognormal: mu 500.0 and sigma2 1.0 overflow the distribution variance"),
+    (lambda: make_patient(surgery=(500.0, 1.0)),
+     "patient p1: moment matching overflowed; duration parameters are too extreme"),
     (lambda: make_patient(duration=-1.0), "patient p1: expected_duration must be positive, got -1.0"),
 ])
 def test_record_refuses_a_wrong_kind_naming_itself_the_field_and_the_kind(build, message):

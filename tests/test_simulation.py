@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from pacuplan import (
     monte_carlo_curve,
     simulated_annealing,
 )
-from pacuplan.simulation import _CHUNK, _PAIR_COST, _count_dtype, _grid_index
+from pacuplan import simulation
+from pacuplan.simulation import (_CHUNK, _LOOKAHEAD, _PAIR_COST, _count_dtype, _draw_windows,
+                                 _grid_index, _occupancy_histogram)
 
 from conftest import broadcast_mc_oracle, draw_windows, make_instance, make_patient
 
@@ -294,6 +299,142 @@ class TestHistogramPaths:
         curve = TestBroadcastOracle.assert_same(instance, schedule, _CHUNK, 0.1, mode)
         # A mean within 3 of the patients means counts near them: past int8's 127 at 130.
         assert curve.sample_mean.max() > n_recovery - 3
+
+
+def serial_histogram(instance, schedule, n_samples, mode, rng):
+    """The (time, count) histogram of draws and binning in turn on one thread."""
+    times = forecast.time_grid(forecast.GRID_STEP, instance.day_hours)
+    rows = forecast.RecoveryRows.of(instance.patients)
+    z = rows.starts(instance.starts_of(schedule))
+    histogram = np.zeros((times.size, z.size + 1), dtype=np.int64)
+    for block_start in range(0, n_samples, _CHUNK):
+        block = min(_CHUNK, n_samples - block_start)
+        windows = (_draw_windows(rows.mu[:, r], rows.sd[:, r], z[r], rng, block, mode)
+                   for r in range(z.size))
+        histogram += _occupancy_histogram(times, forecast.GRID_STEP, windows, block, z.size + 1)
+    return histogram
+
+
+class TestDrawThread:
+    """Drawing on a second thread keeps the serial draws, their order and the rng's end state."""
+
+    @pytest.mark.parametrize("mode", ["true", "matched"])
+    @pytest.mark.parametrize("day, n_samples", [
+        ("no-recovery", 25_000),
+        ("one-patient", 25_000),
+        ("default", 7_000),  # below one block
+        ("default", 45_000),  # two full blocks and a partial one
+        ("crowded", 25_000),  # 126 counts: one bincount per grid time
+    ])
+    def test_matches_the_serial_draws(self, monkeypatch, default_instance, day, n_samples,
+                                      mode):
+        instance, schedule = {
+            "no-recovery": lambda: (make_instance([make_patient(needs_recovery=False)]),
+                                    Schedule({"p1": 1.0})),
+            "one-patient": lambda: (make_instance([make_patient()]), Schedule({"p1": 2.0})),
+            "default": lambda: (default_instance, baseline_schedule(default_instance)),
+            "crowded": lambda: crowded_day(125),
+        }[day]()
+        blocks = []
+        binned = simulation._occupancy_histogram
+        monkeypatch.setattr(simulation, "_occupancy_histogram",
+                            lambda *args: blocks.append(binned(*args)) or blocks[-1])
+        threads = threading.active_count()
+        rng = np.random.default_rng(17)
+        monte_carlo_curve(instance, schedule, n_samples, mode=mode, rng=rng)
+        assert threading.active_count() == threads
+        reference = np.random.default_rng(17)
+        expected = serial_histogram(instance, schedule, n_samples, mode, reference)
+        assert len(blocks) == -(-n_samples // _CHUNK)
+        assert np.array_equal(sum(blocks), expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_concurrent_calls_keep_their_own_draws(self, default_instance):
+        # Three callers and their three draw threads on two cores, switching often.
+        schedule = baseline_schedule(default_instance)
+        curves = {}
+
+        def sample(seed):
+            curves[seed] = monte_carlo_curve(default_instance, schedule, 25_000,
+                                             rng=np.random.default_rng(seed))
+
+        callers = [threading.Thread(target=sample, args=(seed,)) for seed in (21, 22, 23)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed, curve in curves.items():
+            expected = serial_histogram(default_instance, schedule, 25_000, "true",
+                                        np.random.default_rng(seed))
+            total = expected @ np.arange(expected.shape[1])
+            assert np.array_equal(curve.sample_mean, total.astype(np.float64) / 25_000)
+        assert sorted(curves) == [21, 22, 23]
+
+    @staticmethod
+    def raised_by(instance, n_samples):
+        """The exception ``monte_carlo_curve`` raises, from a caller thread that must end."""
+        raised = []
+
+        def sample():
+            try:
+                monte_carlo_curve(instance, baseline_schedule(instance), n_samples,
+                                  rng=np.random.default_rng(0))
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=sample, daemon=True)
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive()
+        assert len(raised) == 1
+        return raised[0]
+
+    def test_a_draw_failure_is_raised_by_the_caller(self, monkeypatch, default_instance):
+        error = RuntimeError("draw 50 failed")
+        calls = itertools.count(1)
+        draw = simulation._draw_windows
+
+        def failing_draw(*args):
+            if next(calls) == 50:  # in the second block
+                raise error
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "_draw_windows", failing_draw)
+        threads = threading.active_count()
+        assert self.raised_by(default_instance, 45_000) is error
+        assert threading.active_count() == threads
+
+    def test_a_binning_failure_stops_and_joins_the_draw_thread(self, monkeypatch,
+                                                                default_instance):
+        # The binning thread fails on its first row once the draw thread has
+        # filled the queue and is blocked handing over one more row.
+        draws = []
+        blocked = threading.Event()
+        draw = simulation._draw_windows
+
+        def counted_draw(*args):
+            draws.append(None)
+            if len(draws) == _LOOKAHEAD + 2:
+                blocked.set()
+            return draw(*args)
+
+        def failing_grid_index(*args):
+            assert blocked.wait(timeout=30.0)
+            raise ArithmeticError("binning failed")
+
+        monkeypatch.setattr(simulation, "_draw_windows", counted_draw)
+        monkeypatch.setattr(simulation, "_grid_index", failing_grid_index)
+        threads = threading.active_count()
+        assert str(self.raised_by(default_instance, 100_000)) == "binning failed"
+        assert threading.active_count() == threads
+        # One row taken, a full queue and the row that was blocked: none drawn after the failure.
+        assert len(draws) == _LOOKAHEAD + 2
 
 
 class TestGridIndex:
