@@ -1,28 +1,23 @@
-"""Start-of-day recovery-bed occupancy forecasting and surgical case sequencing."""
+"""Start-of-day recovery-bed occupancy forecasting and surgical case sequencing.
+
+The top level re-exports exactly the names the README's library example
+imports, the records its file formats name (``Instance``, ``Surgeon``,
+``Patient``, ``LognormalParams``, ``Schedule``), the results those functions
+return and ``__version__``.  Every other name is imported from its module,
+e.g. ``pacuplan.forecast.exact_occupancy_cdf``.
+"""
 
 __version__ = "0.1.0"
 
-from .distributions import (
-    LognormalParams,
-    lognormal_cdf,
-    moment_match_sum,
-    poisson_binomial_cdf,
-)
-from .forecast import (
-    OccupancyCurve,
-    exact_occupancy_cdf,
-    occupancy_curve,
-    time_grid,
-)
+from .distributions import LognormalParams
+from .forecast import OccupancyCurve, occupancy_curve
 from .model import (
-    FEASIBILITY_EPS,
     Instance,
     Patient,
     Schedule,
     Surgeon,
     Violation,
     check_feasibility,
-    compute_overtime,
     max_expected_occupancy,
 )
 from .simulation import (
@@ -33,32 +28,19 @@ from .simulation import (
     generate_instance,
     monte_carlo_curve,
 )
-from .solver import (
-    SAConfig,
-    SolveReport,
-    baseline_schedule,
-    construct_schedule,
-    simulated_annealing,
-)
+from .solver import SAConfig, SolveReport, baseline_schedule, simulated_annealing
 
 __all__ = [
     "__version__",
     "LognormalParams",
-    "lognormal_cdf",
-    "moment_match_sum",
-    "poisson_binomial_cdf",
     "OccupancyCurve",
-    "exact_occupancy_cdf",
     "occupancy_curve",
-    "time_grid",
-    "FEASIBILITY_EPS",
     "Instance",
     "Patient",
     "Schedule",
     "Surgeon",
     "Violation",
     "check_feasibility",
-    "compute_overtime",
     "max_expected_occupancy",
     "CoverageStats",
     "EmpiricalCurve",
@@ -69,6 +51,5 @@ __all__ = [
     "SAConfig",
     "SolveReport",
     "baseline_schedule",
-    "construct_schedule",
     "simulated_annealing",
 ]

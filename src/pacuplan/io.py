@@ -10,10 +10,13 @@ import csv
 import datetime
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .distributions import _field_table
-from .forecast import OccupancyCurve
 from .model import Instance, Schedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .forecast import OccupancyCurve
 
 FORMAT_VERSION = 1
 

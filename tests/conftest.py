@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, forecast,
-                      generate_instance, lognormal_cdf)
-from pacuplan.distributions import SQRT2, _erf, _validate_probs
+                      generate_instance)
+from pacuplan.distributions import SQRT2, _erf, _validate_probs, lognormal_cdf
 from pacuplan.simulation import _CHUNK, _RECOVERY_MODEL_OF_MODE, _draw_windows
 
 

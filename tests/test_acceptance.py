@@ -26,17 +26,15 @@ from pacuplan import (
     Schedule,
     baseline_schedule,
     check_feasibility,
-    construct_schedule,
     coverage_stats,
     generate_instance,
     max_expected_occupancy,
-    moment_match_sum,
     monte_carlo_curve,
     occupancy_curve,
-    poisson_binomial_cdf,
     simulated_annealing,
 )
-from pacuplan.distributions import LognormalParams
+from pacuplan.distributions import LognormalParams, moment_match_sum, poisson_binomial_cdf
+from pacuplan.solver import construct_schedule
 from pacuplan.cli import main as cli_main
 
 from conftest import dft_cdf_oracle, random_genspec

@@ -3,18 +3,22 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import io as _io
 import json
 import os
+import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import pacuplan
 from pacuplan import (GenSpec, Instance, SAConfig, Schedule, baseline_schedule, check_feasibility,
                       generate_instance, max_expected_occupancy, monte_carlo_curve,
                       simulated_annealing)
@@ -447,12 +451,52 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
-def test_readme_library_example_runs(capsys):
+def _readme_library_block():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    return readme, readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    _, block = _readme_library_block()
     assert "instance.starts_of(" in block
     exec(compile(block, "README.md", "exec"), {})
     assert "->" in capsys.readouterr().out
+
+
+def _pacuplan_classes(annotation):
+    """The pacuplan classes an evaluated annotation names, e.g. Violation in list[Violation]."""
+    if isinstance(annotation, type) and annotation.__module__.startswith("pacuplan."):
+        return {annotation.__name__}
+    return set().union(*map(_pacuplan_classes, typing.get_args(annotation)))
+
+
+# Names the top level no longer re-exports, at the module paths the benchmark imports them from.
+MODULE_ONLY = {"lognormal_cdf": "distributions", "moment_match_sum": "distributions",
+               "poisson_binomial_cdf": "distributions", "exact_occupancy_cdf": "forecast",
+               "time_grid": "forecast", "compute_overtime": "model",
+               "FEASIBILITY_EPS": "model", "construct_schedule": "solver"}
+
+
+def test_top_level_exports_the_readme_api():
+    # The library example's imports, the records the file-format list names, the
+    # pacuplan types those functions are annotated to return, and __version__.
+    readme, block = _readme_library_block()
+    imported = {alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "pacuplan"
+                for alias in node.names}
+    records = set(re.findall(r"^\s*- `(\w+)`: `", readme, re.M))
+    assert records == {"Instance", "Surgeon", "Patient", "LognormalParams", "Schedule"}
+    returned = set()
+    for name in imported:
+        function = getattr(pacuplan, name)
+        if inspect.isfunction(function):
+            hint = inspect.signature(function).return_annotation
+            returned |= _pacuplan_classes(eval(hint, function.__globals__))
+    assert set(pacuplan.__all__) == imported | records | returned | {"__version__"}
+    assert len(pacuplan.__all__) == 21
+    for name, module in MODULE_ONLY.items():
+        assert not hasattr(pacuplan, name)
+        assert hasattr(importlib.import_module(f"pacuplan.{module}"), name)
 
 
 @pytest.mark.parametrize("flag", ["--iteration-grid", "--factor-grid", "--period-grid"])

@@ -13,15 +13,14 @@ from pacuplan import (
     GenSpec,
     LognormalParams,
     baseline_schedule,
-    construct_schedule,
-    exact_occupancy_cdf,
     generate_instance,
     occupancy_curve,
-    poisson_binomial_cdf,
-    time_grid,
 )
 from pacuplan import forecast, solver
-from pacuplan.forecast import MeoKernel, RecoveryRows, recovery_prob_matrix
+from pacuplan.distributions import poisson_binomial_cdf
+from pacuplan.forecast import (MeoKernel, RecoveryRows, exact_occupancy_cdf, recovery_prob_matrix,
+                               time_grid)
+from pacuplan.solver import construct_schedule
 
 from conftest import (dft_cdf_oracle, in_recovery_oracle, late_shift_instance, make_patient,
                       pmf_oracle, support_upper_bound, two_call_recovery_prob_matrix)

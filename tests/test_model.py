@@ -13,13 +13,13 @@ from pacuplan import (
     Schedule,
     Surgeon,
     check_feasibility,
-    compute_overtime,
-    construct_schedule,
     generate_instance,
     max_expected_occupancy,
-    moment_match_sum,
     occupancy_curve,
 )
+from pacuplan.distributions import moment_match_sum
+from pacuplan.model import compute_overtime
+from pacuplan.solver import construct_schedule
 
 from conftest import late_shift_instance, make_instance, make_patient, random_genspec
 

@@ -15,15 +15,13 @@ from pacuplan import (
     Surgeon,
     baseline_schedule,
     check_feasibility,
-    compute_overtime,
-    construct_schedule,
     generate_instance,
     max_expected_occupancy,
     simulated_annealing,
 )
 from pacuplan import forecast
-from pacuplan.model import FEASIBILITY_EPS, _Chains
-from pacuplan.solver import _construct_starts, _draw_swap
+from pacuplan.model import FEASIBILITY_EPS, _Chains, compute_overtime
+from pacuplan.solver import _construct_starts, _draw_swap, construct_schedule
 
 from conftest import (late_shift_instance, make_instance, make_patient, random_genspec,
                       spanning_instance)
@@ -82,7 +80,6 @@ class TestConstructSchedule:
         instance = make_instance(patients)
         schedule = construct_schedule(instance, ["a", "b"])
         assert schedule.starts["b"] == pytest.approx(6.0)  # ends 11.0, 3 h past shift
-        from pacuplan import compute_overtime
         assert compute_overtime(instance, schedule)["s2"] == pytest.approx(3.0)
         assert check_feasibility(instance, schedule) == []
 
