@@ -55,7 +55,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     spec_done = time.perf_counter()
     instance = generate_instance(spec)
     generate_done = time.perf_counter()
-    io.write_instance(instance, args.out)
+    io.write_record(instance, args.out)
     write_done = time.perf_counter()
     print(f"wrote {args.out}: {len(instance.patients)} patients, "
           f"{len(instance.surgeons)} surgeons, {instance.or_count} ORs, "
@@ -114,7 +114,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                          f"{first.message}")
     check_done = time.perf_counter()
 
-    io.write_schedule(best.best_schedule, args.out)
+    io.write_record(best.best_schedule, args.out)
     report_path = Path(args.out).with_name(Path(args.out).stem + ".report.json")
     # No reduction is measured against a packing that breaks an overtime cap.
     reduction = None if not base_feasible else (

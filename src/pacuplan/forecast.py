@@ -141,7 +141,7 @@ def _require_grid_step(grid_step: float) -> None:
 
 
 def time_grid(grid_step: float, horizon: float) -> np.ndarray:
-    """Regular grid 0, step, 2*step, ... covering [0, horizon].
+    """Regular grid 0, step, 2*step, ... up to the last multiple of the step within the horizon.
 
     When the step has at most 12 decimals, time i is the double nearest the
     decimal i * step (0.3, not 0.30000000000000004), within an ulp or so of
@@ -339,8 +339,6 @@ class MeoKernel:
     def peak(self, starts: Sequence[float]) -> float:
         """Peak over the grid of the expected headcount; ``starts`` has one entry per patient."""
         z = self.rows.starts(starts)
-        if z.size == 0:
-            return 0.0
         column_lower, column_upper = self._cells(z).sum(axis=0, dtype=self._sum_dtype).T
         keep = column_upper >= max(int(column_lower.max()) - self._margin, 0)
         probs = recovery_prob_matrix(self.rows, z, self.times[keep])
@@ -362,10 +360,12 @@ def _fixed_point(values: np.ndarray, toward: int, out: np.ndarray) -> None:
 
 
 def _column_sums(probs: np.ndarray) -> np.ndarray:
-    """Each column's sum, adding the rows in order; overwrites ``probs``.
+    """Each column's sum, adding the rows in order, zeros when there are none; overwrites ``probs``.
 
     ``sum(axis=0)`` would pair up the terms of a lone column.
     """
+    if not probs.shape[0]:
+        return np.zeros(probs.shape[1])
     return np.add.accumulate(probs, axis=0, out=probs)[-1]
 
 
@@ -417,7 +417,7 @@ def convolved_sum_cdf(rows: RecoveryRows, starts: np.ndarray, grid_step: float,
 def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
                     grid_step: float = GRID_STEP, horizon: float = 24.0,
                     recovery_model: str = "moment") -> OccupancyCurve:
-    """Forecast mean, variance, and 95% band on a regular grid over [0, horizon].
+    """Forecast mean, variance, and 95% band on ``time_grid(grid_step, horizon)``.
 
     ``recovery_model`` is "moment" (the paper's moment-matched lognormal for
     surgery + recovery) or "convolved" (the exact CDF of that sum, see
@@ -428,9 +428,6 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
     times = time_grid(grid_step, horizon)
     rows = RecoveryRows.of(patients)
     z = rows.starts(starts)
-    if z.size == 0:
-        zero = np.zeros(times.size)
-        return OccupancyCurve(times, zero, zero.copy(), zero.copy(), zero.copy())
     combined_cdf = None
     if recovery_model == "convolved":
         combined_cdf = convolved_sum_cdf(rows, z, grid_step, times.size)

@@ -19,6 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .forecast import OccupancyCurve
 
 FORMAT_VERSION = 1
+# The records whose files carry ``format_version``.
+_VERSIONED = (Instance, Schedule)
 
 
 def _named(where: str | None, problem) -> ValueError:
@@ -93,12 +95,15 @@ def read_json(path: str | Path) -> dict:
         raise ValueError(f"{p}: not valid JSON ({exc})") from exc
 
 
-def instance_to_dict(instance: Instance) -> dict:
-    return {"format_version": FORMAT_VERSION, **_plain(instance)}
+def write_record(record, path: str | Path) -> None:
+    """Write ``record``'s constructor fields as JSON, the file ``read_record`` reads back.
 
-
-def write_instance(instance: Instance, path: str | Path) -> None:
-    write_json(instance_to_dict(instance), path)
+    An instance or schedule file also holds ``format_version``.
+    """
+    fields = _plain(record)
+    if type(record) in _VERSIONED:
+        fields["format_version"] = FORMAT_VERSION
+    write_json(fields, path)
 
 
 def read_record(path: str | Path, cls: type, where: str | None = None, /, **given):
@@ -111,7 +116,7 @@ def read_record(path: str | Path, cls: type, where: str | None = None, /, **give
     fields = read_json(p)
     try:
         if isinstance(fields, dict):
-            if cls in (Instance, Schedule):
+            if cls in _VERSIONED:
                 version = fields.pop("format_version", None)
                 if version != FORMAT_VERSION:
                     raise ValueError(f"unsupported format version {version!r} (expected {FORMAT_VERSION})")
@@ -123,14 +128,6 @@ def read_record(path: str | Path, cls: type, where: str | None = None, /, **give
 
 def read_instance(path: str | Path) -> Instance:
     return read_record(path, Instance, "top level")
-
-
-def schedule_to_dict(schedule: Schedule) -> dict:
-    return {"format_version": FORMAT_VERSION, **_plain(schedule)}
-
-
-def write_schedule(schedule: Schedule, path: str | Path) -> None:
-    write_json(schedule_to_dict(schedule), path)
 
 
 def read_schedule(path: str | Path) -> Schedule:

@@ -204,7 +204,7 @@ def test_criterion_7_optimize_wall_clock(tmp_path, default_day):
     from pacuplan import io
     instance, _ = default_day
     instance_path = tmp_path / "default.json"
-    io.write_instance(instance, instance_path)
+    io.write_record(instance, instance_path)
     out = tmp_path / "optimized.json"
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pacuplan.cli", "optimize",
@@ -221,9 +221,9 @@ def test_criterion_8_byte_identical_reruns(tmp_path, default_day):
     from pacuplan import io
     instance, schedule = default_day
     instance_path = tmp_path / "instance.json"
-    io.write_instance(instance, instance_path)
+    io.write_record(instance, instance_path)
     schedule_path = tmp_path / "schedule.json"
-    io.write_schedule(schedule, schedule_path)
+    io.write_record(schedule, schedule_path)
     sweep_dir = tmp_path / "sweepdir"
     sweep_dir.mkdir()
     (sweep_dir / "inst.json").write_bytes(instance_path.read_bytes())

@@ -188,10 +188,10 @@ class TestForecast:
 
     def test_empty_instance_gives_zero_rows(self, tmp_path):
         instance_path = tmp_path / "empty.json"
-        io.write_instance(Instance(surgeons=[], patients=[], or_count=0, or_open_hours=8.0,
-                                   day_hours=24.0), instance_path)
+        io.write_record(Instance(surgeons=[], patients=[], or_count=0, or_open_hours=8.0,
+                                 day_hours=24.0), instance_path)
         schedule_path = tmp_path / "empty_schedule.json"
-        io.write_schedule(Schedule({}), schedule_path)
+        io.write_record(Schedule({}), schedule_path)
         out = tmp_path / "occ.csv"
         assert run("forecast", instance_path, schedule_path, "--out", out) == 0
         with open(out) as fh:
@@ -201,7 +201,7 @@ class TestForecast:
 
     def test_missing_patient_names_it(self, tmp_path, small_instance_file, capsys):
         schedule_path = tmp_path / "partial.json"
-        io.write_schedule(Schedule({"p01": 0.0}), schedule_path)
+        io.write_record(Schedule({"p01": 0.0}), schedule_path)
         assert run("forecast", small_instance_file, schedule_path,
                    "--out", tmp_path / "x.csv") == 2
         assert "p02" in capsys.readouterr().err
@@ -620,7 +620,7 @@ class TestOptimize:
         # overtime cap (constraint 4).  The one candidate breaks a cap too,
         # so no schedule tried is feasible and the packing stays the best.
         day = tmp_path / "late.json"
-        io.write_instance(late_shift_instance(np.random.default_rng(195156)), day)
+        io.write_record(late_shift_instance(np.random.default_rng(195156)), day)
         out = tmp_path / "out" / "best.json"
         out.parent.mkdir()
         assert run("optimize", day, "--iterations", 1, "--seed", 0, "--out", out) == 2
@@ -636,7 +636,7 @@ class TestOptimize:
         packing = baseline_schedule(instance)
         assert [v.constraint for v in check_feasibility(instance, packing)] == [4]
         day, out = tmp_path / "late.json", tmp_path / "best.json"
-        io.write_instance(instance, day)
+        io.write_record(instance, day)
         assert run("optimize", day, "--iterations", 1000, "--seed", 0, "--out", out) == 0
         report = json.loads((tmp_path / "best.report.json").read_text())
         assert report["baseline_feasible"] is False
@@ -779,7 +779,7 @@ class TestSweep:
         for seed in (3, 4):
             day = generate_instance(GenSpec(seed=seed, patient_count=12, surgeon_count=6,
                                             or_count=4))
-            io.write_instance(day, sweep_dir / f"day{seed}.json")
+            io.write_record(day, sweep_dir / f"day{seed}.json")
         built = []
         original = forecast.MeoKernel.__init__
 

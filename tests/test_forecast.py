@@ -54,6 +54,11 @@ class TestTimeGrid:
         grid = time_grid(8.0, 8.0)
         assert grid.size == 2
 
+    def test_a_step_that_does_not_divide_the_horizon_stops_short(self):
+        grid = time_grid(0.7, 24.0)
+        assert grid.size == 35
+        assert grid[-1] == 23.8
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             time_grid(0.0, 1.0)
@@ -314,6 +319,9 @@ class TestAggregates:
     def test_empty_patient_set(self):
         assert curve_at([], [], 3.0).mean[-1] == 0.0
         assert curve_at([], [], 3.0).variance[-1] == 0.0
+
+    def test_a_block_without_rows_sums_to_zeros(self):
+        assert forecast._column_sums(np.empty((0, 3))).tolist() == [0.0, 0.0, 0.0]
 
     def test_singleton_equals_individual(self):
         patient = make_patient()

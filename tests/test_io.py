@@ -15,21 +15,27 @@ from pacuplan import distributions, io
 from conftest import make_instance, make_patient
 
 
+def written(record, path):
+    """The JSON object ``io.write_record`` writes for ``record`` at ``path``."""
+    io.write_record(record, path)
+    return json.loads(path.read_text())
+
+
 class TestInstanceRoundTrip:
     def test_generated_instance_survives(self, tmp_path, default_instance):
         path = tmp_path / "instance.json"
-        io.write_instance(default_instance, path)
+        io.write_record(default_instance, path)
         assert io.read_instance(path) == default_instance
 
     def test_empty_instance_survives(self, tmp_path, empty_instance):
         path = tmp_path / "empty.json"
-        io.write_instance(empty_instance, path)
+        io.write_record(empty_instance, path)
         assert io.read_instance(path) == empty_instance
 
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "bad.json"
-        payload = io.instance_to_dict(generate_instance(GenSpec(
-            or_count=2, surgeon_count=2, patient_count=3)))
+        payload = written(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=3)), path)
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
@@ -37,8 +43,8 @@ class TestInstanceRoundTrip:
 
     def test_rejects_missing_field(self, tmp_path):
         path = tmp_path / "broken.json"
-        payload = io.instance_to_dict(generate_instance(GenSpec(
-            or_count=2, surgeon_count=2, patient_count=3)))
+        payload = written(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=3)), path)
         del payload["patients"][0]["surgery"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="surgery"):
@@ -52,8 +58,8 @@ class TestInstanceRoundTrip:
     ])
     def test_rejects_unknown_field_naming_the_record(self, tmp_path, record, field):
         path = tmp_path / "typo.json"
-        payload = io.instance_to_dict(generate_instance(GenSpec(
-            or_count=2, surgeon_count=2, patient_count=3)))
+        payload = written(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=3)), path)
         target = payload
         for step in record:
             target = target[step]
@@ -74,10 +80,10 @@ class TestInstanceRoundTrip:
         (lambda d: d.update(or_count=1), "top level: patient p2 references OR 2 outside 1..1"),
     ])
     def test_an_error_names_only_the_innermost_entry(self, tmp_path, edit, message):
-        payload = io.instance_to_dict(generate_instance(GenSpec(
-            or_count=2, surgeon_count=2, patient_count=4)))
-        edit(payload)
         path = tmp_path / "day.json"
+        payload = written(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=4)), path)
+        edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             io.read_instance(path)
@@ -85,17 +91,17 @@ class TestInstanceRoundTrip:
     def test_omitted_optional_fields_take_their_defaults(self, tmp_path):
         day = make_instance([make_patient(setup=0.2, cleanup=0.3, duration=2.5)],
                             surgeons=[Surgeon(id="s1", shift_start=1.0, shift_end=7.0)])
-        payload = io.instance_to_dict(day)
+        path = tmp_path / "sparse.json"
+        payload = written(day, path)
         for name in ("expected_duration", "setup", "cleanup"):
             del payload["patients"][0][name]
-        path = tmp_path / "sparse.json"
         path.write_text(json.dumps(payload))
         read = io.read_instance(path)
         assert read.surgeons == [Surgeon(id="s1", shift_start=1.0, shift_end=7.0)]
         patient = read.patients[0]
         assert (patient.expected_duration, patient.setup, patient.cleanup) == (
             patient.surgery.mean(), 0.0, 0.0)
-        io.write_instance(read, path)
+        io.write_record(read, path)
         assert io.read_instance(path) == read
 
     @pytest.mark.parametrize("real", [np.float32, np.float64])
@@ -110,8 +116,8 @@ class TestInstanceRoundTrip:
                             or_open_hours=number(8.0), day_hours=number(24.0))
 
         with_numpy, with_python = tmp_path / "numpy.json", tmp_path / "python.json"
-        io.write_instance(day(np.int64, real), with_numpy)
-        io.write_instance(day(int, lambda x: float(real(x))), with_python)
+        io.write_record(day(np.int64, real), with_numpy)
+        io.write_record(day(int, lambda x: float(real(x))), with_python)
         assert with_numpy.read_bytes() == with_python.read_bytes()
         assert io.read_instance(with_numpy) == day(int, lambda x: float(real(x)))
 
@@ -126,7 +132,7 @@ class TestScheduleRoundTrip:
     def test_exact_floats_survive(self, tmp_path):
         schedule = Schedule({"p1": 0.1 + 0.2, "p2": 7.123456789012345})
         path = tmp_path / "schedule.json"
-        io.write_schedule(schedule, path)
+        io.write_record(schedule, path)
         assert io.read_schedule(path) == schedule
 
     def test_rejects_missing_starts(self, tmp_path):
@@ -140,6 +146,13 @@ class TestScheduleRoundTrip:
         path.write_text(json.dumps({"format_version": 1, "starts": {"p1": 0.0}, "start": {}}))
         with pytest.raises(ValueError, match=r"schedule.json: unknown field\(s\) start$"):
             io.read_schedule(path)
+
+
+def test_only_instance_and_schedule_files_carry_the_format_version(tmp_path):
+    path = tmp_path / "spec.json"
+    spec = GenSpec(seed=4, patient_count=70)
+    assert "format_version" not in written(spec, path)
+    assert io.read_record(path, GenSpec) == spec
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -194,14 +207,14 @@ class TestRoundTripProperties:
     @given(instances())
     def test_instances_come_back_equal(self, tmp_path_factory, instance):
         path = tmp_path_factory.mktemp("day") / "instance.json"
-        io.write_instance(instance, path)
+        io.write_record(instance, path)
         assert io.read_instance(path) == instance
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(_IDS, _finite(-1e300, 1e300), max_size=10))
     def test_schedules_come_back_equal(self, tmp_path_factory, starts):
         path = tmp_path_factory.mktemp("schedule") / "schedule.json"
-        io.write_schedule(Schedule(starts), path)
+        io.write_record(Schedule(starts), path)
         assert io.read_schedule(path) == Schedule(starts)
 
 
@@ -219,14 +232,14 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", NUMERIC_FIELDS, ids=lambda f: "/".join(map(str, f)))
     def test_instance_field_rejected_by_name(self, tmp_path, field, bad):
-        payload = io.instance_to_dict(generate_instance(GenSpec(
-            or_count=2, surgeon_count=2, patient_count=4)))
+        path = tmp_path / "day.json"
+        payload = written(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=4)), path)
         *parents, key = field
         target = payload
         for step in parents:
             target = target[step]
         target[key] = bad
-        path = tmp_path / "day.json"
         path.write_text(json.dumps(payload))  # NaN, Infinity, -Infinity
         with pytest.raises(ValueError) as raised:
             io.read_instance(path)
@@ -236,10 +249,10 @@ class TestNonFiniteNumbers:
             assert " ".join([f"{parents[0]}[{parents[1]}]", *parents[2:]]) in message
 
     def test_integer_beyond_float_range_rejected_by_name(self, tmp_path):
-        payload = io.instance_to_dict(generate_instance(GenSpec(
-            or_count=2, surgeon_count=2, patient_count=4)))
-        payload["surgeons"][1]["shift_end"] = 10 ** 400
         path = tmp_path / "day.json"
+        payload = written(generate_instance(GenSpec(
+            or_count=2, surgeon_count=2, patient_count=4)), path)
+        payload["surgeons"][1]["shift_end"] = 10 ** 400
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"surgeons\[1\]: .*shift_end must be a finite number"):
             io.read_instance(path)

@@ -312,6 +312,47 @@ class TestChainBuilderMatchesNeighbourLists:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def components(chains):
+    """Each OR–surgeon component's patients, in patient order.
+
+    Two patients are in one component when they share an OR or a surgeon,
+    directly or through other patients.
+    """
+    parent = list(range(chains.room_count + chains.surgeon_count))  # ORs, then surgeons
+
+    def root(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for r, s in zip(chains.room, chains.surgeon):
+        parent[root(r)] = root(chains.room_count + s)
+    members = {}
+    for p, r in enumerate(chains.room):
+        members.setdefault(root(r), []).append(p)
+    return list(members.values())
+
+
+class TestComponentLocality:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_one_component_alone_gets_the_full_pass_starts(self, seed, spanning):
+        # No chain crosses an OR–surgeon component, so the builder run over one
+        # component's patients alone, in sequence order and with their own
+        # draws, gives each of them the full pass's start, bit for bit.  On
+        # days whose surgeons span ORs the components merge ORs.
+        rng = np.random.default_rng(seed)
+        instance = (spanning_instance if spanning else late_shift_instance)(rng)
+        chains = instance._chains
+        order = rng.permutation(chains.n).tolist()
+        for draws in ([0.0] * chains.n, rng.random(chains.n).tolist()):
+            full, _ = _construct_starts(chains, order, draws)
+            for patients in components(chains):
+                sub = [(p, u) for p, u in zip(order, draws) if p in patients]
+                local, _ = _construct_starts(chains, [p for p, _ in sub], [u for _, u in sub])
+                assert [local[p].hex() for p in patients] == [full[p].hex() for p in patients]
+
+
 class TestBaselineSchedule:
     def test_empty_instance(self, empty_instance):
         assert baseline_schedule(empty_instance).starts == {}
