@@ -215,18 +215,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     instances = [io.read_instance(p) for p in instance_paths]
     read_done = time.perf_counter()
 
-    cells = list(itertools.product(args.iteration_grid, args.factor_grid, args.period_grid))
-    # Instances outermost, so that each one's MEO kernel is built once; every
-    # (cell, rep) total still adds the instances' best MEOs in instance order.
-    totals = [[0.0] * args.reps for _ in cells]
-    for inst in instances:
-        for (iterations, factor, period), cell_totals in zip(cells, totals):
-            for rep in range(args.reps):
-                config = SAConfig(iterations=iterations, cooling_factor=factor,
-                                  cooling_period=period, grid_step=args.grid_step,
-                                  seed=args.seed + rep)
-                cell_totals[rep] += simulated_annealing(inst, config).best_meo
-    results = [(*cell, float(np.mean(cell_totals))) for cell, cell_totals in zip(cells, totals)]
+    results = []
+    for iterations, factor, period in itertools.product(args.iteration_grid, args.factor_grid,
+                                                        args.period_grid):
+        configs = [SAConfig(iterations=iterations, cooling_factor=factor, cooling_period=period,
+                            grid_step=args.grid_step, seed=args.seed + rep) for rep in range(args.reps)]
+        totals = [sum(simulated_annealing(inst, c).best_meo for inst in instances) for c in configs]
+        results.append((iterations, factor, period, float(np.mean(totals))))
     anneal_done = time.perf_counter()
 
     best_row = min(range(len(results)), key=lambda i: (results[i][3], i))

@@ -18,8 +18,8 @@ recovery, one row each.  Its ``starts`` checks a raw list of starts (one
 real, finite start per patient) and picks out the rows'; a ``Schedule``
 checks its own starts, and ``Instance.starts_of`` that it times exactly the
 day's patients.  Callers take the rows from ``RecoveryRows.of``, which
-builds them once for a run of calls on the same day, such as an annealing
-run; they keep the day's MEO kernel (``kernel``).
+builds them once for a run of calls on the same day.  The rows hold no MEO
+kernel: the day keeps its own (``Instance._kernel``).
 
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
@@ -172,7 +172,6 @@ class RecoveryRows:
     _memo: tuple[tuple["Patient", ...], "RecoveryRows"] | None = None
 
     def __init__(self, patients: Sequence["Patient"]):
-        self._kernel: tuple[tuple[float, float], MeoKernel] | None = None
         self.n_patients = len(patients)
         rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
                  p.recovery.mu, p.recovery.sigma) for i, p in enumerate(patients) if p.needs_recovery]
@@ -199,12 +198,6 @@ class RecoveryRows:
         rows = memo[1] if memo is not None and memo[0] == key else cls(key)
         cls._memo = (key, rows)
         return rows
-
-    def kernel(self, grid_step: float, horizon: float) -> "MeoKernel":
-        """The rows' MEO kernel on this grid, built once for consecutive calls on it."""
-        if self._kernel is None or self._kernel[0] != (grid_step, horizon):
-            self._kernel = ((grid_step, horizon), MeoKernel(self, grid_step, horizon))
-        return self._kernel[1]
 
     def starts(self, starts: Sequence[float]) -> np.ndarray:
         """The rows' starts, out of one finite start per patient.
@@ -280,7 +273,7 @@ class MeoKernel:
     units, T = ``times.size``: entry m at T + 1 + m, so m <= -2 (zero
     padding) from 0, m = -1 at T, m = 0 .. T at T + 1 .. 2T + 1, then T - 1
     copies of entry T.  A row with shift k reads the T entries from
-    T + 1 + k of its phase.  Take a day's kernel from ``RecoveryRows.kernel``.
+    T + 1 + k of its phase.  A day keeps its own: ``Instance._kernel``.
     """
 
     def __init__(self, rows: RecoveryRows, grid_step: float, horizon: float):

@@ -83,7 +83,8 @@ class Instance:
     """A day's problem: surgeons, patients, and the room/hour envelope.
 
     Patient list order is meaningful: it is the day's input order and seeds
-    the optimiser's initial sequence.
+    the optimiser's initial sequence.  The day keeps its chain tables and
+    its MEO kernel, each built on first use.
     """
 
     surgeons: list[Surgeon]
@@ -94,6 +95,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         _check_fields(self, "instance")
+        self._meo_kernel: forecast.MeoKernel | None = None
         if not self.or_open_hours <= self.day_hours:
             raise ValueError(f"instance: or_open_hours must be at most day_hours {self.day_hours}, "
                              f"got {self.or_open_hours}")
@@ -135,6 +137,13 @@ class Instance:
     def _chains(self) -> _Chains:
         """The schedule builder's tables of the day, built on first use."""
         return _Chains(self)
+
+    def _kernel(self, grid_step: float) -> forecast.MeoKernel:
+        """The day's MEO kernel on this grid step, built on first use; the day keeps the last one."""
+        if self._meo_kernel is None or self._meo_kernel.grid_step != grid_step:
+            self._meo_kernel = forecast.MeoKernel(forecast.RecoveryRows.of(self.patients), grid_step,
+                                                  self.day_hours)
+        return self._meo_kernel
 
 
 class _Chains:
@@ -283,4 +292,4 @@ def max_expected_occupancy(instance: Instance, schedule: Schedule,
                            grid_step: float = forecast.GRID_STEP) -> float:
     """Peak of the expected recovery occupancy over the day's time grid."""
     starts = instance.starts_of(schedule)
-    return forecast.RecoveryRows.of(instance.patients).kernel(grid_step, instance.day_hours).peak(starts)
+    return instance._kernel(grid_step).peak(starts)

@@ -69,8 +69,9 @@ class SolveReport:
     each ``cooling_period`` of iterations, the last one possibly partial.
     ``construct_seconds`` and ``kernel_seconds`` are the parts of
     ``wall_clock_seconds`` spent building schedules and in the MEO kernel
-    (its tables included); ``best_found_seconds`` is when, into the run, the
-    best candidate was evaluated (0 when none beat the initial schedule).
+    (its tables too, when this run built them); ``best_found_seconds`` is
+    when, into the run, the best candidate was evaluated (0 when none beat
+    the initial schedule).
     """
 
     best_schedule: Schedule
@@ -203,7 +204,7 @@ def simulated_annealing(instance: Instance, config: SAConfig | None = None) -> S
     tick = clock()
     current_starts, excess = _construct_starts(chains, order, [0.0] * n)
     built = clock()
-    kernel = forecast.RecoveryRows.of(instance.patients).kernel(config.grid_step, instance.day_hours)
+    kernel = instance._kernel(config.grid_step)
     initial = kernel.peak(current_starts)
     done = clock()
     construct_seconds, kernel_seconds, best_found = built - tick, done - built, 0.0

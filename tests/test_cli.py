@@ -9,8 +9,10 @@ import io as _io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import textwrap
 import typing
 from pathlib import Path
 
@@ -788,7 +790,6 @@ class TestSweep:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(forecast.MeoKernel, "__init__", counting)
-        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
         out = tmp_path / "sweep.csv"
         assert run("sweep", sweep_dir, "--iteration-grid", "15", "--factor-grid", "0.85,0.95",
                    "--period-grid", "5", "--reps", 2, "--seed", 3, "--out", out) == 0
@@ -851,6 +852,33 @@ def test_sources_parse_as_python_3_10():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_workflow_console_script_block_runs(tmp_path):
+    """The CI workflow's console-script smoke run passes here, under bash.
+
+    The step's ``run: |`` block is cut out of the workflow by text, as
+    PyYAML is no test dependency, and runs with ``pacuplan`` bound to
+    ``python -m pacuplan.cli`` and ``RUNNER_TEMP`` a temporary directory:
+    a flag a command no longer takes fails tier-1, not only a CI run.
+    """
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("bash is not installed")
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    step = re.search(r"- name: Console script smoke run\n( +)run: \|\n((?:\1 +\S.*\n)+)", workflow)
+    assert step is not None
+    block = textwrap.dedent(step[2])
+    for command in ("generate", "optimize", "forecast", "sweep", "validate"):
+        assert f"pacuplan {command} " in block
+    script = 'set -euo pipefail\npacuplan() { "$PYTHON" -m pacuplan.cli "$@"; }\n' + block
+    env = dict(os.environ, PYTHON=sys.executable, RUNNER_TEMP=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([bash, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestGoldenDataFiles:

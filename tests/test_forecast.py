@@ -179,7 +179,7 @@ class TestRecoveryRows:
     @pytest.mark.parametrize("entry", [
         lambda patients, starts: occupancy_curve(patients, starts),
         lambda patients, starts: exact_occupancy_cdf(patients, starts, 2.0, 1),
-        lambda patients, starts: RecoveryRows.of(patients).kernel(0.1, 24.0).peak(starts),
+        lambda patients, starts: MeoKernel(RecoveryRows(patients), 0.1, 24.0).peak(starts),
     ], ids=["occupancy_curve", "exact_occupancy_cdf", "kernel-peak"])
     def test_an_integer_beyond_float_range_is_named_by_position(self, entry):
         patients = [make_patient(pid=f"p{i}") for i in range(3)]

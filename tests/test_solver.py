@@ -202,9 +202,9 @@ def reference_starts(instance, sequence, rng):
 
 
 class TestWorkspace:
-    """A day's schedule-builder tables, its chains, are built once per day, from all it reads."""
+    """A day's chains and MEO kernel are built once per day, from all they read."""
 
-    def test_key_covers_the_surgeons_shifts(self, monkeypatch):
+    def test_key_covers_the_surgeons_shifts(self):
         # Equal patients; on the second day surgeon s5's shift ends at 10 h,
         # not 8 h, which raises its overtime cap and makes every candidate
         # feasible.  The first day's chains must not serve the second.
@@ -214,9 +214,7 @@ class TestWorkspace:
         second = Instance(surgeons=surgeons, patients=first.patients, or_count=first.or_count,
                           or_open_hours=first.or_open_hours, day_hours=first.day_hours)
         config = SAConfig(iterations=200, seed=0)
-        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
         cold = simulated_annealing(second, config)
-        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
         caps = []
         for instance in (first, second):
             chains = instance._chains
@@ -240,13 +238,34 @@ class TestWorkspace:
                 original(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
         rng = np.random.default_rng(3)
         for _ in range(3):
             schedule = construct_schedule(instance, instance.patient_ids, rng)
         simulated_annealing(instance, SAConfig(iterations=20, seed=1))
         max_expected_occupancy(instance, schedule)
         assert sorted(built) == ["MeoKernel", "_Chains"]
+
+    def test_each_day_keeps_its_own_kernel(self, monkeypatch):
+        # Annealing day A, then day B, then A again, and an MEO on A, build
+        # one MEO kernel per day, each on the day's first use: B's kernel
+        # does not displace A's.
+        first, second = generate_instance(GenSpec(seed=0)), generate_instance(GenSpec(seed=1))
+        built = []
+        original = forecast.MeoKernel.__init__
+
+        def counting(self, *args):
+            built.append(args[0])
+            original(self, *args)
+
+        monkeypatch.setattr(forecast.MeoKernel, "__init__", counting)
+        counts = []
+        for instance in (first, second, first):
+            simulated_annealing(instance, SAConfig(iterations=5, seed=0))
+            counts.append(len(built))
+        schedule = construct_schedule(first, first.patient_ids, np.random.default_rng(0))
+        max_expected_occupancy(first, schedule)
+        counts.append(len(built))
+        assert counts == [1, 2, 2, 2]
 
 
 class TestChainBuilderMatchesNeighbourLists:
