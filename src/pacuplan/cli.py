@@ -248,15 +248,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags are spelled in full; argparse hands no allow_abbrev to subparsers.
     parser = argparse.ArgumentParser(
-        prog="pacuplan",
+        prog="pacuplan", allow_abbrev=False,
         description="Forecast recovery-bed occupancy and optimise surgical case sequences.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid-step", type=float, default=forecast.GRID_STEP)
 
-    p = sub.add_parser("generate", help="write a synthetic instance file")
+    p = sub.add_parser("generate", allow_abbrev=False, help="write a synthetic instance file")
     p.add_argument("--spec", help="JSON file of generator fields (ranges etc.)")
     p.add_argument("--patients", dest="patient_count", type=int, default=None)
     p.add_argument("--surgeons", dest="surgeon_count", type=int, default=None)
@@ -268,14 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="instance.json")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("forecast", parents=[grid], help="occupancy curve CSV for a schedule")
+    p = sub.add_parser("forecast", allow_abbrev=False, parents=[grid],
+                       help="occupancy curve CSV for a schedule")
     p.add_argument("instance")
     p.add_argument("schedule")
     p.add_argument("--out", default="occupancy.csv")
     p.set_defaults(func=cmd_forecast)
 
     defaults = SAConfig()
-    p = sub.add_parser("optimize", help="anneal a schedule that levels recovery occupancy")
+    p = sub.add_parser("optimize", allow_abbrev=False,
+                       help="anneal a schedule that levels recovery occupancy")
     p.add_argument("instance")
     for f in dataclasses.fields(SAConfig):
         default = getattr(defaults, f.name)
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="schedule.json")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("validate", parents=[grid],
+    p = sub.add_parser("validate", allow_abbrev=False, parents=[grid],
                        help="Monte Carlo check of the analytic occupancy model")
     p.add_argument("instance")
     p.add_argument("schedule")
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="validation.json")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("sweep", parents=[grid],
+    p = sub.add_parser("sweep", allow_abbrev=False, parents=[grid],
                        help="grid-sweep annealing parameters over instances")
     p.add_argument("instances", help="directory of instance JSON files")
     p.add_argument("--iteration-grid", type=_int_list, default=[1000, 2000, 3000])

@@ -17,9 +17,8 @@ patients and the lognormal (mu, sigma) of surgery, surgery + recovery and
 recovery, one row each.  Its ``starts`` checks a raw list of starts (one
 real, finite start per patient) and picks out the rows'; a ``Schedule``
 checks its own starts, and ``Instance.starts_of`` that it times exactly the
-day's patients.  Callers take the rows from ``RecoveryRows.of``, which
-builds them once for a run of calls on the same day.  The rows hold no MEO
-kernel: the day keeps its own (``Instance._kernel``).
+day's patients.  Callers build the rows they read; the day's MEO kernel
+keeps its own (``Instance._kernel``).
 
 The peak of the expected headcount (MEO), the optimiser's objective, has one
 kernel, ``MeoKernel``, and most grid columns cannot hold the peak: the
@@ -80,7 +79,7 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -168,9 +167,6 @@ class RecoveryRows:
     three are read-only, so one object can serve every caller.
     """
 
-    # The last day's patients and their rows: ``of`` builds a day's rows once.
-    _memo: tuple[tuple["Patient", ...], "RecoveryRows"] | None = None
-
     def __init__(self, patients: Sequence["Patient"]):
         self.n_patients = len(patients)
         rows = [(i, p.surgery.mu, p.surgery.sigma, p.combined.mu, p.combined.sigma,
@@ -181,23 +177,6 @@ class RecoveryRows:
         self.mu, self.sd = np.ascontiguousarray(table[:, 1:].reshape(-1, 3, 2).T)
         for array in (self.index, self.mu, self.sd):
             array.flags.writeable = False
-
-    @classmethod
-    def of(cls, patients: Iterable["Patient"]) -> "RecoveryRows":
-        """The rows of ``patients``, built once for consecutive calls on the same day.
-
-        One entry, keyed on the patients as a tuple and compared by equality:
-        on the same patient objects that is one identity check per patient.
-        Equal but distinct patients (the same day read again) reuse the rows
-        and become the key, so that only their first call compares fields.
-        The rows are read-only, so callers may share them; two threads racing
-        here at worst build them twice.
-        """
-        key = tuple(patients)
-        memo = cls._memo
-        rows = memo[1] if memo is not None and memo[0] == key else cls(key)
-        cls._memo = (key, rows)
-        return rows
 
     def starts(self, starts: Sequence[float]) -> np.ndarray:
         """The rows' starts, out of one finite start per patient.
@@ -419,7 +398,7 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
     if recovery_model not in RECOVERY_MODELS:
         raise ValueError(f"unknown recovery model {recovery_model!r}; expected one of {RECOVERY_MODELS}")
     times = time_grid(grid_step, horizon)
-    rows = RecoveryRows.of(patients)
+    rows = RecoveryRows(patients)
     z = rows.starts(starts)
     combined_cdf = None
     if recovery_model == "convolved":
@@ -432,6 +411,14 @@ def occupancy_curve(patients: Sequence["Patient"], starts: Sequence[float],
                           mean - half_band, mean + half_band)
 
 
+# The last tail query's patients, as a tuple, and their rows: a sweep over a
+# day's grid, one call per time, builds the rows once.  The key is compared by
+# equality, so equal but distinct patients reuse the rows and become the key;
+# racing threads at worst build them twice.  A query over the whole grid in
+# one call would retire it.
+_tail_rows: tuple[tuple["Patient", ...], RecoveryRows] | None = None
+
+
 def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
                         t: float, k: int) -> float:
     """P(at most k patients in recovery at time t), exact Poisson-binomial tail.
@@ -442,6 +429,10 @@ def exact_occupancy_cdf(patients: Sequence["Patient"], starts: Sequence[float],
     """
     if not _is_finite(t):
         raise ValueError(f"exact_occupancy_cdf: t must be a finite number, got {t!r}")
-    rows = RecoveryRows.of(patients)
+    global _tail_rows
+    key = tuple(patients)
+    memo = _tail_rows
+    rows = memo[1] if memo is not None and memo[0] == key else RecoveryRows(key)
+    _tail_rows = (key, rows)
     probs = recovery_prob_matrix(rows, rows.starts(starts), np.array([t]))
     return poisson_binomial_cdf(probs[:, 0], k)

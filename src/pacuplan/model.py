@@ -141,7 +141,7 @@ class Instance:
     def _kernel(self, grid_step: float) -> forecast.MeoKernel:
         """The day's MEO kernel on this grid step, built on first use; the day keeps the last one."""
         if self._meo_kernel is None or self._meo_kernel.grid_step != grid_step:
-            self._meo_kernel = forecast.MeoKernel(forecast.RecoveryRows.of(self.patients), grid_step,
+            self._meo_kernel = forecast.MeoKernel(forecast.RecoveryRows(self.patients), grid_step,
                                                   self.day_hours)
         return self._meo_kernel
 

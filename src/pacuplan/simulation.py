@@ -344,7 +344,7 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
     starts = instance.starts_of(schedule)
     rng = np.random.default_rng(0) if rng is None else rng
     forecast.time_grid(grid_step, instance.day_hours)  # a bad grid raises before any draw
-    rows = forecast.RecoveryRows.of(instance.patients)
+    rows = forecast.RecoveryRows(instance.patients)
     z = rows.starts(starts)
 
     drawn = queue.Queue(_LOOKAHEAD)

@@ -97,7 +97,7 @@ def test_kernel_tables_keep_their_size(default_instance):
     assert kernel.bounds.nbytes == rows * 2 * (3 * n + 1) * 2 * 2
 
 
-def test_a_second_construction_builds_no_workspace(monkeypatch):
+def test_a_second_construction_builds_no_chains(monkeypatch):
     # solver.construct_us times construct_schedule calls on one day: after the
     # first, a call reuses the day's chains and times the two passes alone.
     # A fresh day, as the session's default day may already hold its chains.
@@ -110,7 +110,6 @@ def test_a_second_construction_builds_no_workspace(monkeypatch):
         original(self, instance)
 
     monkeypatch.setattr(model._Chains, "__init__", counting)
-    monkeypatch.setattr(forecast.RecoveryRows, "_memo", None)
     rng = np.random.default_rng(1)
     for _ in range(2):
         ids = list(rng.permutation(instance.patient_ids))

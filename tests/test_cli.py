@@ -9,6 +9,7 @@ import io as _io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -443,14 +444,29 @@ def test_directory_in_place_of_a_file_exits_2_naming_it(tmp_path, small_instance
 
 
 def test_readme_command_lines_parse():
+    # Every pacuplan line of every bash block, comments stripped and split as
+    # a shell would, parses; none runs.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
-    command_lines = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
-                     if line.startswith("pacuplan ")]
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.DOTALL)
+    command_lines = [shlex.split(line, comments=True)[1:] for block in blocks
+                     for line in block.splitlines() if line.startswith("pacuplan ")]
     assert len(command_lines) == 5
     parser = build_parser()
     for argv in command_lines:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("validate", "day.json", "best.json", "--sample", "300", "--mod", "matched"), "--sample 300"),
+    (("forecast", "day.json", "best.json", "--grid", "0.5"), "--grid 0.5"),
+    (("optimize", "day.json", "--iter", "5", "--rep", "2"), "--iter 5"),
+], ids=["validate", "forecast", "optimize"])
+def test_abbreviated_flags_exit_2_naming_the_flag(capsys, argv, flag):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _readme_library_block():
@@ -843,15 +859,25 @@ def test_fresh_import_loads_no_scipy():
     assert loaded == "[]"
 
 
-def test_sources_parse_as_python_3_10():
-    """Every module parses under Python 3.10's grammar, ``requires-python``'s floor.
+def test_sources_parse_at_the_python_floor():
+    """Every module parses under the grammar of ``requires-python``'s floor, CI's first Python.
 
-    This catches syntax only: a library call that 3.11 added still passes.
+    The floor is read by regex, as ``tomllib`` is newer than it.  This
+    catches syntax only: a library call that a later Python added still
+    passes.
     """
-    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "pacuplan").glob("*.py"))
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (root / "pyproject.toml").read_text(), flags=re.MULTILINE)
+    assert floor is not None
+    floor = (int(floor[1]), int(floor[2]))
+    matrix = re.search(r'python-version: \["(\d+)\.(\d+)"',
+                       (root / ".github" / "workflows" / "tests.yml").read_text())
+    assert matrix is not None and (int(matrix[1]), int(matrix[2])) == floor
+    sources = sorted((root / "src" / "pacuplan").glob("*.py"))
     assert sources
     for path in sources:
-        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def test_the_workflow_console_script_block_runs(tmp_path):

@@ -14,6 +14,7 @@ from pacuplan import (
     LognormalParams,
     baseline_schedule,
     generate_instance,
+    max_expected_occupancy,
     occupancy_curve,
 )
 from pacuplan import forecast, solver
@@ -134,35 +135,65 @@ class TestRecoveryRows:
         assert rows.index.size == 0 and rows.mu.shape == rows.sd.shape == (3, 0)
         assert rows.starts([1.0]).size == 0
 
-    def test_of_builds_a_day_once(self):
+    def test_tail_query_builds_a_day_once(self):
         patients = [make_patient(pid=f"p{i}", surgery=(0.1 * i, 0.2)) for i in range(4)]
-        rows = forecast.RecoveryRows.of(patients)
-        assert forecast.RecoveryRows.of(list(patients)) is rows  # equal, not the same list
-        assert forecast.RecoveryRows.of(tuple(patients)) is rows
+        starts = [0.0] * 4
+        exact_occupancy_cdf(patients, starts, 1.0, 2)
+        rows = forecast._tail_rows[1]
+        exact_occupancy_cdf(list(patients), starts, 2.0, 2)  # equal, not the same list
+        assert forecast._tail_rows[1] is rows
+        exact_occupancy_cdf(tuple(patients), starts, 3.0, 2)
+        assert forecast._tail_rows[1] is rows
         assert rows.index.tolist() == [0, 1, 2, 3]
         # The same day built again: equal patients, none of them the same object.
         again = [make_patient(pid=f"p{i}", surgery=(0.1 * i, 0.2)) for i in range(4)]
         assert again == patients and again[0] is not patients[0]
-        assert forecast.RecoveryRows.of(again) is rows
+        exact_occupancy_cdf(again, starts, 1.0, 2)
+        assert forecast._tail_rows[1] is rows
 
-    def test_of_sees_a_list_changed_after_a_call(self):
+    def test_tail_query_sees_a_list_changed_after_a_call(self):
         patients = [make_patient(pid=f"p{i}", surgery=(0.1 * i, 0.2)) for i in range(3)]
-        rows = forecast.RecoveryRows.of(patients)
+        exact_occupancy_cdf(patients, [0.0] * 3, 1.0, 1)
+        rows = forecast._tail_rows[1]
         patients[1] = make_patient(pid="p1", needs_recovery=False)
-        changed = forecast.RecoveryRows.of(patients)
+        exact_occupancy_cdf(patients, [0.0] * 3, 1.0, 1)
+        changed = forecast._tail_rows[1]
         assert changed is not rows
         assert changed.index.tolist() == [0, 2] and rows.index.tolist() == [0, 1, 2]
         patients.append(make_patient(pid="p3"))
-        assert forecast.RecoveryRows.of(patients).n_patients == 4
+        exact_occupancy_cdf(patients, [0.0] * 4, 1.0, 1)
+        assert forecast._tail_rows[1].n_patients == 4
 
-    def test_of_takes_a_generator(self):
+    def test_tail_query_takes_a_generator(self):
         patients = [make_patient(pid=f"p{i}") for i in range(3)]
-        rows = forecast.RecoveryRows.of(p for p in patients)
+        exact_occupancy_cdf((p for p in patients), [0.0] * 3, 1.0, 1)
+        rows = forecast._tail_rows[1]
         assert rows.n_patients == 3 and rows.index.tolist() == [0, 1, 2]
-        assert forecast.RecoveryRows.of(patients) is rows
+        exact_occupancy_cdf(patients, [0.0] * 3, 1.0, 1)
+        assert forecast._tail_rows[1] is rows
+
+    def test_tail_query_keeps_its_rows_across_other_days(self, monkeypatch):
+        # A tail sweep on day A keeps A's rows while day B is forecast and
+        # its MEO taken between two of its queries.
+        first, second = generate_instance(GenSpec(seed=0)), generate_instance(GenSpec(seed=1))
+        starts_a = first.starts_of(baseline_schedule(first))
+        schedule_b = baseline_schedule(second)
+        exact_occupancy_cdf(first.patients, starts_a, 5.0, 3)
+        occupancy_curve(second.patients, second.starts_of(schedule_b))
+        max_expected_occupancy(second, schedule_b)
+        built = []
+        original = RecoveryRows.__init__
+
+        def counting(self, patients):
+            built.append(patients)
+            original(self, patients)
+
+        monkeypatch.setattr(RecoveryRows, "__init__", counting)
+        exact_occupancy_cdf(first.patients, starts_a, 6.0, 3)
+        assert built == []
 
     def test_arrays_are_read_only(self):
-        rows = forecast.RecoveryRows.of([make_patient(), make_patient(pid="p2")])
+        rows = forecast.RecoveryRows([make_patient(), make_patient(pid="p2")])
         for array in (rows.index, rows.mu, rows.sd):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1

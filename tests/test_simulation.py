@@ -304,7 +304,7 @@ class TestHistogramPaths:
 def serial_histogram(instance, schedule, n_samples, mode, rng):
     """The (time, count) histogram of draws and binning in turn on one thread."""
     times = forecast.time_grid(forecast.GRID_STEP, instance.day_hours)
-    rows = forecast.RecoveryRows.of(instance.patients)
+    rows = forecast.RecoveryRows(instance.patients)
     z = rows.starts(instance.starts_of(schedule))
     histogram = np.zeros((times.size, z.size + 1), dtype=np.int64)
     for block_start in range(0, n_samples, _CHUNK):

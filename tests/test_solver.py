@@ -201,7 +201,7 @@ def reference_starts(instance, sequence, rng):
     return {patients[i].id: float(starts[i]) for i in range(n)}
 
 
-class TestWorkspace:
+class TestDayCaches:
     """A day's chains and MEO kernel are built once per day, from all they read."""
 
     def test_key_covers_the_surgeons_shifts(self):
@@ -227,7 +227,7 @@ class TestWorkspace:
         assert warm.infeasible == cold.infeasible == 0
         assert simulated_annealing(first, config).infeasible > 0
 
-    def test_one_workspace_and_one_kernel_per_day(self, monkeypatch):
+    def test_one_chain_table_and_one_kernel_per_day(self, monkeypatch):
         # Three constructions, an annealing run and an MEO on the same day
         # build its chains and its MEO kernel once each.
         instance = generate_instance(GenSpec(seed=0))
