@@ -26,12 +26,13 @@ O(patients x samples + grid x samples) instead of O(patients x grid x
 samples), with the same draws in the same order.
 
 Drawing and binning run on two threads, because the seeded normal draws and
-the binning each take about half the sampling time.  One extra thread makes
-every draw, block by block and row by row in the serial order, and is the
-only user of the generator; it hands each row's windows to the calling
-thread, which bins them, through a queue of at most ``_LOOKAHEAD`` rows
-(~4 MB).  So the draws, every statistic and the generator's end state are
-those of one thread, and the thread is joined before the call returns.
+the binning each take about half the sampling time.  The calling thread
+submits every row's draw, block by block and row by row in the serial
+order, to an executor of one worker, at most ``_LOOKAHEAD`` rows (~4 MB)
+ahead of the row it bins.  One worker runs them in that order and is the
+only user of the generator, so the draws, every statistic and the
+generator's end state are those of one thread; the worker is joined before
+the call returns.
 
 The generator produces synthetic days at the scale of a large surgical
 department (default: 61 patients, 35 surgeons, 21 ORs, 45 needing recovery).
@@ -40,10 +41,11 @@ rather than fitted.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import queue
-import threading
+import numbers
 import time
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Annotated
@@ -78,10 +80,10 @@ _NEAR_STEP = 1e-9
 # Measured on a 2-core x86 host; at 20 000 samples it pairs up to 122 counts.
 _PAIR_COST = 5_000
 
-# Rows of drawn windows the draw thread may hold ready ahead of binning.  A row
-# is two float64 arrays of one block, 320 KB at 20 000 samples, so this bounds
-# the lookahead at ~4 MB.  The queue absorbs the analytic curve's time and the
-# jitter of either side.  On a 2-core x86 host, default day, 100 000 true-mode
+# Rows submitted to the draw worker ahead of the row being binned.  A row is
+# two float64 arrays of one block, 320 KB at 20 000 samples, so this bounds
+# the lookahead at ~4 MB.  It absorbs the analytic curve's time and the jitter
+# of either side.  On a 2-core x86 host, default day, 100 000 true-mode
 # samples, best of 11: 215, 198, 193 and 170 ms with 1, 4, 8 and 16 rows; 12
 # rows ran as fast as 16 and keep a `validate` process ~1.3 MB smaller.
 _LOOKAHEAD = 12
@@ -225,24 +227,6 @@ def _draw_windows(mu: np.ndarray, sd: np.ndarray, start: float, rng: np.random.G
             _shifted_lognormal(w, mu[1], sd[1], start))
 
 
-def _draw_rows(rows: forecast.RecoveryRows, z: np.ndarray, rng: np.random.Generator,
-               n_samples: int, mode: str, drawn: queue.Queue, stop: threading.Event) -> None:
-    """The draw thread: every row's windows, block by block and row by row, into ``drawn``.
-
-    A failure is put in place of the windows.  Once ``stop`` is set, the
-    thread ends after at most one more row.
-    """
-    try:
-        for block_start in range(0, n_samples, _CHUNK):
-            block = min(_CHUNK, n_samples - block_start)
-            for r in range(z.size):
-                if stop.is_set():
-                    return
-                drawn.put(_draw_windows(rows.mu[:, r], rows.sd[:, r], z[r], rng, block, mode))
-    except BaseException as exc:  # the binning thread raises it
-        drawn.put(exc)
-
-
 def _grid_index(times: np.ndarray, grid_step: float, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(times, x, "left")`` for ``times = forecast.time_grid(grid_step, ...)``.
 
@@ -333,10 +317,13 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
     The analytic curve is the model of the sampled process: the "convolved"
     recovery model in "true" mode and the paper's "moment" model in
     "matched" mode.  Occupancy at t counts patients with entry <= t < exit.
-    Samples are processed in blocks of ``_CHUNK``, drawn on a second thread
-    and binned on this one; every statistic comes from an integer (time,
-    count) histogram over all samples, so it is an exact aggregate.
+    ``n_samples`` must be an integer, not a bool.  Samples are processed in
+    blocks of ``_CHUNK``, drawn by a one-worker executor and binned on this
+    thread; every statistic comes from an integer (time, count) histogram
+    over all samples, so it is an exact aggregate.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode not in SAMPLING_MODES:
@@ -346,24 +333,25 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
     forecast.time_grid(grid_step, instance.day_hours)  # a bad grid raises before any draw
     rows = forecast.RecoveryRows(instance.patients)
     z = rows.starts(starts)
+    blocks = [min(_CHUNK, n_samples - b) for b in range(0, n_samples, _CHUNK)]
 
-    drawn = queue.Queue(_LOOKAHEAD)
-    stop = threading.Event()
-    drawer = threading.Thread(target=_draw_rows, args=(rows, z, rng, n_samples, mode, drawn, stop),
-                              name="pacuplan-draws", daemon=True)
+    # Imported here: at module level it loads logging, ~5 ms on every CLI command.
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(1, thread_name_prefix="pacuplan-draws")
+    draws = (pool.submit(_draw_windows, rows.mu[:, r], rows.sd[:, r], z[r], rng, block, mode)
+             for block in blocks for r in range(z.size))
     draw_wait = 0.0
 
     def next_windows() -> tuple[np.ndarray, np.ndarray]:
         nonlocal draw_wait
+        ahead.extend(itertools.islice(draws, 1))
         waited = time.perf_counter()
-        windows = drawn.get()
+        windows = ahead.popleft().result()
         draw_wait += time.perf_counter() - waited
-        if isinstance(windows, BaseException):
-            raise windows
         return windows
 
-    drawer.start()
     try:
+        ahead = deque(itertools.islice(draws, _LOOKAHEAD))
         # The analytic curve is computed while the first rows are drawn.
         analytic = forecast.occupancy_curve(instance.patients, starts,
                                             grid_step=grid_step, horizon=instance.day_hours,
@@ -371,15 +359,11 @@ def monte_carlo_curve(instance: Instance, schedule: Schedule, n_samples: int,
         times = analytic.times
         n_counts = z.size + 1  # occupancy takes values 0 .. the recovery patients
         histogram = np.zeros((times.size, n_counts), dtype=np.int64)
-        for block_start in range(0, n_samples, _CHUNK):
-            block = min(_CHUNK, n_samples - block_start)
+        for block in blocks:
             windows = (next_windows() for _ in range(z.size))
             histogram += _occupancy_histogram(times, grid_step, windows, block, n_counts)
     finally:
-        stop.set()
-        while not drawn.empty():  # frees a draw thread blocked on a full queue
-            drawn.get_nowait()
-        drawer.join()
+        pool.shutdown(cancel_futures=True)  # drops the rows not yet drawn and joins the worker
 
     counts = np.arange(n_counts)
     total = (histogram @ counts).astype(np.float64)

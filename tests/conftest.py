@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,16 @@ from pacuplan import (GenSpec, Instance, LognormalParams, Patient, Surgeon, fore
                       generate_instance)
 from pacuplan.distributions import SQRT2, _erf, _validate_probs, lognormal_cdf
 from pacuplan.simulation import _CHUNK, _RECOVERY_MODEL_OF_MODE, _draw_windows
+
+
+# This checkout's sources, which a subprocess must import rather than any installed copy.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env(**extra):
+    """``os.environ`` and ``extra``, with ``SRC`` first on ``PYTHONPATH``."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 def make_patient(pid="p1", surgeon="s1", or_id=1, needs_recovery=True,

@@ -37,7 +37,7 @@ from pacuplan.distributions import LognormalParams, moment_match_sum, poisson_bi
 from pacuplan.solver import construct_schedule
 from pacuplan.cli import main as cli_main
 
-from conftest import dft_cdf_oracle, random_genspec
+from conftest import dft_cdf_oracle, random_genspec, src_env
 
 # Pinned Monte Carlo seed for criteria 3 and 4.  The matched-mode estimator
 # is exactly unbiased, but the criterion takes a max over 241 grid points of
@@ -209,7 +209,7 @@ def test_criterion_7_optimize_wall_clock(tmp_path, default_day):
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pacuplan.cli", "optimize",
                            str(instance_path), "--out", str(out)],
-                          capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
     elapsed = time.perf_counter() - started
     ok = proc.returncode == 0 and elapsed < 6.0
     report(7, "default optimisation under six seconds", ok, f"{elapsed:.2f} s")

@@ -7,7 +7,6 @@ import importlib
 import inspect
 import io as _io
 import json
-import os
 import re
 import shlex
 import shutil
@@ -28,7 +27,7 @@ from pacuplan import (GenSpec, Instance, SAConfig, Schedule, baseline_schedule, 
 from pacuplan import forecast, io
 from pacuplan.cli import build_parser, main
 
-from conftest import in_recovery_oracle, late_shift_instance
+from conftest import SRC, in_recovery_oracle, late_shift_instance, src_env
 
 
 def run(*argv):
@@ -846,17 +845,17 @@ class TestVersionFlag:
 
 
 def test_fresh_import_loads_no_scipy():
-    # scipy is a test-only oracle; the runtime needs numpy alone.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    # scipy is a test-only oracle; the runtime needs numpy alone.  Only
+    # ``validate`` samples, so the executor and the logging it loads wait for it.
     code = ("import sys, pacuplan.cli; print(pacuplan.cli.__file__); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=60, check=True)
-    module_file, loaded = proc.stdout.splitlines()
-    assert Path(module_file).resolve().parent == src / "pacuplan"
-    assert loaded == "[]"
+    module_file, scipy, executor = proc.stdout.splitlines()
+    assert Path(module_file).resolve().parent == SRC / "pacuplan"
+    assert scipy == "[]"
+    assert executor == "[]"
 
 
 def test_sources_parse_at_the_python_floor():
@@ -899,9 +898,7 @@ def test_the_workflow_console_script_block_runs(tmp_path):
     for command in ("generate", "optimize", "forecast", "sweep", "validate"):
         assert f"pacuplan {command} " in block
     script = 'set -euo pipefail\npacuplan() { "$PYTHON" -m pacuplan.cli "$@"; }\n' + block
-    env = dict(os.environ, PYTHON=sys.executable, RUNNER_TEMP=str(tmp_path),
-               PYTHONPATH=os.pathsep.join([str(root / "src"),
-                                           *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = src_env(PYTHON=sys.executable, RUNNER_TEMP=str(tmp_path))
     proc = subprocess.run([bash, "-c", script], cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,18 @@ class TestMonteCarloCurve:
         instance = make_instance([make_patient()])
         with pytest.raises(ValueError):
             monte_carlo_curve(instance, Schedule({"p1": 0.0}), n_samples=0)
+
+    @pytest.mark.parametrize("n_samples", [True, 2.0, "5", np.int64(3)])
+    def test_sample_count_must_be_an_integer(self, n_samples):
+        instance = make_instance([make_patient()])
+        if isinstance(n_samples, np.integer):  # a numpy integer is an integer
+            curve = monte_carlo_curve(instance, Schedule({"p1": 0.0}), n_samples)
+            assert curve.n_samples == 3
+            assert np.array_equal(curve.above + curve.below + curve.inside,
+                                  np.full_like(curve.above, 3))
+        else:
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                monte_carlo_curve(instance, Schedule({"p1": 0.0}), n_samples)
 
     def test_deterministic_under_seed(self, default_instance):
         schedule = baseline_schedule(default_instance)
@@ -412,20 +425,20 @@ class TestDrawThread:
 
     def test_a_binning_failure_stops_and_joins_the_draw_thread(self, monkeypatch,
                                                                 default_instance):
-        # The binning thread fails on its first row once the draw thread has
-        # filled the queue and is blocked handing over one more row.
+        # The binning fails on its first row once the worker has run every
+        # submitted draw: the lookahead and the one submitted as the row was taken.
         draws = []
-        blocked = threading.Event()
+        all_drawn = threading.Event()
         draw = simulation._draw_windows
 
         def counted_draw(*args):
             draws.append(None)
-            if len(draws) == _LOOKAHEAD + 2:
-                blocked.set()
+            if len(draws) == _LOOKAHEAD + 1:
+                all_drawn.set()
             return draw(*args)
 
         def failing_grid_index(*args):
-            assert blocked.wait(timeout=30.0)
+            assert all_drawn.wait(timeout=30.0)
             raise ArithmeticError("binning failed")
 
         monkeypatch.setattr(simulation, "_draw_windows", counted_draw)
@@ -433,8 +446,29 @@ class TestDrawThread:
         threads = threading.active_count()
         assert str(self.raised_by(default_instance, 100_000)) == "binning failed"
         assert threading.active_count() == threads
-        # One row taken, a full queue and the row that was blocked: none drawn after the failure.
-        assert len(draws) == _LOOKAHEAD + 2
+        # None submitted after the failure, so none drawn after it.
+        assert len(draws) == _LOOKAHEAD + 1
+
+    def test_a_binning_failure_at_once_cancels_the_waiting_draws(self, monkeypatch,
+                                                                  default_instance):
+        draws = []
+        draw = simulation._draw_windows
+
+        def counted_draw(*args):
+            draws.append(None)
+            return draw(*args)
+
+        def failing_grid_index(*args):
+            raise ArithmeticError("binning failed")
+
+        monkeypatch.setattr(simulation, "_draw_windows", counted_draw)
+        monkeypatch.setattr(simulation, "_grid_index", failing_grid_index)
+        threads = threading.active_count()
+        assert str(self.raised_by(default_instance, 100_000)) == "binning failed"
+        assert threading.active_count() == threads
+        drawn = len(draws)
+        time.sleep(0.2)
+        assert len(draws) == drawn <= _LOOKAHEAD + 1
 
 
 class TestGridIndex:
